@@ -10,6 +10,7 @@ UNTRUSTED_NOMA_CONFIG environment variable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -27,12 +28,11 @@ from .experiments import (
 from .optimizer import SCHEMES, sweep_all
 from .orders import (
     count_secure,
-    enumerate_orders,
-    is_favourable,
-    is_secure,
     order_from_id,
     order_id,
     policy_order,
+    secure_orders,
+    total_orders,
 )
 from .system import SystemParams, power_allocation, sample_channels, secrecy_rates
 
@@ -148,18 +148,15 @@ def _emit_records(records: list[ResultRecord], args: argparse.Namespace, cfg: di
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    allow = bool(args.allow_large_n)
-    total = sum(1 for _ in enumerate_orders(args.users, allow))
-    secure = count_secure(args.users, allow)
-    favourable = sum(1 for o in enumerate_orders(args.users, allow) if is_favourable(o))
-    print(f"total={total} secure={secure} favourable={favourable}")
+    n = args.users
+    secure = count_secure(n, bool(args.allow_large_n))
+    print(f"total={total_orders(n)} secure={secure} favourable={math.factorial(n - 1) ** n}")
     return 0
 
 
 def _cmd_filter_secure(args: argparse.Namespace) -> int:
-    for order in enumerate_orders(args.users, bool(args.allow_large_n)):
-        if is_secure(order):
-            print(order_id(order))
+    for order in secure_orders(args.users, bool(args.allow_large_n)):
+        print(order_id(order))
     return 0
 
 

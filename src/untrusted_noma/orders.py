@@ -8,6 +8,7 @@ strongest channel down.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
@@ -28,6 +29,8 @@ __all__ = [
     "policy_order_lpsu",
     "order_id",
     "order_from_id",
+    "column_permutations",
+    "secure_column_ranks",
     "secure_orders",
     "favourable_orders",
 ]
@@ -108,8 +111,33 @@ def is_secure(order: DecodingOrder) -> bool:
 
 
 def count_secure(n: int, allow_large_n: bool = False) -> int:
-    """Number of secure decoding orders, by exhaustive enumeration."""
-    return sum(1 for order in enumerate_orders(n, allow_large_n) if is_secure(order))
+    """Number of secure decoding orders, counted over the column walk of
+    ``secure_orders`` without visiting its leaves.
+
+    The orders that can follow column m depend only on m and on the stage
+    bounds of the users m..N (see ``secure_column_ranks``), so the count of
+    each such subtree is memoised. Column m contributes only through its own
+    stage and the stages of the weaker users, so its permutations are grouped
+    by those. Refuses n > ENUMERATION_CAP unless explicitly overridden.
+    """
+    _check_cap(n, allow_large_n)
+    stages = _stage_table(n)
+    columns = [
+        Counter((stages[r][m], stages[r][m + 1 :]) for r in ranks)
+        for m, ranks in enumerate(_column_options(n))
+    ]
+
+    @lru_cache(maxsize=None)
+    def count_from(m: int, bound: tuple[int, ...]) -> int:
+        if m == n:
+            return 1
+        return sum(
+            k * count_from(m + 1, tuple(map(max, bound[1:], later)))
+            for (own, later), k in columns[m].items()
+            if own > bound[0]
+        )
+
+    return count_from(0, (-1,) * n)
 
 
 def is_favourable(order: DecodingOrder) -> bool:
@@ -209,12 +237,73 @@ def order_from_id(n: int, oid: int) -> DecodingOrder:
 
 
 @lru_cache(maxsize=8)
-def secure_orders(n: int) -> tuple[DecodingOrder, ...]:
-    """All secure orders for n users, ascending by order id (n <= cap)."""
-    return tuple(order for order in enumerate_orders(n) if is_secure(order))
+def column_permutations(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every column for n users in lexicographic order, so that entry r is
+    the permutation of rank r in ``order_id``'s mixed radix."""
+    return tuple(permutations(range(1, n + 1)))
 
 
 @lru_cache(maxsize=8)
-def favourable_orders(n: int) -> tuple[DecodingOrder, ...]:
-    """All favourable orders for n users, ascending by order id (n <= cap)."""
-    return tuple(order for order in enumerate_orders(n) if is_favourable(order))
+def _stage_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Entry [r][u - 1]: 0-based SIC stage of user u in the column of rank r."""
+    return tuple(tuple(col.index(u) for u in range(1, n + 1)) for col in column_permutations(n))
+
+
+@lru_cache(maxsize=8)
+def _column_options(n: int) -> tuple[tuple[int, ...], ...]:
+    """Ranks, ascending, of the columns receiver m may follow in a secure
+    order, for m = 1..n: those whose last stage decodes no weaker user. A
+    weaker user n decoded last by receiver m has no later stage left for
+    receiver n to decode itself at."""
+    return tuple(
+        tuple(r for r, col in enumerate(column_permutations(n)) if col[-1] <= m)
+        for m in range(1, n + 1)
+    )
+
+
+def secure_column_ranks(n: int, allow_large_n: bool = False) -> Iterator[tuple[int, ...]]:
+    """Stream the per-column ranks of every secure order, ascending by id.
+
+    ``is_secure`` asks that each receiver m < n decodes user n at an earlier
+    stage than receiver n decodes itself. Once columns 1..n-1 are fixed, the
+    bound on column n is the latest of those stages. The walk fills columns
+    1..N depth-first, each in rank order, and keeps a column only if it
+    decodes its own user after that bound and passes ``_column_options``.
+    Every prefix it keeps can still be completed (its user was never decoded
+    last before), so the walk meets no dead ends: O(|S| * N * N!) time.
+    Refuses n > ENUMERATION_CAP unless explicitly overridden.
+    """
+    _check_cap(n, allow_large_n)
+    stages = _stage_table(n)
+    options = _column_options(n)
+
+    def walk(m: int, bound: tuple[int, ...], prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if m == n:
+            yield prefix
+            return
+        for r in options[m]:
+            stage = stages[r]
+            if stage[m] > bound[m]:
+                yield from walk(m + 1, tuple(map(max, bound, stage)), prefix + (r,))
+
+    return walk(0, (-1,) * n, ())
+
+
+def secure_orders(n: int, allow_large_n: bool = False) -> Iterator[DecodingOrder]:
+    """Stream every secure order for n users, ascending by order id, built
+    column by column (see ``secure_column_ranks``) rather than filtered out
+    of all (N!)^N orders. Refuses n > ENUMERATION_CAP unless explicitly
+    overridden."""
+    walk = secure_column_ranks(n, allow_large_n)
+    perms = column_permutations(n)
+    return (DecodingOrder(columns=tuple(perms[r] for r in ranks)) for ranks in walk)
+
+
+def favourable_orders(n: int, allow_large_n: bool = False) -> Iterator[DecodingOrder]:
+    """Stream every favourable order for n users, ascending by order id: the
+    product over receivers of the columns that end with the receiver itself.
+    Refuses n > ENUMERATION_CAP unless explicitly overridden."""
+    _check_cap(n, allow_large_n)
+    perms = column_permutations(n)
+    columns = [[col for col in perms if col[-1] == m] for m in range(1, n + 1)]
+    return (DecodingOrder(columns=cols) for cols in product(*columns))

@@ -137,7 +137,7 @@ def test_criterion_3_conventional_order_secures_only_strongest():
 def test_criterion_4_self_last_dominance():
     rng = np.random.default_rng(424242)
     params = SystemParams(n_users=3)
-    sec = secure_orders(3)
+    sec = tuple(secure_orders(3))
     worst_drop = 0.0
     worst_gap = 0.0
     fav = [o for o in sec if is_favourable(o)]

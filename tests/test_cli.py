@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from untrusted_noma import cli, orders
 from untrusted_noma.cli import CONFIG_ENV_VAR, main
 
 
@@ -29,6 +30,11 @@ class TestCount:
         assert out == ""
         assert "capped" in err and "--allow-large-n" in err
 
+    def test_five_users_with_override(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--users", "5", "--allow-large-n")
+        assert code == 0
+        assert out == "total=24883200000 secure=29638368 favourable=7962624\n"
+
     def test_unknown_flag_rejected(self, capsys):
         code, _, err = run_cli(capsys, "count", "--users", "3", "--frobnicate")
         assert code == 1
@@ -47,6 +53,20 @@ class TestFilterSecure:
         ids = [int(line) for line in out.splitlines()]
         assert len(ids) == 12
         assert ids == sorted(ids)
+
+
+class TestNoExhaustiveWalk:
+    def test_count_filter_and_secure_orders_never_enumerate(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate_orders called")
+
+        monkeypatch.setattr(orders, "enumerate_orders", refuse)
+        monkeypatch.setattr(cli, "enumerate_orders", refuse, raising=False)
+        code, out, _ = run_cli(capsys, "count", "--users", "4")
+        assert (code, out) == (0, "total=331776 secure=3036 favourable=1296\n")
+        code, out, _ = run_cli(capsys, "filter-secure", "--users", "4")
+        assert code == 0 and len(out.splitlines()) == 3036
+        assert sum(1 for _ in orders.secure_orders(4)) == 3036
 
 
 class TestPolicy:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +130,19 @@ class TestGainVsUsers:
         assert [r.n_users for r in rows] == [2, 3]
         for r in rows:
             assert r.mean_policy_value >= r.mean_benchmark_value > 0.0
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            small_config(params=SystemParams(n_users=2, zeta=1.0), trials=2),
+            small_config(params=SystemParams(n_users=2), trials=1, master_seed=28,
+                         beta_grid=DEFAULT_BETA_GRID),
+        ],
+    )
+    def test_zero_benchmark_gives_nan_gain(self, config):
+        (row,) = gain_vs_users(config, [2])
+        assert row.mean_benchmark_value == 0.0
+        assert math.isnan(row.gain_percent)
 
     def test_median_aggregation_switch(self):
         cfg = small_config(trials=5)

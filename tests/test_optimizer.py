@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,10 @@ from untrusted_noma import (
     benchmark_average,
     beta_sweep,
     conventional_order,
+    enumerate_orders,
     favourable_orders,
+    is_favourable,
+    is_secure,
     max_min_order,
     order_from_id,
     order_id,
@@ -23,7 +28,13 @@ from untrusted_noma import (
     sweep_all,
     total_orders,
 )
-from untrusted_noma.optimizer import _before_tensor, _best_of, _interference_weights, _rate_matrix
+from untrusted_noma.optimizer import (
+    _before_tensor,
+    _best_of,
+    _interference_weights,
+    _rate_matrix,
+    _secure_bundle,
+)
 
 WORKED_CH = ChannelRealization(distances_m=(1.0, 2.0), gains=(4.0, 1.0))
 WORKED_ALPHA = PowerAllocation(alphas=(0.2, 0.8), beta=0.0)
@@ -37,7 +48,7 @@ class TestMaxMinOrder:
         assert out.best_value == pytest.approx(ORACLE_MIN_RATE, abs=1e-9)
         assert out.feasible_count == 1
         assert out.evaluated_count == 1
-        assert out.best_order_id == order_id(secure_orders(2)[0])
+        assert out.best_order_id == order_id(next(secure_orders(2)))
 
     def test_conventional_source_is_infeasible(self):
         params = SystemParams(n_users=3)
@@ -55,7 +66,7 @@ class TestMaxMinOrder:
         params = SystemParams(n_users=3)
         ch = sample_channels(params, seed)
         pa = power_allocation(ch, beta)
-        subset = max_min_order(iter(secure_orders(3)[:4]), ch, pa, params)
+        subset = max_min_order(islice(secure_orders(3), 4), ch, pa, params)
         full = max_min_order(iter(secure_orders(3)), ch, pa, params)
         assert full.best_value >= subset.best_value
         assert full.feasible_count >= subset.feasible_count
@@ -65,7 +76,7 @@ class TestMaxMinOrder:
         ch = sample_channels(params, 17)
         pa = power_allocation(ch, -0.4)
         fwd = max_min_order(iter(secure_orders(3)), ch, pa, params)
-        rev = max_min_order(reversed(secure_orders(3)), ch, pa, params)
+        rev = max_min_order(reversed(list(secure_orders(3))), ch, pa, params)
         assert fwd == rev
 
     def test_tie_break_prefers_smallest_id(self):
@@ -96,12 +107,36 @@ class TestBatchEvaluator:
 
     def test_zero_power_user_has_zero_secrecy(self):
         # alpha -> 0 limit: no signal power, clamped rate is exactly zero
-        order = secure_orders(3)[0]
+        order = next(secure_orders(3))
         weights = _interference_weights(_before_tensor([order], 3), 0.1)
         rates = _rate_matrix(
             weights, np.array([0.9, 0.5, 0.1]), np.array([0.0, 0.6, 0.4]), 1e-10
         )
         assert rates[0, 0] == 0.0
+
+
+class TestSecureBundle:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_per_order_construction(self, n):
+        sec = [o for o in enumerate_orders(n) if is_secure(o)]
+        expected = np.zeros((len(sec), n, n, n), dtype=bool)
+        for k, order in enumerate(sec):
+            for m in range(1, n + 1):
+                for t in range(1, n + 1):
+                    for i in range(1, n + 1):
+                        expected[k, t - 1, m - 1, i - 1] = order.stage_of(m, i) < order.stage_of(m, t)
+        ids, fav, before = _secure_bundle(n)
+        assert np.array_equal(ids, np.array([order_id(o) for o in sec], dtype=np.int64))
+        assert np.array_equal(fav, np.array([is_favourable(o) for o in sec]))
+        assert np.array_equal(before, expected)
+        assert np.array_equal(_before_tensor(sec, n), expected)
+        assert (ids.dtype, fav.dtype, before.dtype) == (np.int64, bool, bool)
+
+    def test_cached_arrays_are_read_only(self):
+        ids, fav, before = _secure_bundle(3)
+        assert not any(a.flags.writeable for a in (ids, fav, before))
+        with pytest.raises(ValueError):
+            before[0, 0, 0, 0] = True
 
 
 class TestBenchmarkAverage:

@@ -110,7 +110,7 @@ class TestSecurePredicate:
 
 class TestFavourable:
     def test_counts_match_formula(self):
-        assert len(favourable_orders(3)) == 8  # ((3-1)!)^3
+        assert len(list(favourable_orders(3))) == 8  # ((3-1)!)^3
         assert len([o for o in enumerate_orders(2) if is_favourable(o)]) == 1
 
     def test_favourable_is_secure_exhaustive_n3(self):
@@ -126,6 +126,32 @@ class TestFavourable:
         assert len(remainder) == 12 - 8
         for order in remainder:
             assert any(col[-1] == m + 1 for m, col in enumerate(order.columns))
+
+
+class TestSecureWalk:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ids_match_exhaustive_filter_in_order(self, n):
+        walked = [order_id(o) for o in secure_orders(n)]
+        assert walked == [order_id(o) for o in enumerate_orders(n) if is_secure(o)]
+        walked = [order_id(o) for o in favourable_orders(n)]
+        assert walked == [order_id(o) for o in enumerate_orders(n) if is_favourable(o)]
+
+    def test_five_user_head_is_secure_and_strictly_ascending(self):
+        head = list(islice(secure_orders(5, allow_large_n=True), 1000))
+        ids = [order_id(o) for o in head]
+        assert len(head) == 1000
+        assert all(is_secure(o) for o in head)
+        assert all(a < b for a, b in zip(ids, ids[1:]))
+
+    def test_counts_beyond_the_cap(self):
+        assert count_secure(5, allow_large_n=True) == 29_638_368
+        assert count_secure(6, allow_large_n=True) == 17_916_701_852_160
+
+    def test_cap_refused_at_the_call(self):
+        with pytest.raises(ValueError, match="allow_large_n"):
+            secure_orders(5)
+        with pytest.raises(ValueError, match="allow_large_n"):
+            favourable_orders(5)
 
 
 class TestSelfLastTransform:
