@@ -1,11 +1,11 @@
 """Command-line front door: counting, secure-order filtering, single-order
 evaluation, policy generation, beta sweeps, and full Monte Carlo runs.
 
-Exit codes: 0 success, 1 invalid input, 2 runtime/I-O failure. Powers are
-given in dBm and distances in meters, converted internally. A config file
-(flat ``key = value`` lines, ``#`` comments) supplies defaults; explicit
-flags override it. The default config path may be set via the
-UNTRUSTED_NOMA_CONFIG environment variable.
+Exit codes: 0 success (also when the reader closes stdout early), 1 invalid
+input, 2 runtime/I-O failure. Powers are given in dBm and distances in
+meters, converted internally. A config file (flat ``key = value`` lines,
+``#`` comments) supplies defaults; explicit flags override it. The default
+config path may be set via the UNTRUSTED_NOMA_CONFIG environment variable.
 """
 from __future__ import annotations
 
@@ -297,6 +297,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout early, as in `filter-secure ... | head`.
+        # Point stdout at devnull so that flushing what is still buffered at
+        # exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

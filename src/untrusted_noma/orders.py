@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -29,8 +29,6 @@ __all__ = [
     "policy_order_lpsu",
     "order_id",
     "order_from_id",
-    "column_permutations",
-    "secure_column_ranks",
     "secure_orders",
     "favourable_orders",
 ]
@@ -115,27 +113,22 @@ def count_secure(n: int, allow_large_n: bool = False) -> int:
     ``secure_orders`` without visiting its leaves.
 
     The orders that can follow column m depend only on m and on the stage
-    bounds of the users m..N (see ``secure_column_ranks``), so the count of
-    each such subtree is memoised. Column m contributes only through its own
-    stage and the stages of the weaker users, so its permutations are grouped
-    by those. Refuses n > ENUMERATION_CAP unless explicitly overridden.
+    bounds of the users m..N (see ``_admissible``), so the count of each
+    such subtree is memoised. Column m contributes only through the stages
+    of users m..N, so its permutations are grouped by those. Refuses
+    n > ENUMERATION_CAP unless explicitly overridden.
     """
     _check_cap(n, allow_large_n)
-    stages = _stage_table(n)
-    columns = [
-        Counter((stages[r][m], stages[r][m + 1 :]) for r in ranks)
-        for m, ranks in enumerate(_column_options(n))
+    grouped = [
+        tuple((k, stages) for stages, k in Counter(s for _, s in choices).items())
+        for choices in _column_choices(n)
     ]
 
     @lru_cache(maxsize=None)
     def count_from(m: int, bound: tuple[int, ...]) -> int:
         if m == n:
             return 1
-        return sum(
-            k * count_from(m + 1, tuple(map(max, bound[1:], later)))
-            for (own, later), k in columns[m].items()
-            if own > bound[0]
-        )
+        return sum(k * count_from(m + 1, later) for k, later in _admissible(grouped[m], bound))
 
     return count_from(0, (-1,) * n)
 
@@ -237,73 +230,80 @@ def order_from_id(n: int, oid: int) -> DecodingOrder:
 
 
 @lru_cache(maxsize=8)
-def column_permutations(n: int) -> tuple[tuple[int, ...], ...]:
+def _column_permutations(n: int) -> tuple[tuple[int, ...], ...]:
     """Every column for n users in lexicographic order, so that entry r is
     the permutation of rank r in ``order_id``'s mixed radix."""
     return tuple(permutations(range(1, n + 1)))
 
 
 @lru_cache(maxsize=8)
-def _stage_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Entry [r][u - 1]: 0-based SIC stage of user u in the column of rank r."""
-    return tuple(tuple(col.index(u) for u in range(1, n + 1)) for col in column_permutations(n))
-
-
-@lru_cache(maxsize=8)
-def _column_options(n: int) -> tuple[tuple[int, ...], ...]:
-    """Ranks, ascending, of the columns receiver m may follow in a secure
-    order, for m = 1..n: those whose last stage decodes no weaker user. A
-    weaker user n decoded last by receiver m has no later stage left for
-    receiver n to decode itself at."""
+def _column_choices(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """Per receiver m = 1..n, ascending by rank: (rank, 0-based SIC stages
+    of users m..N) for each column that decodes no weaker user last. A
+    weaker user decoded last by receiver m has no later stage left for that
+    user's own receiver to decode itself at, so no secure order uses it."""
     return tuple(
-        tuple(r for r, col in enumerate(column_permutations(n)) if col[-1] <= m)
+        tuple(
+            (r, tuple(col.index(u) for u in range(m, n + 1)))
+            for r, col in enumerate(_column_permutations(n))
+            if col[-1] <= m
+        )
         for m in range(1, n + 1)
     )
 
 
-def secure_column_ranks(n: int, allow_large_n: bool = False) -> Iterator[tuple[int, ...]]:
+def _admissible(
+    choices: Iterable[tuple[int, tuple[int, ...]]], bound: tuple[int, ...]
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The pruning rule of the secure walk, for one column m.
+
+    ``bound`` holds, for users m..N, the latest stage at which receivers
+    1..m-1 decode them. ``is_secure`` asks that receiver m decodes itself
+    after its bound. Yields (key, bound of users m+1..N once this column is
+    added) for each (key, stages of users m..N) in ``choices`` that does.
+    """
+    for key, stages in choices:
+        if stages[0] > bound[0]:
+            yield key, tuple(map(max, bound[1:], stages[1:]))
+
+
+def _secure_column_ranks(n: int, allow_large_n: bool = False) -> Iterator[tuple[int, ...]]:
     """Stream the per-column ranks of every secure order, ascending by id.
 
-    ``is_secure`` asks that each receiver m < n decodes user n at an earlier
-    stage than receiver n decodes itself. Once columns 1..n-1 are fixed, the
-    bound on column n is the latest of those stages. The walk fills columns
-    1..N depth-first, each in rank order, and keeps a column only if it
-    decodes its own user after that bound and passes ``_column_options``.
-    Every prefix it keeps can still be completed (its user was never decoded
-    last before), so the walk meets no dead ends: O(|S| * N * N!) time.
-    Refuses n > ENUMERATION_CAP unless explicitly overridden.
+    The walk fills columns 1..N depth-first, each in rank order, and keeps
+    a column only if ``_admissible`` does. Every prefix it keeps can still
+    be completed (no user was decoded last by a stronger receiver), so the
+    walk meets no dead ends: O(|S| * N * N!) time. Refuses
+    n > ENUMERATION_CAP unless explicitly overridden.
     """
     _check_cap(n, allow_large_n)
-    stages = _stage_table(n)
-    options = _column_options(n)
+    choices = _column_choices(n)
 
     def walk(m: int, bound: tuple[int, ...], prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if m == n:
             yield prefix
             return
-        for r in options[m]:
-            stage = stages[r]
-            if stage[m] > bound[m]:
-                yield from walk(m + 1, tuple(map(max, bound, stage)), prefix + (r,))
+        for r, later in _admissible(choices[m], bound):
+            yield from walk(m + 1, later, prefix + (r,))
 
     return walk(0, (-1,) * n, ())
 
 
 def secure_orders(n: int, allow_large_n: bool = False) -> Iterator[DecodingOrder]:
     """Stream every secure order for n users, ascending by order id, built
-    column by column (see ``secure_column_ranks``) rather than filtered out
+    column by column (see ``_secure_column_ranks``) rather than filtered out
     of all (N!)^N orders. Refuses n > ENUMERATION_CAP unless explicitly
     overridden."""
-    walk = secure_column_ranks(n, allow_large_n)
-    perms = column_permutations(n)
+    walk = _secure_column_ranks(n, allow_large_n)
+    perms = _column_permutations(n)
     return (DecodingOrder(columns=tuple(perms[r] for r in ranks)) for ranks in walk)
 
 
-def favourable_orders(n: int, allow_large_n: bool = False) -> Iterator[DecodingOrder]:
+def favourable_orders(n: int) -> Iterator[DecodingOrder]:
     """Stream every favourable order for n users, ascending by order id: the
     product over receivers of the columns that end with the receiver itself.
-    Refuses n > ENUMERATION_CAP unless explicitly overridden."""
-    _check_cap(n, allow_large_n)
-    perms = column_permutations(n)
+    Refuses n > ENUMERATION_CAP."""
+    _check_cap(n, False)
+    perms = _column_permutations(n)
     columns = [[col for col in perms if col[-1] == m] for m in range(1, n + 1)]
     return (DecodingOrder(columns=cols) for cols in product(*columns))

@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import untrusted_noma
 from untrusted_noma import cli, orders
 from untrusted_noma.cli import CONFIG_ENV_VAR, main
 
@@ -53,6 +57,25 @@ class TestFilterSecure:
         ids = [int(line) for line in out.splitlines()]
         assert len(ids) == 12
         assert ids == sorted(ids)
+
+
+    def test_reader_closing_stdout_early_is_not_an_error(self):
+        src = os.path.dirname(os.path.dirname(untrusted_noma.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["filter-secure", "--users", "5", "--allow-large-n"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "untrusted_noma.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()  # 29.6 million ids: the writer is far from done
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert first == b"6858475320\n"
+        assert err == b""
 
 
 class TestNoExhaustiveWalk:

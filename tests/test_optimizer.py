@@ -34,6 +34,7 @@ from untrusted_noma.optimizer import (
     _interference_weights,
     _rate_matrix,
     _secure_bundle,
+    _secure_weights,
 )
 
 WORKED_CH = ChannelRealization(distances_m=(1.0, 2.0), gains=(4.0, 1.0))
@@ -137,6 +138,25 @@ class TestSecureBundle:
         assert not any(a.flags.writeable for a in (ids, fav, before))
         with pytest.raises(ValueError):
             before[0, 0, 0, 0] = True
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
+    def test_weights_cached_per_zeta_and_read_only(self, zeta):
+        weights = _secure_weights(3, zeta)
+        assert _secure_weights(3, zeta) is weights
+        assert np.array_equal(weights, _interference_weights(_secure_bundle(3)[2], zeta))
+        assert not weights.flags.writeable
+
+    def test_rate_matrix_into_buffer_matches_fresh(self):
+        params = SystemParams(n_users=4)
+        ch = sample_channels(params, 5)
+        gains = np.asarray(ch.gains)
+        weights = _secure_weights(4, params.zeta)
+        buf = np.empty(weights.shape[:3])
+        for beta in (-0.5, 0.0, 0.7):
+            alphas = np.asarray(power_allocation(ch, beta).alphas)
+            fresh = _rate_matrix(weights, gains, alphas, 1.0 / params.rho_t)
+            reused = _rate_matrix(weights, gains, alphas, 1.0 / params.rho_t, out=buf)
+            assert np.array_equal(fresh, reused)
 
 
 class TestBenchmarkAverage:
