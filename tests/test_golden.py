@@ -1,0 +1,43 @@
+"""Golden output: the sha256 of seeded CLI output is pinned, so a change that
+alters the exported bytes fails here even when it alters them the same way
+on every run."""
+import hashlib
+
+import pytest
+
+from untrusted_noma.cli import main
+
+
+def _sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("sweep --users 4 --seed 11",
+         "53ca7474a17d10d16ef7eb967b6e3793327b039fc1ebd0ee6aba83faa88fa547"),
+        ("sweep --users 1 --seed 3",
+         "8ce8493e3be38ab52dac00e884200b771d70ba35807dac1eefaf7c8b77a7cf74"),
+        ("sweep --users 2 --seed 3 --zeta 1",
+         "64e0b89d603fdf69f9a33ee1438cdbc7e0686323430d012c3a483d589a357ac3"),
+        ("simulate --users 3 --trials 20 --seed 7",
+         "ccbe0c9e42418c5092e84be1a905e0e105237bec806a8bd29a52bbe952d15972"),
+        ("sweep --users 12 --seed 1 --scheme policy-LPWU,policy-LPSU",
+         "e4f505e62f7d9b559df0d9027c8af2e112f8af72127368d90767d4b598e09b6a"),
+    ],
+)
+def test_stdout_digest(capsys, argv, digest):
+    assert main(argv.split()) == 0
+    assert _sha256(capsys.readouterr().out) == digest
+
+
+def test_simulate_stdout_and_json_file_digests(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    argv = ["simulate", "--users", "4", "--trials", "3", "--seed", "5"]
+    assert main(argv + ["--format", "json", "--output", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert _sha256(out) == "6de961d2871a704ad777d26111d05937c4cad3fa7a06f39ec224289e685edf2d"
+    assert _sha256(path.read_bytes()) == (
+        "50ab117204d07cfc3f7f5a3ff16e894d3c867db5ec5b8573568f1e6ad2586655"
+    )
