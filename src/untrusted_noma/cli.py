@@ -23,6 +23,7 @@ from .experiments import (
     export,
     format_number,
     run_experiment,
+    sweep_records,
     write_csv,
 )
 from .optimizer import SCHEMES, sweep_all
@@ -94,7 +95,11 @@ def read_config_file(path: str) -> dict:
                 typed[key] = _parse_beta_grid(value)
             elif key == "schemes":
                 typed[key] = _parse_schemes(value)
-            elif key in ("output_path", "output_format"):
+            elif key == "output_format":
+                if value not in ("csv", "json"):
+                    raise ValueError(value)
+                typed[key] = value
+            elif key == "output_path":
                 typed[key] = value
             else:  # remaining SystemParams fields are floats
                 typed[key] = float(value)
@@ -199,39 +204,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _pick(args, cfg, "beta_grid", "beta_grid", DEFAULT_BETA_GRID)
     schemes = _pick(args, cfg, "scheme", "schemes", SCHEMES)
     channels = sample_channels(params, args.seed)
-    sweeps = sweep_all(schemes, grid, channels, params)
-    records = [
-        ResultRecord(
-            trial=0,
-            beta=p.beta,
-            scheme=s,
-            order_id=p.order_id,
-            min_secrecy_rate=p.value,
-            per_user_rates=p.per_user_rates,
-        )
-        for s in schemes
-        for p in sweeps[s]
-    ]
-    _emit_records(records, args, cfg)
+    _emit_records(sweep_records(0, sweep_all(schemes, grid, channels, params)), args, cfg)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    params = _build_params(args, cfg)
     config = ExperimentConfig(
-        params=params,
+        params=_build_params(args, cfg),
         trials=_pick(args, cfg, "trials", "trials", 1000),
         master_seed=_pick(args, cfg, "seed", "master_seed", 0),
         beta_grid=_pick(args, cfg, "beta_grid", "beta_grid", DEFAULT_BETA_GRID),
         schemes=_pick(args, cfg, "scheme", "schemes", SCHEMES),
-        output_path=_pick(args, cfg, "output", "output_path", None),
-        output_format=_pick(args, cfg, "format", "output_format", "csv"),
     )
-    records = run_experiment(config)
-    write_csv(records, sys.stdout)
-    if config.output_path:
-        export(records, config.output_path, config.output_format)
+    _emit_records(run_experiment(config), args, cfg)
     return 0
 
 

@@ -12,17 +12,17 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import orders as ord_mod
 from .optimizer import (
     SCHEME_BENCHMARK,
     SCHEME_POLICY_LPSU,
     SCHEME_POLICY_LPWU,
     SCHEMES,
-    _ENUM_SCHEMES,
+    SweepPoint,
+    _check_request,
     sweep_all,
 )
 from .system import SystemParams, sample_channels
@@ -34,6 +34,7 @@ __all__ = [
     "GainRow",
     "derive_trial_seed",
     "run_experiment",
+    "sweep_records",
     "gain_vs_users",
     "export",
     "format_number",
@@ -58,38 +59,18 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: physical parameters, trial count, seed, beta grid,
-    schemes to evaluate, and an optional output destination."""
+    and schemes to evaluate."""
 
     params: SystemParams
     trials: int = 1000
     master_seed: int = 0
     beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
     schemes: tuple[str, ...] = SCHEMES
-    output_path: str | None = None
-    output_format: str = "csv"
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if len(self.beta_grid) == 0:
-            raise ValueError("beta_grid must be nonempty")
-        for b in self.beta_grid:
-            if not -1.0 <= b <= 1.0:
-                raise ValueError(f"beta grid values must lie in [-1, 1], got {b}")
-        if len(self.schemes) == 0:
-            raise ValueError("at least one scheme required")
-        unknown = [s for s in self.schemes if s not in SCHEMES]
-        if unknown:
-            raise ValueError(f"unknown scheme(s) {unknown}; valid: {list(SCHEMES)}")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
-        if self.params.n_users > ord_mod.ENUMERATION_CAP and any(
-            s in _ENUM_SCHEMES for s in self.schemes
-        ):
-            raise ValueError(
-                f"schemes {sorted(_ENUM_SCHEMES & set(self.schemes))} need exhaustive "
-                f"enumeration, capped at {ord_mod.ENUMERATION_CAP} users"
-            )
+        _check_request(self.schemes, self.beta_grid, self.params.n_users)
 
 
 @dataclass(frozen=True)
@@ -114,6 +95,32 @@ class GainRow:
     gain_percent: float
 
 
+def sweep_records(trial: int, sweeps: dict[str, list[SweepPoint]]) -> list[ResultRecord]:
+    """The rows of one trial's ``sweep_all`` result, by scheme, then beta."""
+    return [
+        ResultRecord(
+            trial=trial,
+            beta=point.beta,
+            scheme=scheme,
+            order_id=point.order_id,
+            min_secrecy_rate=point.value,
+            per_user_rates=point.per_user_rates,
+        )
+        for scheme, points in sweeps.items()
+        for point in points
+    ]
+
+
+def _trial_sweeps(
+    config: ExperimentConfig, params: SystemParams, schemes: Sequence[str]
+) -> Iterator[dict[str, list[SweepPoint]]]:
+    """``sweep_all`` over the config's beta grid, once per trial t, on the
+    channels drawn from ``derive_trial_seed(config.master_seed, t)``."""
+    for trial in range(config.trials):
+        channels = sample_channels(params, derive_trial_seed(config.master_seed, trial))
+        yield sweep_all(schemes, config.beta_grid, channels, params)
+
+
 def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
     """Run all trials; rows are ordered by trial, then scheme, then beta.
 
@@ -121,24 +128,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
     so results are independent of how trials are scheduled and any row can
     be reproduced from (master_seed, trial) alone.
     """
-    records: list[ResultRecord] = []
-    for trial in range(config.trials):
-        seed = derive_trial_seed(config.master_seed, trial)
-        channels = sample_channels(config.params, seed)
-        sweeps = sweep_all(config.schemes, config.beta_grid, channels, config.params)
-        for scheme in config.schemes:
-            for point in sweeps[scheme]:
-                records.append(
-                    ResultRecord(
-                        trial=trial,
-                        beta=point.beta,
-                        scheme=scheme,
-                        order_id=point.order_id,
-                        min_secrecy_rate=point.value,
-                        per_user_rates=point.per_user_rates,
-                    )
-                )
-    return records
+    sweeps = _trial_sweeps(config, config.params, config.schemes)
+    return [record for trial, sweep in enumerate(sweeps) for record in sweep_records(trial, sweep)]
 
 
 def gain_vs_users(
@@ -154,35 +145,29 @@ def gain_vs_users(
     per-trial values heavy-tailed, so medians can be the more stable summary.
     When the benchmark statistic is 0 (no secure order gives every user
     positive secrecy, e.g. zeta = 1), the relative gain is undefined and
-    ``gain_percent`` is ``math.nan``.
+    ``gain_percent`` is ``math.nan``. Every user count is checked against
+    the enumeration cap before any trial runs.
     """
-    for n in user_counts:
-        if n not in (2, 3, 4):
-            raise ValueError(f"user_counts must be within {{2, 3, 4}}, got {n}")
     if aggregate not in ("mean", "median"):
         raise ValueError(f"aggregate must be 'mean' or 'median', got {aggregate!r}")
     stat = np.mean if aggregate == "mean" else np.median
     pol_schemes = (SCHEME_POLICY_LPWU, SCHEME_POLICY_LPSU)
+    schemes = pol_schemes + (SCHEME_BENCHMARK,)
+    cells = [replace(config.params, n_users=n) for n in user_counts]
+    for params in cells:
+        _check_request(schemes, config.beta_grid, params.n_users)
     rows: list[GainRow] = []
-    for n in user_counts:
-        params = replace(config.params, n_users=n)
-        policy_vals = np.empty(config.trials)
-        bench_vals = np.empty(config.trials)
-        for trial in range(config.trials):
-            seed = derive_trial_seed(config.master_seed, trial)
-            channels = sample_channels(params, seed)
-            sweeps = sweep_all(pol_schemes + (SCHEME_BENCHMARK,), config.beta_grid, channels, params)
-            policy_vals[trial] = max(
-                point.value for s in pol_schemes for point in sweeps[s]
-            )
-            bench_vals[trial] = float(
-                np.mean([point.value for point in sweeps[SCHEME_BENCHMARK]])
-            )
+    for params in cells:
+        policy_vals = []
+        bench_vals = []
+        for sweeps in _trial_sweeps(config, params, schemes):
+            policy_vals.append(max(point.value for s in pol_schemes for point in sweeps[s]))
+            bench_vals.append(float(np.mean([point.value for point in sweeps[SCHEME_BENCHMARK]])))
         mean_policy = float(stat(policy_vals))
         mean_bench = float(stat(bench_vals))
         rows.append(
             GainRow(
-                n_users=n,
+                n_users=params.n_users,
                 mean_policy_value=mean_policy,
                 mean_benchmark_value=mean_bench,
                 gain_percent=(

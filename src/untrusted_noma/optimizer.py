@@ -1,15 +1,19 @@
 """Max-min secrecy search over decoding-order sets, benchmark averaging,
 and power-allocation sweeps.
 
-Order evaluation is vectorized: a boolean tensor records, per order, which
-users each receiver has already decoded when it reaches a given signal, so
-one realization can be scored against thousands of orders at once.
+An order set is an int array of per-column ranks, [K, N]: entry (k, m) is
+the lexicographic rank of receiver m's column in order k, as in
+``order_id``. Receiver m's SINRs depend only on its own column, so a set is
+scored from a table that holds, for each distinct column the set uses, the
+SINR of every user at that column's receiver; one gather from it gives
+every order's own and wiretap rates. The secure set at N = 4 has 3036
+orders but uses at most 4 * 24 distinct columns.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,8 +22,9 @@ from . import orders as ord_mod
 from .orders import (
     DecodingOrder,
     _column_permutations,
+    _perm_rank,
+    _perm_unrank,
     _secure_column_ranks,
-    order_id,
     policy_order_lpsu,
     policy_order_lpwu,
 )
@@ -50,8 +55,6 @@ SCHEMES = (
 # schemes that need the exhaustive secure set (vs the two policy matrices)
 _ENUM_SCHEMES = frozenset({SCHEME_OPTIMAL_L, SCHEME_OPTIMAL_O, SCHEME_BENCHMARK})
 
-_BATCH = 4096
-
 
 @dataclass(frozen=True)
 class SearchOutcome:
@@ -76,79 +79,110 @@ class SweepPoint:
     per_user_rates: tuple[float, ...]
 
 
-def _before_tensor(order_list: Sequence[DecodingOrder], n: int) -> np.ndarray:
-    """Boolean [k, n, m, i]: in order k, receiver m decodes user i strictly
-    before user n. Entries with i == n are False."""
-    cols = np.asarray([order.columns for order in order_list], dtype=np.int64).reshape(-1, n, n)
-    return _before_from_stages(np.argsort(cols, axis=2))
+def _check_request(schemes: Sequence[str], beta_grid: Sequence[float], n_users: int) -> None:
+    """Raise ValueError unless the schemes are nonempty, known and distinct,
+    the beta grid is nonempty and within [-1, 1], and no scheme that needs
+    the secure set asks for more than ENUMERATION_CAP users."""
+    if len(schemes) == 0:
+        raise ValueError("at least one scheme required")
+    unknown = [s for s in schemes if s not in SCHEMES]
+    if unknown:
+        raise ValueError(f"unknown scheme(s) {unknown}; valid: {list(SCHEMES)}")
+    if len(set(schemes)) != len(schemes):
+        raise ValueError("duplicate schemes in request")
+    if len(beta_grid) == 0:
+        raise ValueError("beta_grid must be nonempty")
+    for b in beta_grid:
+        if not -1.0 <= b <= 1.0:
+            raise ValueError(f"beta grid values must lie in [-1, 1], got {b}")
+    if n_users > ord_mod.ENUMERATION_CAP and _ENUM_SCHEMES & set(schemes):
+        raise ValueError(
+            f"schemes {sorted(_ENUM_SCHEMES & set(schemes))} need exhaustive "
+            f"enumeration, capped at {ord_mod.ENUMERATION_CAP} users"
+        )
 
 
-def _before_from_stages(stage: np.ndarray) -> np.ndarray:
-    """``_before_tensor`` from stage[k, m, i], the stage at which receiver m
-    decodes user i in order k; the strict comparison is False for i == n.
-    C order keeps the rate kernel's ``weights @ alphas`` on contiguous rows."""
-    return np.ascontiguousarray(stage[:, None, :, :] < stage.transpose(0, 2, 1)[:, :, :, None])
+def _ranks(order_source: Iterable[DecodingOrder], n: int) -> np.ndarray:
+    """Per-column ranks [K, n] of the orders, each distinct column ranked
+    once. Ranks are int64 while N! fits (N <= 20) and Python ints beyond."""
+
+    @lru_cache(maxsize=None)
+    def rank(col: tuple[int, ...]) -> int:
+        if len(col) != n:
+            raise ValueError(f"every order must have {n} users")
+        return _perm_rank(col)
+
+    flat = (rank(col) for order in order_source for col in order.columns)
+    return np.fromiter(flat, dtype=np.int64 if n <= 20 else object).reshape(-1, n)
 
 
-def _interference_weights(before: np.ndarray, zeta: float) -> np.ndarray:
-    """Per-interferer weights [k, n, m, i]: zeta if already decoded, 1 if
-    pending, 0 for the signal of interest itself."""
-    n = before.shape[1]
-    diag = np.arange(n)
-    weights = np.where(before, zeta, 1.0)
-    weights[:, diag, :, diag] = 0.0  # own signal is not interference
-    return weights
+def _order_ids(ranks: np.ndarray) -> np.ndarray:
+    """Exact ``order_id`` of each rank row, as Python ints: (N!)^N
+    overflows int64 from N = 7."""
+    base = math.factorial(ranks.shape[1])
+    ids = [reduce(lambda oid, r: oid * base + r, row, 0) for row in ranks.tolist()]
+    return np.array(ids, dtype=object)
 
 
-def _rate_matrix(
-    weights: np.ndarray,
+def _column_index(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct columns an order set uses, as (stage [C, n], the 0-based
+    SIC stage of each user; receiver [C]; index [K, n], the table row of
+    order k's column m)."""
+    n = ranks.shape[1]
+    index = np.empty(ranks.shape, dtype=np.intp)
+    perms: list[tuple[int, ...]] = []
+    receiver: list[int] = []
+    for m in range(n):
+        used, inverse = np.unique(ranks[:, m], return_inverse=True)
+        index[:, m] = inverse + len(perms)
+        perms += [_perm_unrank(n, int(r)) for r in used]
+        receiver += [m] * len(used)
+    stage = np.argsort(np.array(perms, dtype=np.intp).reshape(-1, n), axis=1)
+    return stage, np.array(receiver, dtype=np.intp), index
+
+
+def _secrecy_rates(
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
     gains: np.ndarray,
     alphas: np.ndarray,
+    zeta: float,
     inv_rho: float,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Clamped per-user secrecy rates, [k_orders, n], for one (gains, alphas).
-
-    The SINRs are built in place in one [k, n, m] array, ``out`` if given,
-    so that a sweep can reuse one buffer for all of its betas instead of
-    allocating several such arrays per beta.
-    """
-    n = gains.shape[0]
-    diag = np.arange(n)
-    gamma = np.matmul(weights, alphas, out=out)  # [k, n, m] interference coefficients
-    gamma *= gains
+    """Clamped per-user secrecy rates [K, n] of the order set whose
+    ``_column_index`` is ``columns``, for one (gains, alphas)."""
+    stage, receiver, index = columns
+    diag = np.arange(len(gains))
+    # weights[c, t, i]: zeta if column c decodes user i before user t, else 1; 0 for i == t
+    weights = np.where(stage[:, None, :] < stage[:, :, None], zeta, 1.0)
+    weights[:, diag, diag] = 0.0
+    g = gains[receiver][:, None]
+    gamma = weights @ alphas
+    gamma *= g
     gamma += inv_rho
-    np.divide(alphas[:, None] * gains[None, :], gamma, out=gamma)
-    own = np.log2(1.0 + gamma[:, diag, diag])  # [k, n]
-    if n == 1:
-        return np.maximum(0.0, own)
-    gamma[:, diag, diag] = -1.0  # exclude own receiver from the wiretap max
-    tap = np.log2(1.0 + gamma.max(axis=2))
+    rate = np.log2(1.0 + alphas * g / gamma)  # [C, n]: user t's rate at column c's receiver
+    own = rate[index, diag]
+    # rates are >= 0, so starting the wiretap max at 0 and leaving out the
+    # own receiver changes no max and gives a single user no eavesdropper
+    tap = np.zeros_like(own)
+    for m in diag:
+        seen = rate[index[:, m]]  # [K, t]: user t's rate at receiver m
+        seen[:, m] = 0.0
+        np.maximum(tap, seen, out=tap)
     return np.maximum(0.0, own - tap)
 
 
 @lru_cache(maxsize=8)
 def _secure_bundle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ids, favourable mask and before-tensor of the secure orders, ascending
-    by id, built from their per-column ranks. The arrays are read-only."""
+    """Per-column ranks, ids and favourable mask of the secure orders,
+    ascending by id. The arrays are read-only."""
     ranks = np.array(list(_secure_column_ranks(n)), dtype=np.int64).reshape(-1, n)
-    stage = np.argsort(np.asarray(_column_permutations(n)), axis=1)[ranks]  # [k, m, user]
-    ids = ranks @ (math.factorial(n) ** np.arange(n - 1, -1, -1, dtype=np.int64))
-    diag = np.arange(n)
-    fav = (stage[:, diag, diag] == n - 1).all(axis=1)
-    bundle = (ids, fav, _before_from_stages(stage))
+    ids = _order_ids(ranks)
+    last = np.array([col[-1] for col in _column_permutations(n)])
+    fav = (last[ranks] == np.arange(1, n + 1)).all(axis=1)
+    bundle = (ranks, ids, fav)
     for array in bundle:
         array.flags.writeable = False
     return bundle
-
-
-@lru_cache(maxsize=8)
-def _secure_weights(n: int, zeta: float) -> np.ndarray:
-    """``_interference_weights`` of the secure set, which depend only on
-    (n, zeta) and so are built once per pair. The array is read-only."""
-    weights = _interference_weights(_secure_bundle(n)[2], zeta)
-    weights.flags.writeable = False
-    return weights
 
 
 def _as_arrays(channels: ChannelRealization, alpha: PowerAllocation, params: SystemParams):
@@ -157,6 +191,16 @@ def _as_arrays(channels: ChannelRealization, alpha: PowerAllocation, params: Sys
     if len(alphas) != len(gains) or params.n_users != len(gains):
         raise ValueError("channels, alpha and params disagree on the user count")
     return gains, alphas, params.zeta, 1.0 / params.rho_t
+
+
+def _best_of(mask: np.ndarray, mins: np.ndarray, ids: np.ndarray) -> int | None:
+    """Index of the max-min feasible order within ``mask``; id breaks ties."""
+    cand = np.flatnonzero(mask & (mins > 0.0))
+    if cand.size == 0:
+        return None
+    best = cand[np.argmax(mins[cand])]
+    tied = cand[mins[cand] == mins[best]]
+    return int(tied[np.argmin(ids[tied])])
 
 
 def max_min_order(
@@ -172,37 +216,15 @@ def max_min_order(
     outcome carries no order id and a zero value.
     """
     gains, alphas, zeta, inv_rho = _as_arrays(channels, alpha, params)
-    n = len(gains)
-    best_id: int | None = None
-    best_value = 0.0
-    feasible = 0
-    evaluated = 0
-    batch: list[DecodingOrder] = []
-
-    def flush(batch: list[DecodingOrder]) -> None:
-        nonlocal best_id, best_value, feasible, evaluated
-        weights = _interference_weights(_before_tensor(batch, n), zeta)
-        mins = _rate_matrix(weights, gains, alphas, inv_rho).min(axis=1)
-        evaluated += len(batch)
-        ok = mins > 0.0
-        feasible += int(ok.sum())
-        for k in np.flatnonzero(ok):
-            oid = order_id(batch[k])
-            if best_id is None or mins[k] > best_value or (mins[k] == best_value and oid < best_id):
-                best_id, best_value = oid, float(mins[k])
-
-    for order in order_source:
-        batch.append(order)
-        if len(batch) >= _BATCH:
-            flush(batch)
-            batch = []
-    if batch:
-        flush(batch)
+    ranks = _ranks(order_source, len(gains))
+    mins = _secrecy_rates(_column_index(ranks), gains, alphas, zeta, inv_rho).min(axis=1)
+    ids = _order_ids(ranks)
+    k = _best_of(np.ones(len(mins), dtype=bool), mins, ids)
     return SearchOutcome(
-        best_order_id=best_id,
-        best_value=best_value,
-        feasible_count=feasible,
-        evaluated_count=evaluated,
+        best_order_id=None if k is None else int(ids[k]),
+        best_value=0.0 if k is None else float(mins[k]),
+        feasible_count=int((mins > 0.0).sum()),
+        evaluated_count=len(mins),
     )
 
 
@@ -210,31 +232,12 @@ def benchmark_average(
     channels: ChannelRealization,
     alpha: PowerAllocation,
     params: SystemParams,
-    feasible_only: bool = False,
 ) -> float:
-    """Mean over all secure orders of the per-order minimum secrecy rate.
-
-    Orders where some user ends up at exactly zero contribute their zero
-    minimum unless ``feasible_only`` drops them from the average.
-    """
+    """Mean over all secure orders of the per-order minimum secrecy rate;
+    orders where some user ends up at exactly zero contribute that zero."""
     gains, alphas, zeta, inv_rho = _as_arrays(channels, alpha, params)
-    n = len(gains)
-    mins = _rate_matrix(_secure_weights(n, zeta), gains, alphas, inv_rho).min(axis=1)
-    if feasible_only:
-        mins = mins[mins > 0.0]
-        if mins.size == 0:
-            return 0.0
-    return float(mins.mean())
-
-
-def _best_of(mask: np.ndarray, mins: np.ndarray, ids: np.ndarray) -> int | None:
-    """Index of the max-min feasible order within ``mask``; id breaks ties."""
-    cand = np.flatnonzero(mask & (mins > 0.0))
-    if cand.size == 0:
-        return None
-    best = cand[np.argmax(mins[cand])]
-    tied = cand[mins[cand] == mins[best]]
-    return int(tied[np.argmin(ids[tied])])
+    columns = _column_index(_secure_bundle(len(gains))[0])
+    return float(_secrecy_rates(columns, gains, alphas, zeta, inv_rho).min(axis=1).mean())
 
 
 def sweep_all(
@@ -247,46 +250,31 @@ def sweep_all(
 
     For each beta the power allocation follows the fractional rule; the
     optimal-* schemes search their order subset, the policy schemes score
-    their single matrix, and the benchmark averages the secure set.
+    their single matrix, and the benchmark averages the secure set. The
+    secure set (when a scheme needs it) and the two policy matrices are
+    scored together, in one kernel call per beta.
     """
-    unknown = [s for s in schemes if s not in SCHEMES]
-    if unknown:
-        raise ValueError(f"unknown scheme(s) {unknown}; valid: {list(SCHEMES)}")
-    if len(set(schemes)) != len(schemes):
-        raise ValueError("duplicate schemes in request")
-    for b in beta_grid:
-        if not -1.0 <= b <= 1.0:
-            raise ValueError(f"beta grid values must lie in [-1, 1], got {b}")
     n = params.n_users
     if channels.n_users != n:
         raise ValueError("channels and params disagree on the user count")
-    need_enum = any(s in _ENUM_SCHEMES for s in schemes)
-    if need_enum and n > ord_mod.ENUMERATION_CAP:
-        raise ValueError(
-            f"schemes {sorted(_ENUM_SCHEMES & set(schemes))} need exhaustive "
-            f"enumeration, capped at {ord_mod.ENUMERATION_CAP} users"
-        )
+    _check_request(schemes, beta_grid, n)
 
     gains = np.asarray(channels.gains, dtype=float)
-    zeta, inv_rho = params.zeta, 1.0 / params.rho_t
-
-    if need_enum:
-        ids, fav, _ = _secure_bundle(n)
-        sec_weights = _secure_weights(n, zeta)
-        sinr = np.empty(sec_weights.shape[:3])
-    pol_orders = [policy_order_lpwu(n), policy_order_lpsu(n)]
-    pol_ids = [order_id(o) for o in pol_orders]
-    pol_weights = _interference_weights(_before_tensor(pol_orders, n), zeta)
+    ranks = _ranks([policy_order_lpwu(n), policy_order_lpsu(n)], n)
+    pol_ids = _order_ids(ranks)
+    if _ENUM_SCHEMES & set(schemes):
+        sec_ranks, ids, fav = _secure_bundle(n)
+        ranks = np.concatenate([sec_ranks, ranks])
+    columns = _column_index(ranks)
 
     result: dict[str, list[SweepPoint]] = {s: [] for s in schemes}
     zeros = (0.0,) * n
     for beta in beta_grid:
         alpha = power_allocation(channels, beta)
         alphas = np.asarray(alpha.alphas, dtype=float)
-        pol_rates = _rate_matrix(pol_weights, gains, alphas, inv_rho)
-        if need_enum:
-            rates = _rate_matrix(sec_weights, gains, alphas, inv_rho, out=sinr)
-            mins = rates.min(axis=1)
+        rates = _secrecy_rates(columns, gains, alphas, params.zeta, 1.0 / params.rho_t)
+        rates, pol_rates = rates[:-2], rates[-2:]
+        mins = rates.min(axis=1)
         for scheme in schemes:
             if scheme == SCHEME_BENCHMARK:
                 point = SweepPoint(
@@ -312,7 +300,7 @@ def sweep_all(
                 point = SweepPoint(
                     beta=beta,
                     value=float(pol_rates[k].min()),
-                    order_id=pol_ids[k],
+                    order_id=int(pol_ids[k]),
                     per_user_rates=tuple(float(r) for r in pol_rates[k]),
                 )
             result[scheme].append(point)

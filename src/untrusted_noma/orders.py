@@ -165,20 +165,17 @@ def policy_order_lpsu(n: int) -> DecodingOrder:
     return DecodingOrder(columns=cols)
 
 
-def policy_order(n: int, beta: float, zero_beta_branch: str = "lpsu") -> DecodingOrder:
+def policy_order(n: int, beta: float) -> DecodingOrder:
     """Low-complexity policy order for the given power-allocation exponent.
 
-    beta < 0 selects the weakest-to-strongest branch, beta > 0 the
-    strongest-to-weakest one. beta == 0 is dispatched to ``zero_beta_branch``
-    ("lpsu" by default; the two branches coincide for n <= 2 anyway).
+    beta < 0 selects the weakest-to-strongest branch, beta >= 0 the
+    strongest-to-weakest one (the two coincide for n <= 2 anyway).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not -1.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [-1, 1], got {beta}")
-    if zero_beta_branch not in ("lpwu", "lpsu"):
-        raise ValueError(f"zero_beta_branch must be 'lpwu' or 'lpsu', got {zero_beta_branch!r}")
-    if beta < 0 or (beta == 0 and zero_beta_branch == "lpwu"):
+    if beta < 0:
         return policy_order_lpwu(n)
     return policy_order_lpsu(n)
 

@@ -36,7 +36,6 @@ from untrusted_noma import (
     sweep_all,
     total_orders,
 )
-from untrusted_noma.optimizer import _before_tensor, _interference_weights, _rate_matrix
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -249,6 +249,20 @@ class TestConfigFile:
         assert code == 1
         assert "warp_factor" in err
 
+    @pytest.mark.parametrize("subcommand", ["simulate", "sweep"])
+    def test_bad_output_format_rejected_before_any_work(self, capsys, tmp_path, monkeypatch, subcommand):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        monkeypatch.setattr(cli, "sweep_all", refuse)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n_users = 2\ntrials = 1\noutput_path = out.xml\noutput_format = xml\n")
+        code, out, err = run_cli(capsys, subcommand, "--config", str(cfg), "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert "output_format" in err
+
     def test_missing_users_reported(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--seed", "1")
         assert code == 1

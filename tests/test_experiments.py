@@ -59,8 +59,6 @@ class TestConfig:
             ExperimentConfig(params=params, schemes=("nope",))
         with pytest.raises(ValueError):
             ExperimentConfig(params=params, schemes=())
-        with pytest.raises(ValueError):
-            ExperimentConfig(params=params, output_format="xml")
 
     def test_enumeration_schemes_capped_before_any_work(self):
         with pytest.raises(ValueError):
@@ -117,8 +115,13 @@ class TestRunExperiment:
 
 class TestGainVsUsers:
     def test_rejects_unsupported_counts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="capped at 4 users"):
             gain_vs_users(small_config(), [2, 5])
+        # one user: both policies and the benchmark score the only order,
+        # whose rate does not depend on beta
+        (row,) = gain_vs_users(small_config(trials=2), [1])
+        assert row.n_users == 1
+        assert row.gain_percent == pytest.approx(0.0, abs=1e-9)
 
     def test_two_user_gain_never_negative(self):
         # with a single secure order the policy IS the optimum over S

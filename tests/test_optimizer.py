@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from untrusted_noma import (
     ChannelRealization,
     PowerAllocation,
+    SearchOutcome,
     SystemParams,
     benchmark_average,
     beta_sweep,
@@ -29,12 +30,11 @@ from untrusted_noma import (
     total_orders,
 )
 from untrusted_noma.optimizer import (
-    _before_tensor,
     _best_of,
-    _interference_weights,
-    _rate_matrix,
+    _column_index,
+    _ranks,
+    _secrecy_rates,
     _secure_bundle,
-    _secure_weights,
 )
 
 WORKED_CH = ChannelRealization(distances_m=(1.0, 2.0), gains=(4.0, 1.0))
@@ -61,6 +61,14 @@ class TestMaxMinOrder:
         assert out.feasible_count == 0
         assert out.evaluated_count == 1
 
+    def test_empty_source_and_size_mismatch(self):
+        params = SystemParams(n_users=3)
+        ch = sample_channels(params, 3)
+        pa = power_allocation(ch, 0.5)
+        assert max_min_order(iter([]), ch, pa, params) == SearchOutcome(None, 0.0, 0, 0)
+        with pytest.raises(ValueError, match="3 users"):
+            max_min_order(secure_orders(2), ch, pa, params)
+
     @given(st.integers(min_value=0, max_value=2**32), st.floats(min_value=-1, max_value=1))
     @settings(max_examples=30, deadline=None)
     def test_enlarging_the_source_never_hurts(self, seed, beta):
@@ -80,6 +88,26 @@ class TestMaxMinOrder:
         rev = max_min_order(reversed(list(secure_orders(3))), ch, pa, params)
         assert fwd == rev
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_better_sweep_optimum(self, n):
+        # the max-min over S is the better of optimal-L and optimal-O, the
+        # smaller id winning a tie
+        params = SystemParams(n_users=n)
+        grid = (-0.6, 0.0, 0.4)
+        sec = tuple(secure_orders(n))
+        for seed in range(4):
+            ch = sample_channels(params, seed)
+            sweeps = sweep_all(["optimal-L", "optimal-O"], grid, ch, params)
+            for beta, pl, po in zip(grid, sweeps["optimal-L"], sweeps["optimal-O"]):
+                out = max_min_order(iter(sec), ch, power_allocation(ch, beta), params)
+                feasible = [p for p in (pl, po) if p.order_id is not None]
+                if not feasible:
+                    assert (out.best_order_id, out.best_value) == (None, 0.0)
+                    continue
+                best = min(feasible, key=lambda p: (-p.value, p.order_id))
+                assert (out.best_order_id, out.best_value) == (best.order_id, best.value)
+                assert out.evaluated_count == len(sec)
+
     def test_tie_break_prefers_smallest_id(self):
         mins = np.array([0.5, 0.7, 0.7, 0.1])
         ids = np.array([40, 30, 20, 10])
@@ -93,70 +121,59 @@ class TestBatchEvaluator:
     @given(st.integers(min_value=0, max_value=2**32), st.floats(min_value=-1, max_value=1))
     @settings(max_examples=25, deadline=None)
     def test_matches_scalar_path(self, seed, beta):
+        # random orders from all (N!)^N, insecure ones included
         rng = np.random.default_rng(seed)
-        params = SystemParams(n_users=3)
-        ch = sample_channels(params, seed)
-        pa = power_allocation(ch, beta)
-        picks = [order_from_id(3, int(i)) for i in rng.integers(0, total_orders(3), size=8)]
-        weights = _interference_weights(_before_tensor(picks, 3), params.zeta)
-        got = _rate_matrix(
-            weights, np.array(ch.gains), np.array(pa.alphas), 1.0 / params.rho_t
-        )
-        for k, order in enumerate(picks):
-            expected = secrecy_rates(order, ch, pa, params).per_user_rates
-            assert got[k] == pytest.approx(expected, abs=1e-12)
+        for n in (1, 2, 3, 4):
+            for zeta in (0.0, 0.1, 1.0):
+                params = SystemParams(n_users=n, zeta=zeta)
+                ch = sample_channels(params, seed)
+                pa = power_allocation(ch, beta)
+                picks = [order_from_id(n, int(i)) for i in rng.integers(0, total_orders(n), size=8)]
+                got = _secrecy_rates(
+                    _column_index(_ranks(picks, n)),
+                    np.array(ch.gains),
+                    np.array(pa.alphas),
+                    zeta,
+                    1.0 / params.rho_t,
+                )
+                for k, order in enumerate(picks):
+                    expected = secrecy_rates(order, ch, pa, params).per_user_rates
+                    assert got[k] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_power_user_has_zero_secrecy(self):
         # alpha -> 0 limit: no signal power, clamped rate is exactly zero
-        order = next(secure_orders(3))
-        weights = _interference_weights(_before_tensor([order], 3), 0.1)
-        rates = _rate_matrix(
-            weights, np.array([0.9, 0.5, 0.1]), np.array([0.0, 0.6, 0.4]), 1e-10
+        ranks = _ranks([next(secure_orders(3))], 3)
+        rates = _secrecy_rates(
+            _column_index(ranks), np.array([0.9, 0.5, 0.1]), np.array([0.0, 0.6, 0.4]), 0.1, 1e-10
         )
         assert rates[0, 0] == 0.0
 
+    def test_table_holds_only_the_columns_used(self):
+        stage, receiver, index = _column_index(np.array([[5, 0, 3], [5, 2, 3], [1, 2, 3]]))
+        assert receiver.tolist() == [0, 0, 1, 1, 2]
+        assert index.tolist() == [[1, 2, 4], [1, 3, 4], [0, 3, 4]]
+        assert stage[1].tolist() == [2, 1, 0]  # rank 5 is the column (3, 2, 1)
+        # 12! = 479001600 columns exist; the two policy matrices use 24
+        ranks = _ranks([policy_order_lpwu(12), policy_order_lpsu(12)], 12)
+        assert _column_index(ranks)[0].shape == (24, 12)
+
 
 class TestSecureBundle:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_per_order_construction(self, n):
         sec = [o for o in enumerate_orders(n) if is_secure(o)]
-        expected = np.zeros((len(sec), n, n, n), dtype=bool)
-        for k, order in enumerate(sec):
-            for m in range(1, n + 1):
-                for t in range(1, n + 1):
-                    for i in range(1, n + 1):
-                        expected[k, t - 1, m - 1, i - 1] = order.stage_of(m, i) < order.stage_of(m, t)
-        ids, fav, before = _secure_bundle(n)
-        assert np.array_equal(ids, np.array([order_id(o) for o in sec], dtype=np.int64))
+        ranks, ids, fav = _secure_bundle(n)
+        assert np.array_equal(ranks, _ranks(sec, n))
+        assert ids.tolist() == [order_id(o) for o in sec]
         assert np.array_equal(fav, np.array([is_favourable(o) for o in sec]))
-        assert np.array_equal(before, expected)
-        assert np.array_equal(_before_tensor(sec, n), expected)
-        assert (ids.dtype, fav.dtype, before.dtype) == (np.int64, bool, bool)
+        assert (ranks.dtype, fav.dtype) == (np.int64, bool)
 
     def test_cached_arrays_are_read_only(self):
-        ids, fav, before = _secure_bundle(3)
-        assert not any(a.flags.writeable for a in (ids, fav, before))
+        ranks, ids, fav = _secure_bundle(3)
+        assert _secure_bundle(3)[0] is ranks
+        assert not any(a.flags.writeable for a in (ranks, ids, fav))
         with pytest.raises(ValueError):
-            before[0, 0, 0, 0] = True
-
-    @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
-    def test_weights_cached_per_zeta_and_read_only(self, zeta):
-        weights = _secure_weights(3, zeta)
-        assert _secure_weights(3, zeta) is weights
-        assert np.array_equal(weights, _interference_weights(_secure_bundle(3)[2], zeta))
-        assert not weights.flags.writeable
-
-    def test_rate_matrix_into_buffer_matches_fresh(self):
-        params = SystemParams(n_users=4)
-        ch = sample_channels(params, 5)
-        gains = np.asarray(ch.gains)
-        weights = _secure_weights(4, params.zeta)
-        buf = np.empty(weights.shape[:3])
-        for beta in (-0.5, 0.0, 0.7):
-            alphas = np.asarray(power_allocation(ch, beta).alphas)
-            fresh = _rate_matrix(weights, gains, alphas, 1.0 / params.rho_t)
-            reused = _rate_matrix(weights, gains, alphas, 1.0 / params.rho_t, out=buf)
-            assert np.array_equal(fresh, reused)
+            ranks[0, 0] = 1
 
 
 class TestBenchmarkAverage:
@@ -182,14 +199,6 @@ class TestBenchmarkAverage:
         best = max_min_order(iter(secure_orders(3)), ch, pa, params)
         if best.feasible_count > 0:
             assert benchmark_average(ch, pa, params) <= best.best_value + 1e-12
-
-    def test_feasible_only_switch(self):
-        params = SystemParams(n_users=3)
-        ch = sample_channels(params, 8)
-        pa = power_allocation(ch, -0.2)
-        including = benchmark_average(ch, pa, params)
-        excluding = benchmark_average(ch, pa, params, feasible_only=True)
-        assert excluding >= including
 
     def test_cap_enforced(self):
         params = SystemParams(n_users=5)
@@ -271,6 +280,17 @@ class TestBetaSweep:
         big = SystemParams(n_users=5)
         with pytest.raises(ValueError):
             beta_sweep("benchmark", [0.0], sample_channels(big, 1), big)
+
+    def test_policy_ids_stay_exact_beyond_int64(self):
+        # at N = 21 both the order ids and the column ranks exceed int64
+        params = SystemParams(n_users=21)
+        ch = sample_channels(params, 3)
+        sweeps = sweep_all(["policy-LPWU", "policy-LPSU"], [-0.5, 0.5], ch, params)
+        for scheme, order in (("policy-LPWU", policy_order_lpwu(21)), ("policy-LPSU", policy_order_lpsu(21))):
+            for point in sweeps[scheme]:
+                assert point.order_id == order_id(order)
+                expected = secrecy_rates(order, ch, power_allocation(ch, point.beta), params)
+                assert point.per_user_rates == pytest.approx(expected.per_user_rates, abs=1e-12)
 
     def test_policies_allowed_beyond_enumeration_cap(self):
         params = SystemParams(n_users=5)

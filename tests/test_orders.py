@@ -16,7 +16,6 @@ from untrusted_noma import (
     order_id,
     policy_order,
     policy_order_lpsu,
-    policy_order_lpwu,
     secure_orders,
     self_last_transform,
     total_orders,
@@ -191,11 +190,8 @@ class TestPolicyOrder:
         assert policy_order(2, -0.9).columns == expected
         assert policy_order(2, 0.9).columns == expected
 
-    def test_zero_beta_defaults_to_ascending_and_is_overridable(self):
+    def test_zero_beta_is_ascending(self):
         assert policy_order(3, 0.0) == policy_order_lpsu(3)
-        assert policy_order(3, 0.0, zero_beta_branch="lpwu") == policy_order_lpwu(3)
-        with pytest.raises(ValueError):
-            policy_order(3, 0.0, zero_beta_branch="middle")
 
     @given(st.integers(min_value=1, max_value=7), st.floats(min_value=-1, max_value=1))
     @settings(max_examples=100, deadline=None)
