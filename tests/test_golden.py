@@ -25,6 +25,10 @@ def _sha256(data: str | bytes) -> str:
          "ccbe0c9e42418c5092e84be1a905e0e105237bec806a8bd29a52bbe952d15972"),
         ("sweep --users 12 --seed 1 --scheme policy-LPWU,policy-LPSU",
          "e4f505e62f7d9b559df0d9027c8af2e112f8af72127368d90767d4b598e09b6a"),
+        ("eval --users 3 --beta -0.3 --seed 42",
+         "081e10749dec5c350b2875988500327d4c5b25bf5e4a986ce34121dec39e4123"),
+        ("eval --users 2 --beta 0.1 --seed 7 --order-id 2",
+         "2e677106dba2629b1bf258dffac247202a8216c98aa8663cb2cc709a760e8ca0"),
     ],
 )
 def test_stdout_digest(capsys, argv, digest):
