@@ -22,22 +22,20 @@ from .orders import (
 from .system import (
     ChannelRealization,
     PowerAllocation,
-    SecrecyEvaluation,
     SystemParams,
     dbm_to_mw,
     draw_gains,
     power_allocation,
     sample_channels,
-    secrecy_rates,
-    sinr,
 )
 from .optimizer import (
     SCHEMES,
     SearchOutcome,
     SweepPoint,
     benchmark_average,
-    beta_sweep,
     max_min_order,
+    secrecy_rates,
+    sinr,
     sweep_all,
 )
 from .experiments import (

@@ -26,7 +26,7 @@ from .experiments import (
     sweep_records,
     write_csv,
 )
-from .optimizer import SCHEMES, sweep_all
+from .optimizer import SCHEMES, secrecy_rates, sweep_all
 from .orders import (
     count_secure,
     order_from_id,
@@ -35,7 +35,7 @@ from .orders import (
     secure_orders,
     total_orders,
 )
-from .system import SystemParams, power_allocation, sample_channels, secrecy_rates
+from .system import SystemParams, power_allocation, sample_channels
 
 __all__ = ["main", "entry"]
 
@@ -144,12 +144,17 @@ def _print_matrix(order) -> None:
         print(" ".join(str(order.columns[m][k]) for m in range(n)))
 
 
-def _emit_records(records: list[ResultRecord], args: argparse.Namespace, cfg: dict) -> None:
-    """Print records as CSV and mirror them to --output when given."""
-    write_csv(records, sys.stdout)
+def _mirror_records(records: list[ResultRecord], args: argparse.Namespace, cfg: dict) -> None:
+    """Write records to --output (or the config's output_path) when given."""
     out = _pick(args, cfg, "output", "output_path", None)
     if out:
         export(records, out, _pick(args, cfg, "format", "output_format", "csv"))
+
+
+def _emit_records(records: list[ResultRecord], args: argparse.Namespace, cfg: dict) -> None:
+    """Print records as CSV and mirror them to --output when given."""
+    write_csv(records, sys.stdout)
+    _mirror_records(records, args, cfg)
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -179,22 +184,20 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         order = policy_order(params.n_users, args.beta)
     channels = sample_channels(params, args.seed)
     alpha = power_allocation(channels, args.beta)
-    ev = secrecy_rates(order, channels, alpha, params)
+    rates = secrecy_rates(order, channels, alpha, params)
     record = ResultRecord(
         trial=0,
         beta=args.beta,
         scheme="eval",
         order_id=order_id(order),
-        min_secrecy_rate=ev.min_rate,
-        per_user_rates=ev.per_user_rates,
+        min_secrecy_rate=min(rates),
+        per_user_rates=rates,
     )
     print(f"beta={format_number(args.beta)} order_id={record.order_id}")
-    for i, rate in enumerate(ev.per_user_rates, start=1):
+    for i, rate in enumerate(rates, start=1):
         print(f"user_rate_{i}={format_number(rate)}")
-    print(f"min_secrecy_rate={format_number(ev.min_rate)}")
-    out = _pick(args, cfg, "output", "output_path", None)
-    if out:
-        export([record], out, _pick(args, cfg, "format", "output_format", "csv"))
+    print(f"min_secrecy_rate={format_number(record.min_secrecy_rate)}")
+    _mirror_records([record], args, cfg)
     return 0
 
 

@@ -129,6 +129,22 @@ class TestEval:
         for i in (1, 2, 3):
             assert printed[f"user_rate_{i}"] == row[f"user_rate_{i}"]
 
+    def test_rates_match_the_sweep_row_of_the_same_order(self, capsys):
+        # at zeta = 1 the secrecy rate is a near-cancellation, so two
+        # formulas for it disagree in the 12th digit
+        system = ("--users", "4", "--seed", "5", "--zeta", "1")
+        code, out, _ = run_cli(capsys, "eval", *system, "--beta", "0.5")
+        assert code == 0
+        printed = dict(part.split("=") for part in out.split())
+        code, out, _ = run_cli(
+            capsys, "sweep", *system, "--beta-grid=0.5", "--scheme", "policy-LPSU"
+        )
+        assert code == 0
+        header, row = (line.split(",") for line in out.splitlines())
+        swept = dict(zip(header, row))
+        assert len(printed) == 7
+        assert printed == {key: swept[key] for key in printed}
+
     def test_explicit_order_id(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--users", "2", "--beta", "0.1", "--seed", "7", "--order-id", "2"

@@ -11,7 +11,6 @@ from untrusted_noma import (
     SearchOutcome,
     SystemParams,
     benchmark_average,
-    beta_sweep,
     conventional_order,
     enumerate_orders,
     favourable_orders,
@@ -25,7 +24,7 @@ from untrusted_noma import (
     power_allocation,
     sample_channels,
     secure_orders,
-    secrecy_rates,
+    sinr,
     sweep_all,
     total_orders,
 )
@@ -36,6 +35,8 @@ from untrusted_noma.optimizer import (
     _secrecy_rates,
     _secure_bundle,
 )
+from scalar_oracle import secrecy_rates as oracle_secrecy_rates
+from scalar_oracle import sinr as oracle_sinr
 
 WORKED_CH = ChannelRealization(distances_m=(1.0, 2.0), gains=(4.0, 1.0))
 WORKED_ALPHA = PowerAllocation(alphas=(0.2, 0.8), beta=0.0)
@@ -137,8 +138,13 @@ class TestBatchEvaluator:
                     1.0 / params.rho_t,
                 )
                 for k, order in enumerate(picks):
-                    expected = secrecy_rates(order, ch, pa, params).per_user_rates
+                    expected = oracle_secrecy_rates(order, ch, pa, params).per_user_rates
                     assert got[k] == pytest.approx(expected, abs=1e-12)
+                    for u in range(1, n + 1):
+                        for m in range(1, n + 1):
+                            assert sinr(order, ch, pa, params, u, m) == pytest.approx(
+                                oracle_sinr(order, ch, pa, params, u, m), rel=1e-12
+                            )
 
     def test_zero_power_user_has_zero_secrecy(self):
         # alpha -> 0 limit: no signal power, clamped rate is exactly zero
@@ -186,7 +192,7 @@ class TestBenchmarkAverage:
         ch = sample_channels(params, 8)
         pa = power_allocation(ch, -0.2)
         expected = np.mean(
-            [min(secrecy_rates(o, ch, pa, params).per_user_rates) for o in secure_orders(3)]
+            [oracle_secrecy_rates(o, ch, pa, params).min_rate for o in secure_orders(3)]
         )
         assert benchmark_average(ch, pa, params) == pytest.approx(float(expected), rel=1e-12)
 
@@ -214,8 +220,8 @@ class TestBetaSweep:
     def test_policies_coincide_at_beta_zero_two_users(self):
         params = SystemParams(n_users=2)
         ch = sample_channels(params, 4)
-        lpwu = beta_sweep("policy-LPWU", [0.0], ch, params)[0]
-        lpsu = beta_sweep("policy-LPSU", [0.0], ch, params)[0]
+        lpwu = sweep_all(["policy-LPWU"], [0.0], ch, params)["policy-LPWU"][0]
+        lpsu = sweep_all(["policy-LPSU"], [0.0], ch, params)["policy-LPSU"][0]
         assert lpwu.value == lpsu.value
         assert lpwu.order_id == lpsu.order_id
 
@@ -245,7 +251,7 @@ class TestBetaSweep:
         params = SystemParams(n_users=3)
         ch = sample_channels(params, 11)
         pa_beta = -0.3
-        point = beta_sweep("optimal-L", [pa_beta], ch, params)[0]
+        point = sweep_all(["optimal-L"], [pa_beta], ch, params)["optimal-L"][0]
         expected = max_min_order(
             iter(favourable_orders(3)), ch, power_allocation(ch, pa_beta), params
         )
@@ -255,10 +261,10 @@ class TestBetaSweep:
     def test_benchmark_points_average_per_user_rates(self):
         params = SystemParams(n_users=3)
         ch = sample_channels(params, 12)
-        point = beta_sweep("benchmark", [0.2], ch, params)[0]
+        point = sweep_all(["benchmark"], [0.2], ch, params)["benchmark"][0]
         pa = power_allocation(ch, 0.2)
         per_user = np.array(
-            [secrecy_rates(o, ch, pa, params).per_user_rates for o in secure_orders(3)]
+            [oracle_secrecy_rates(o, ch, pa, params).per_user_rates for o in secure_orders(3)]
         )
         assert point.order_id is None
         assert point.per_user_rates == pytest.approx(per_user.mean(axis=0), rel=1e-10)
@@ -274,12 +280,12 @@ class TestBetaSweep:
         params = SystemParams(n_users=3)
         ch = sample_channels(params, 2)
         with pytest.raises(ValueError):
-            beta_sweep("optimal-X", [0.0], ch, params)
+            sweep_all(["optimal-X"], [0.0], ch, params)["optimal-X"]
         with pytest.raises(ValueError):
-            beta_sweep("benchmark", [1.5], ch, params)
+            sweep_all(["benchmark"], [1.5], ch, params)["benchmark"]
         big = SystemParams(n_users=5)
         with pytest.raises(ValueError):
-            beta_sweep("benchmark", [0.0], sample_channels(big, 1), big)
+            sweep_all(["benchmark"], [0.0], sample_channels(big, 1), big)["benchmark"]
 
     def test_policy_ids_stay_exact_beyond_int64(self):
         # at N = 21 both the order ids and the column ranks exceed int64
@@ -289,11 +295,11 @@ class TestBetaSweep:
         for scheme, order in (("policy-LPWU", policy_order_lpwu(21)), ("policy-LPSU", policy_order_lpsu(21))):
             for point in sweeps[scheme]:
                 assert point.order_id == order_id(order)
-                expected = secrecy_rates(order, ch, power_allocation(ch, point.beta), params)
+                expected = oracle_secrecy_rates(order, ch, power_allocation(ch, point.beta), params)
                 assert point.per_user_rates == pytest.approx(expected.per_user_rates, abs=1e-12)
 
     def test_policies_allowed_beyond_enumeration_cap(self):
         params = SystemParams(n_users=5)
         ch = sample_channels(params, 1)
-        points = beta_sweep("policy-LPWU", [-0.5], ch, params)
+        points = sweep_all(["policy-LPWU"], [-0.5], ch, params)["policy-LPWU"]
         assert len(points) == 1 and points[0].value >= 0.0
