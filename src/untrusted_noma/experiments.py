@@ -11,6 +11,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -210,15 +211,39 @@ def write_csv(records: Sequence[ResultRecord], stream) -> None:
         )
 
 
-def _record_dict(r: ResultRecord) -> dict:
-    return {
-        "trial": r.trial,
-        "beta": float(format_number(r.beta)),
-        "scheme": r.scheme,
-        "order_id": r.order_id,
-        "min_secrecy_rate": float(format_number(r.min_secrecy_rate)),
-        "per_user_rates": [float(format_number(v)) for v in r.per_user_rates],
-    }
+# json.dumps spells the non-finite floats its own way
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_json_string = lru_cache(maxsize=64)(json.dumps)
+
+
+def _json_number(x: float) -> str:
+    text = repr(float(format_number(x)))
+    return _JSON_NONFINITE.get(text, text)
+
+
+def write_json(records: Sequence[ResultRecord], stream) -> None:
+    """Write records as a JSON array to an open text stream, one record at a
+    time: the bytes of ``json.dump(..., indent=2)`` over one object per
+    record, then a newline. Numbers are parsed back from ``format_number``."""
+    if not records:
+        stream.write("[]\n")
+        return
+    sep = "[\n"
+    for r in records:
+        users = ",\n      ".join(_json_number(v) for v in r.per_user_rates)
+        users = f"[\n      {users}\n    ]" if users else "[]"
+        stream.write(
+            f"{sep}  {{\n"
+            f'    "trial": {r.trial},\n'
+            f'    "beta": {_json_number(r.beta)},\n'
+            f'    "scheme": {_json_string(r.scheme)},\n'
+            f'    "order_id": {"null" if r.order_id is None else r.order_id},\n'
+            f'    "min_secrecy_rate": {_json_number(r.min_secrecy_rate)},\n'
+            f'    "per_user_rates": {users}\n'
+            "  }"
+        )
+        sep = ",\n"
+    stream.write("\n]\n")
 
 
 def export(records: Sequence[ResultRecord], path: str | Path, format: str = "csv") -> None:
@@ -231,5 +256,4 @@ def export(records: Sequence[ResultRecord], path: str | Path, format: str = "csv
         if format == "csv":
             write_csv(records, stream)
         else:
-            json.dump([_record_dict(r) for r in records], stream, indent=2)
-            stream.write("\n")
+            write_json(records, stream)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "sample_channels",
     "draw_gains",
     "power_allocation",
+    "power_allocation_grid",
 ]
 
 
@@ -64,6 +66,15 @@ class SystemParams:
             )
         if not (math.isfinite(self.pt_dbm) and math.isfinite(self.noise_dbm)):
             raise ValueError("pt_dbm and noise_dbm must be finite")
+        try:
+            rho_t = self.rho_t
+        except (OverflowError, ZeroDivisionError):
+            rho_t = math.nan
+        if not (math.isfinite(rho_t) and rho_t > 0.0):
+            raise ValueError(
+                f"pt_dbm={self.pt_dbm} and noise_dbm={self.noise_dbm} give no finite, "
+                "positive transmit SNR"
+            )
 
     @property
     def rho_t(self) -> float:
@@ -129,8 +140,11 @@ def draw_gains(params: SystemParams, distances_m: np.ndarray, rng: np.random.Gen
     The gain of a user at distance d is exponentially distributed with mean
     L_c * d**(-e) (Rayleigh fading over a distance-based path loss).
     """
-    mean = params.path_loss_const * np.asarray(distances_m, dtype=float) ** (-params.path_loss_exp)
-    return mean * rng.exponential(1.0, size=len(distances_m))
+    # an overflow gives inf gains, which sample_channels rejects
+    with np.errstate(over="ignore"):
+        path_loss = np.asarray(distances_m, dtype=float) ** (-params.path_loss_exp)
+        mean = params.path_loss_const * path_loss
+        return mean * rng.exponential(1.0, size=len(distances_m))
 
 
 def sample_channels(params: SystemParams, seed: int) -> ChannelRealization:
@@ -145,8 +159,14 @@ def sample_channels(params: SystemParams, seed: int) -> ChannelRealization:
     xy = rng.uniform(-half, half, size=(params.n_users, 2))
     dist = np.maximum(np.hypot(xy[:, 0], xy[:, 1]), params.min_dist_m)
     gains = draw_gains(params, dist, rng)
-    # exact ties have probability zero; re-draw if the float values collide
+    # exact ties have probability zero; re-draw if the float values collide,
+    # which gains that all underflow to 0 (or overflow) would do forever
     while len(np.unique(gains)) < params.n_users:
+        if not (np.isfinite(gains) & (gains > 0.0)).all():
+            raise ValueError(
+                "channel gains underflow to 0 or overflow; check field_len_m, "
+                "min_dist_m and the path-loss constant and exponent"
+            )
         gains = draw_gains(params, dist, rng)
     idx = np.argsort(-gains, kind="stable")
     return ChannelRealization(
@@ -155,11 +175,31 @@ def sample_channels(params: SystemParams, seed: int) -> ChannelRealization:
     )
 
 
+def power_allocation_grid(
+    channels: ChannelRealization, beta_grid: Sequence[float]
+) -> np.ndarray:
+    """Fractional power allocation at every beta of a grid, as [B, n] alphas:
+    row b has alpha_n proportional to gain_n**(-beta_grid[b]).
+
+    Each row is raised to its own scalar exponent: an array exponent takes a
+    different numpy path and moves the last bits of some rows. The rows pass
+    the checks of ``PowerAllocation``.
+    """
+    for beta in beta_grid:
+        if not -1.0 <= beta <= 1.0:
+            raise ValueError(f"beta must lie in [-1, 1], got {beta}")
+    gains = np.asarray(channels.gains, dtype=float)
+    weights = np.stack([gains ** (-beta) for beta in beta_grid])
+    alphas = weights / weights.sum(axis=1, keepdims=True)
+    if not (alphas > 0.0).all():
+        raise ValueError("all power coefficients must be positive")
+    if (np.abs(alphas.sum(axis=1) - 1.0) > 1e-12).any():
+        raise ValueError("power coefficients must sum to 1 within 1e-12")
+    return alphas
+
+
 def power_allocation(channels: ChannelRealization, beta: float) -> PowerAllocation:
     """Fractional power allocation: alpha_n proportional to gain_n**(-beta)."""
-    if not -1.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [-1, 1], got {beta}")
-    weights = np.asarray(channels.gains, dtype=float) ** (-beta)
-    alphas = weights / weights.sum()
-    return PowerAllocation(alphas=tuple(float(a) for a in alphas), beta=beta)
+    alphas = power_allocation_grid(channels, [beta])[0]
+    return PowerAllocation(alphas=tuple(alphas.tolist()), beta=beta)
 

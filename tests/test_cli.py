@@ -160,6 +160,25 @@ class TestEval:
         assert "out of range" in err
 
 
+class TestExtremePhysics:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--noise-dbm", "-4000"), "transmit SNR"),
+            (("--pt-dbm", "4000"), "transmit SNR"),
+            (("--field-len", "1e200"), "channel gains"),
+        ],
+    )
+    def test_one_error_line_and_exit_1(self, capsys, flags, message):
+        code, out, err = run_cli(
+            capsys, "eval", "--users", "3", "--seed", "1", "--beta", "0.2", *flags
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
+
 class TestSweep:
     ARGS = (
         "sweep", "--users", "3", "--seed", "5",

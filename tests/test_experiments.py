@@ -7,6 +7,7 @@ import pytest
 
 from untrusted_noma import (
     DEFAULT_BETA_GRID,
+    SCHEMES,
     ExperimentConfig,
     ResultRecord,
     SystemParams,
@@ -17,6 +18,7 @@ from untrusted_noma import (
     sample_channels,
     sweep_all,
 )
+from untrusted_noma.experiments import format_number
 
 SMALL_GRID = (-0.5, 0.0, 0.5)
 
@@ -221,3 +223,50 @@ class TestExport:
         export(run_experiment(small_config()), a, "csv")
         export(run_experiment(small_config()), b, "csv")
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestJsonWriter:
+    """The record-by-record writer must give the bytes of json.dump over one
+    dict per record, numbers parsed back from their 12-digit text."""
+
+    @staticmethod
+    def json_dump_bytes(records) -> bytes:
+        def number(x):
+            return float(format_number(x))
+
+        rows = [
+            {
+                "trial": r.trial,
+                "beta": number(r.beta),
+                "scheme": r.scheme,
+                "order_id": r.order_id,
+                "min_secrecy_rate": number(r.min_secrecy_rate),
+                "per_user_rates": [number(v) for v in r.per_user_rates],
+            }
+            for r in records
+        ]
+        return (json.dumps(rows, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bytes_match_json_dump(self, tmp_path, n):
+        records = run_experiment(
+            small_config(params=SystemParams(n_users=n), schemes=SCHEMES, trials=4)
+        )
+        path = tmp_path / "r.json"
+        export(records, path, "json")
+        assert path.read_bytes() == self.json_dump_bytes(records)
+
+    def test_empty_records(self, tmp_path):
+        path = tmp_path / "empty.json"
+        export([], path, "json")
+        assert path.read_bytes() == b"[]\n" == self.json_dump_bytes([])
+
+    def test_edge_values_match_json_dump(self, tmp_path):
+        inf = float("inf")
+        records = [
+            ResultRecord(0, -0.0, "benchmark", None, float("nan"), (inf, -inf, 1e-300)),
+            ResultRecord(7, 0.1, 'quote"d', 2**70, 123456789012345.0, ()),
+        ]
+        path = tmp_path / "edge.json"
+        export(records, path, "json")
+        assert path.read_bytes() == self.json_dump_bytes(records)

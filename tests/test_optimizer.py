@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from untrusted_noma import (
+    SCHEMES,
     ChannelRealization,
     PowerAllocation,
     SearchOutcome,
@@ -35,6 +36,7 @@ from untrusted_noma.optimizer import (
     _secrecy_rates,
     _secure_bundle,
 )
+from untrusted_noma.system import power_allocation_grid
 from scalar_oracle import secrecy_rates as oracle_secrecy_rates
 from scalar_oracle import sinr as oracle_sinr
 
@@ -303,3 +305,39 @@ class TestBetaSweep:
         ch = sample_channels(params, 1)
         points = sweep_all(["policy-LPWU"], [-0.5], ch, params)["policy-LPWU"]
         assert len(points) == 1 and points[0].value >= 0.0
+
+
+class TestGridBlocks:
+    """A whole-grid sweep scores many betas per kernel call; a one-point
+    grid is one beta per call. Both must give the same points, bit for bit."""
+
+    GRID = tuple(float(b) for b in np.linspace(-1, 1, 21))
+
+    def assert_grid_matches_points(self, schemes, params, seed):
+        ch = sample_channels(params, seed)
+        sweeps = sweep_all(schemes, self.GRID, ch, params)
+        for i, beta in enumerate(self.GRID):
+            single = sweep_all(schemes, [beta], ch, params)
+            assert {s: [points[i]] for s, points in sweeps.items()} == single
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
+    def test_all_schemes(self, n, zeta):
+        for seed in range(3 if n < 4 else 1):
+            self.assert_grid_matches_points(SCHEMES, SystemParams(n_users=n, zeta=zeta), seed)
+
+    @pytest.mark.parametrize("n", [5, 9, 12, 21])
+    def test_policies_beyond_the_cap(self, n):
+        self.assert_grid_matches_points(
+            ("policy-LPWU", "policy-LPSU"), SystemParams(n_users=n), seed=n
+        )
+
+    def test_grid_alphas_match_power_allocation(self):
+        params = SystemParams(n_users=9)
+        ch = sample_channels(params, 5)
+        alphas = power_allocation_grid(ch, self.GRID)
+        assert [tuple(row) for row in alphas.tolist()] == [
+            power_allocation(ch, beta).alphas for beta in self.GRID
+        ]
+        with pytest.raises(ValueError):
+            power_allocation_grid(ch, (0.0, 1.5))

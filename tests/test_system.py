@@ -60,6 +60,10 @@ class TestSystemParams:
             {"n_users": 2, "path_loss_exp": 0.0},
             {"n_users": 2, "min_dist_m": 0.0},
             {"n_users": 2, "min_dist_m": 260.0},
+            {"n_users": 2, "noise_dbm": -4000.0},
+            {"n_users": 2, "noise_dbm": 4000.0},
+            {"n_users": 2, "pt_dbm": 4000.0},
+            {"n_users": 2, "pt_dbm": -4000.0},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -74,6 +78,17 @@ class TestSystemParams:
 
 
 class TestSampling:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"field_len_m": 1e200},  # every gain underflows to 0
+            {"path_loss_const": 1e308, "field_len_m": 1e-3, "min_dist_m": 1e-6},  # overflow
+        ],
+    )
+    def test_degenerate_gains_raise_instead_of_redrawing(self, kwargs):
+        with pytest.raises(ValueError, match="channel gains"):
+            sample_channels(SystemParams(n_users=3, **kwargs), 1)
+
     def test_deterministic_for_fixed_seed(self):
         params = SystemParams(n_users=4)
         assert sample_channels(params, 99) == sample_channels(params, 99)
