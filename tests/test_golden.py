@@ -29,6 +29,14 @@ def _sha256(data: str | bytes) -> str:
          "081e10749dec5c350b2875988500327d4c5b25bf5e4a986ce34121dec39e4123"),
         ("eval --users 2 --beta 0.1 --seed 7 --order-id 2",
          "2e677106dba2629b1bf258dffac247202a8216c98aa8663cb2cc709a760e8ca0"),
+        ("filter-secure --users 4",
+         "21ff31d622df02b18651656553771131607e5f47092f9901c7c889b41baa1e12"),
+        ("count --users 4",
+         "019b8cb7c8ddc147fe1b4ed4a143c6dd9541c12924190cda8d71aa4636a447ce"),
+        ("simulate --users 2 --trials 150 --seed 9",
+         "d078ef7b2071a50da1e6e6bb62ead725d45cec7818de9fa477a6683539223fe3"),
+        ("simulate --users 9 --trials 120 --seed 3 --scheme policy-LPWU,policy-LPSU",
+         "27825bd48164e27524f69c31285a55189de46704916b8a13a40b39b43b84eea7"),
     ],
 )
 def test_stdout_digest(capsys, argv, digest):
