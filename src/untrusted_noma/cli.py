@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from dataclasses import fields
+from itertools import islice
 from typing import Sequence
 
 from .experiments import (
@@ -28,11 +29,12 @@ from .experiments import (
 )
 from .optimizer import SCHEMES, secrecy_rates, sweep_all
 from .orders import (
+    _rank_id,
+    _secure_column_ranks,
     count_secure,
     order_from_id,
     order_id,
     policy_order,
-    secure_orders,
     total_orders,
 )
 from .system import SystemParams, power_allocation, sample_channels
@@ -165,8 +167,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter_secure(args: argparse.Namespace) -> int:
-    for order in secure_orders(args.users, bool(args.allow_large_n)):
-        print(order_id(order))
+    base = math.factorial(args.users)
+    walk = _secure_column_ranks(args.users, bool(args.allow_large_n))
+    ids = (_rank_id(row, base) for row in walk)
+    while chunk := list(islice(ids, 4096)):
+        sys.stdout.write("".join([f"{oid}\n" for oid in chunk]))
     return 0
 
 

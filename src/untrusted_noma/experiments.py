@@ -8,10 +8,12 @@ replayed in isolation and repeated runs are byte-identical.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -24,7 +26,8 @@ from .optimizer import (
     SCHEMES,
     SweepPoint,
     _check_request,
-    sweep_all,
+    _score_block,
+    _trials_per_block,
 )
 from .system import SystemParams, sample_channels
 
@@ -112,14 +115,18 @@ def sweep_records(trial: int, sweeps: dict[str, list[SweepPoint]]) -> list[Resul
     ]
 
 
-def _trial_sweeps(
+def _trial_blocks(
     config: ExperimentConfig, params: SystemParams, schemes: Sequence[str]
-) -> Iterator[dict[str, list[SweepPoint]]]:
-    """``sweep_all`` over the config's beta grid, once per trial t, on the
-    channels drawn from ``derive_trial_seed(config.master_seed, t)``."""
-    for trial in range(config.trials):
-        channels = sample_channels(params, derive_trial_seed(config.master_seed, trial))
-        yield sweep_all(schemes, config.beta_grid, channels, params)
+) -> Iterator[tuple[range, dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]]:
+    """``_score_block`` over the config's beta grid, a block of trials at a
+    time, as (the block's trials, their scores). Trial t's channels are
+    drawn from ``derive_trial_seed(config.master_seed, t)``."""
+    size = _trials_per_block(schemes, params.n_users, len(config.beta_grid))
+    for start in range(0, config.trials, size):
+        trials = range(start, min(start + size, config.trials))
+        seeds = (derive_trial_seed(config.master_seed, t) for t in trials)
+        channels = [sample_channels(params, seed) for seed in seeds]
+        yield trials, _score_block(schemes, config.beta_grid, channels, params)
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
@@ -129,8 +136,24 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
     so results are independent of how trials are scheduled and any row can
     be reproduced from (master_seed, trial) alone.
     """
-    sweeps = _trial_sweeps(config, config.params, config.schemes)
-    return [record for trial, sweep in enumerate(sweeps) for record in sweep_records(trial, sweep)]
+    records: list[ResultRecord] = []
+    for trials, scores in _trial_blocks(config, config.params, config.schemes):
+        columns = [
+            (scheme, values.tolist(), order_ids.tolist(), users.tolist())
+            for scheme, (values, order_ids, users) in scores.items()
+        ]
+        for i, trial in enumerate(trials):
+            for scheme, values, order_ids, users in columns:
+                records += map(
+                    ResultRecord,
+                    repeat(trial),
+                    config.beta_grid,
+                    repeat(scheme),
+                    order_ids[i],
+                    values[i],
+                    map(tuple, users[i]),
+                )
+    return records
 
 
 def gain_vs_users(
@@ -159,11 +182,12 @@ def gain_vs_users(
         _check_request(schemes, config.beta_grid, params.n_users)
     rows: list[GainRow] = []
     for params in cells:
-        policy_vals = []
-        bench_vals = []
-        for sweeps in _trial_sweeps(config, params, schemes):
-            policy_vals.append(max(point.value for s in pol_schemes for point in sweeps[s]))
-            bench_vals.append(float(np.mean([point.value for point in sweeps[SCHEME_BENCHMARK]])))
+        policy_vals: list[float] = []
+        bench_vals: list[float] = []
+        for _, scores in _trial_blocks(config, params, schemes):
+            policy = np.maximum(*(scores[s][0] for s in pol_schemes))  # [T, B]
+            policy_vals += policy.max(axis=1).tolist()
+            bench_vals += scores[SCHEME_BENCHMARK][0].mean(axis=1).tolist()
         mean_policy = float(stat(policy_vals))
         mean_bench = float(stat(bench_vals))
         rows.append(
@@ -185,6 +209,7 @@ def format_number(x: float) -> str:
 
 
 _FIXED_HEADER = ("trial", "beta", "scheme", "order_id", "min_secrecy_rate")
+_CSV_BATCH = 256  # records joined into one write; larger batches raise peak RSS
 
 
 def _header(records: Sequence[ResultRecord]) -> list[str]:
@@ -194,21 +219,30 @@ def _header(records: Sequence[ResultRecord]) -> list[str]:
     return cols
 
 
+@lru_cache(maxsize=64)
+def _csv_text(field: str) -> str:
+    """``field`` as ``csv.writer`` writes it inside a row, quoted if needed."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow([field, ""])
+    return line.getvalue()[:-2]
+
+
+def _csv_line(r: ResultRecord) -> str:
+    # every number as format_number writes it, spelled inline for speed
+    users = "".join([f",{float(v):.12g}" for v in r.per_user_rates])
+    return (
+        f"{r.trial},{float(r.beta):.12g},{_csv_text(r.scheme)},"
+        f"{'' if r.order_id is None else r.order_id},{float(r.min_secrecy_rate):.12g}{users}\n"
+    )
+
+
 def write_csv(records: Sequence[ResultRecord], stream) -> None:
-    """Write records as CSV (LF line endings) to an open text stream."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(_header(records))
-    for r in records:
-        writer.writerow(
-            [
-                r.trial,
-                format_number(r.beta),
-                r.scheme,
-                "" if r.order_id is None else r.order_id,
-                format_number(r.min_secrecy_rate),
-                *(format_number(v) for v in r.per_user_rates),
-            ]
-        )
+    """Write records as CSV (LF line endings) to an open text stream: the
+    bytes of ``csv.writer`` over one row per record, numbers as
+    ``format_number`` text, built one line per record."""
+    csv.writer(stream, lineterminator="\n").writerow(_header(records))
+    for start in range(0, len(records), _CSV_BATCH):
+        stream.write("".join([_csv_line(r) for r in records[start:start + _CSV_BATCH]]))
 
 
 # json.dumps spells the non-finite floats its own way

@@ -11,13 +11,15 @@ orders but uses at most 4 * 24 distinct columns. ``_sinr_table`` is the
 package's only SINR formula: ``sinr`` and ``secrecy_rates`` score a single
 order as a set of one.
 
-The kernel also takes a leading beta axis: alphas of shape [B, N], one row
-per grid point, give a [B, C, N] table and [B, K, N] rates, and each
-(beta, column) is still the same [N, N] matrix-vector product. ``sweep_all``
-scores up to ``_SCORE_BUDGET // K`` betas per kernel call, so a small order
-set (K <= 14 at N <= 3) is scored over the whole grid at once and its
-reductions run once per block instead of once per beta, while the 3038
-orders at N = 4 keep one beta per call.
+The kernel also takes leading axes: gains and alphas of shape [M, N], one
+row per (trial, beta) cell, give an [M, C, N] table and [M, K, N] rates,
+and each (cell, column) is still the same [N, N] matrix-vector product.
+``_score_block`` flattens the (trial, beta) pairs of a block of trials into
+one cell axis and scores up to ``_SCORE_BUDGET // K`` cells per kernel call
+(``// C`` where the C table rows outnumber the K orders, as for the two
+policy matrices alone), so at N <= 3 (K <= 14) about 14 trials x 21 betas
+share one call and one pass of each reduction, while the 3038 orders at
+N = 4 keep one cell per call. ``sweep_all`` is its one-trial call.
 """
 from __future__ import annotations
 
@@ -34,11 +36,12 @@ from .orders import (
     _column_permutations,
     _perm_rank,
     _perm_unrank,
+    _rank_id,
     _secure_column_ranks,
     policy_order_lpsu,
     policy_order_lpwu,
 )
-from .system import ChannelRealization, PowerAllocation, SystemParams, power_allocation_grid
+from .system import ChannelRealization, PowerAllocation, SystemParams, _alpha_grid
 
 __all__ = [
     "SCHEMES",
@@ -65,8 +68,8 @@ SCHEMES = (
 )
 # schemes that need the exhaustive secure set (vs the two policy matrices)
 _ENUM_SCHEMES = frozenset({SCHEME_OPTIMAL_L, SCHEME_OPTIMAL_O, SCHEME_BENCHMARK})
-# orders x betas scored per kernel call in sweep_all; batching betas over the
-# 3038 orders at N = 4 measured slower than one beta per call
+# rate rows (orders x (trial, beta) cells) scored per kernel call; batching
+# betas over the 3038 orders at N = 4 measured slower than one beta per call
 _SCORE_BUDGET = 4096
 
 
@@ -134,8 +137,7 @@ def _order_ids(ranks: np.ndarray) -> np.ndarray:
     """Exact ``order_id`` of each rank row, as Python ints: (N!)^N
     overflows int64 from N = 7."""
     base = math.factorial(ranks.shape[1])
-    ids = [reduce(lambda oid, r: oid * base + r, row, 0) for row in ranks.tolist()]
-    return np.array(ids, dtype=object)
+    return np.array([_rank_id(row, base) for row in ranks.tolist()], dtype=object)
 
 
 def _column_index(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,22 +165,30 @@ def _sinr_table(
     inv_rho: float,
 ) -> np.ndarray:
     """SINR table [..., C, n] of the columns in ``columns`` (a
-    ``_column_index``) for alphas [..., n]: entry (c, t) is the SINR of user
-    t's signal at column c's receiver.
+    ``_column_index``) for gains and alphas [..., n] with matching leading
+    axes: entry (c, t) is the SINR of user t's signal at column c's
+    receiver.
 
     Users decoded before t in the column leak only residual power (factor
     zeta); users decoded after t interfere at full power.
     """
     stage, receiver, _ = columns
-    diag = np.arange(len(gains))
+    diag = np.arange(gains.shape[-1])
     # weights[c, t, i]: zeta if column c decodes user i before user t, else 1; 0 for i == t
     weights = np.where(stage[:, None, :] < stage[:, :, None], zeta, 1.0)
     weights[:, diag, diag] = 0.0
-    g = gains[receiver][:, None]
+    g = np.take(gains, receiver, axis=-1)[..., None]
     gamma = np.matmul(weights, alphas[..., None, :, None])[..., 0]
     gamma *= g
     gamma += inv_rho
-    return alphas[..., None, :] * g / gamma
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        table = alphas[..., None, :] * g / gamma
+    if not np.isfinite(table).all():
+        raise ValueError(
+            "SINR overflows: the transmit SNR times a channel gain exceeds the float "
+            "range; check pt_dbm, noise_dbm and the path-loss constant"
+        )
+    return table
 
 
 def _secrecy_rates(
@@ -191,7 +201,7 @@ def _secrecy_rates(
     """Clamped per-user secrecy rates [..., K, n] of the order set whose
     ``_column_index`` is ``columns``, for gains and alphas [..., n]."""
     index = columns[2]
-    n = len(gains)
+    n = gains.shape[-1]
     diag = np.arange(n)
     # [..., C, n]: user t's rate at column c's receiver
     rate = np.log2(1.0 + _sinr_table(columns, gains, alphas, zeta, inv_rho))
@@ -328,61 +338,127 @@ def benchmark_average(
     return float(_row_min(_secrecy_rates(columns, gains, alphas, zeta, inv_rho)).mean())
 
 
+@lru_cache(maxsize=16)
+def _scored_set(
+    n: int, secure: bool
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray, tuple[int, int]]:
+    """What a sweep at n users scores: the secure orders (when ``secure``)
+    followed by the LPWU and LPSU matrices. Returns (their
+    ``_column_index``, secure ids, favourable mask, the two policy ids);
+    the arrays are read-only."""
+    ranks = _ranks([policy_order_lpwu(n), policy_order_lpsu(n)], n)
+    pol_ids = tuple(_order_ids(ranks).tolist())
+    ids = fav = np.empty(0)
+    if secure:
+        sec_ranks, ids, fav = _secure_bundle(n)
+        ranks = np.concatenate([sec_ranks, ranks])
+    columns = _column_index(ranks)
+    for array in (*columns, ids, fav):
+        array.flags.writeable = False
+    return columns, ids, fav, pol_ids
+
+
+def _cells_per_call(columns: tuple[np.ndarray, np.ndarray, np.ndarray]) -> int:
+    """(trial, beta) cells per kernel call: each cell takes K rate rows and C
+    table rows, and the larger of the two is held to ``_SCORE_BUDGET`` rows
+    in total, at least one cell per call."""
+    _, receiver, index = columns
+    return max(1, _SCORE_BUDGET // max(len(index), len(receiver)))
+
+
+def _trials_per_block(schemes: Sequence[str], n_users: int, n_betas: int) -> int:
+    """Trials whose (trial, beta) cells fit in one kernel call, at least 1."""
+    columns = _scored_set(n_users, bool(_ENUM_SCHEMES & set(schemes)))[0]
+    return max(1, _cells_per_call(columns) // n_betas)
+
+
+def _score_block(
+    schemes: Sequence[str],
+    beta_grid: Sequence[float],
+    channels: Sequence[ChannelRealization],
+    params: SystemParams,
+) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Evaluate several schemes over a beta grid on each of T channel draws.
+
+    Returns, per scheme, (values [T, B], order ids [T, B] as an object array,
+    per-user rates [T, B, n]). For each beta the power allocation follows
+    the fractional rule; the optimal-* schemes search their order subset
+    (order id None where no order is feasible), the policy schemes score
+    their single matrix, and the benchmark averages the secure set (order id
+    None). The secure set (when a scheme needs it) and the two policy
+    matrices are scored together, ``_cells_per_call`` (trial, beta) cells
+    per kernel call, and each scheme's reduction runs once per call.
+    """
+    n = params.n_users
+    if any(ch.n_users != n for ch in channels):
+        raise ValueError("channels and params disagree on the user count")
+    _check_request(schemes, beta_grid, n)
+
+    columns, ids, fav, pol_ids = _scored_set(n, bool(_ENUM_SCHEMES & set(schemes)))
+    gains = np.array([ch.gains for ch in channels], dtype=float)
+    alphas = _alpha_grid(gains, beta_grid)  # [T, B, n]
+    shape = alphas.shape[:-1]
+    cell_alphas = alphas.reshape(-1, n)
+    cell_gains = np.repeat(gains, shape[1], axis=0)
+    cells = len(cell_alphas)
+    inv_rho = 1.0 / params.rho_t
+    step = _cells_per_call(columns)
+
+    values = {s: np.empty(cells) for s in schemes}
+    users = {s: np.empty((cells, n)) for s in schemes}
+    optimal = (SCHEME_OPTIMAL_L, SCHEME_OPTIMAL_O)
+    best = {s: np.empty(cells, dtype=np.intp) for s in schemes if s in optimal}
+    for start in range(0, cells, step):
+        part = slice(start, start + step)
+        rates = _secrecy_rates(columns, cell_gains[part], cell_alphas[part], params.zeta, inv_rho)
+        rates, pol_rates = rates[:, :-2], rates[:, -2:]
+        mins = _row_min(rates)  # [c, K]
+        for scheme in schemes:
+            if scheme == SCHEME_BENCHMARK:
+                values[scheme][part] = mins.mean(axis=1)
+                users[scheme][part] = rates.mean(axis=1)
+            elif scheme in optimal:
+                k = _best_rows(fav if scheme == SCHEME_OPTIMAL_L else ~fav, mins)
+                rows, found = np.arange(len(k)), k >= 0
+                values[scheme][part] = np.where(found, mins[rows, k], 0.0)
+                users[scheme][part] = np.where(found[:, None], rates[rows, k], 0.0)
+                best[scheme][part] = k
+            else:
+                k = 0 if scheme == SCHEME_POLICY_LPWU else 1
+                values[scheme][part] = _row_min(pol_rates[:, k])
+                users[scheme][part] = pol_rates[:, k]
+
+    # the benchmark averages orders, so it has no order id
+    fixed_id = {SCHEME_POLICY_LPWU: pol_ids[0], SCHEME_POLICY_LPSU: pol_ids[1]}
+    result = {}
+    for scheme in schemes:
+        if scheme in best:
+            order_ids = np.where(best[scheme] >= 0, ids[best[scheme]], None)
+        else:
+            order_ids = np.full(cells, fixed_id.get(scheme), dtype=object)
+        result[scheme] = (
+            values[scheme].reshape(shape),
+            order_ids.reshape(shape),
+            users[scheme].reshape(*shape, n),
+        )
+    return result
+
+
 def sweep_all(
     schemes: Sequence[str],
     beta_grid: Sequence[float],
     channels: ChannelRealization,
     params: SystemParams,
 ) -> dict[str, list[SweepPoint]]:
-    """Evaluate several schemes over a beta grid.
-
-    For each beta the power allocation follows the fractional rule; the
-    optimal-* schemes search their order subset, the policy schemes score
-    their single matrix, and the benchmark averages the secure set. The
-    secure set (when a scheme needs it) and the two policy matrices are
-    scored together, over a block of up to ``_SCORE_BUDGET // K`` betas per
-    kernel call, and each scheme's reduction runs once per block.
-    """
-    n = params.n_users
-    if channels.n_users != n:
-        raise ValueError("channels and params disagree on the user count")
-    _check_request(schemes, beta_grid, n)
-
-    gains = np.asarray(channels.gains, dtype=float)
-    ranks = _ranks([policy_order_lpwu(n), policy_order_lpsu(n)], n)
-    pol_ids = _order_ids(ranks).tolist()
-    if _ENUM_SCHEMES & set(schemes):
-        sec_ranks, ids, fav = _secure_bundle(n)
-        ranks = np.concatenate([sec_ranks, ranks])
-    columns = _column_index(ranks)
-    alphas = power_allocation_grid(channels, beta_grid)
-    inv_rho = 1.0 / params.rho_t
-    block = max(1, _SCORE_BUDGET // len(ranks))
-
-    result: dict[str, list[SweepPoint]] = {s: [] for s in schemes}
-    for start in range(0, len(alphas), block):
-        betas = list(beta_grid[start:start + block])
-        rates = _secrecy_rates(columns, gains, alphas[start:start + block], params.zeta, inv_rho)
-        rates, pol_rates = rates[:, :-2], rates[:, -2:]
-        mins = _row_min(rates)  # [b, K]
-        for scheme in schemes:
-            if scheme == SCHEME_BENCHMARK:
-                values = mins.mean(axis=1).tolist()
-                order_ids = [None] * len(betas)
-                users = rates.mean(axis=1).tolist()
-            elif scheme in (SCHEME_OPTIMAL_L, SCHEME_OPTIMAL_O):
-                best = _best_rows(fav if scheme == SCHEME_OPTIMAL_L else ~fav, mins)
-                rows, found = np.arange(len(betas)), best >= 0
-                values = np.where(found, mins[rows, best], 0.0).tolist()
-                users = np.where(found[:, None], rates[rows, best], 0.0).tolist()
-                order_ids = [int(ids[k]) if k >= 0 else None for k in best.tolist()]
-            else:
-                k = 0 if scheme == SCHEME_POLICY_LPWU else 1
-                values = _row_min(pol_rates[:, k]).tolist()
-                order_ids = [pol_ids[k]] * len(betas)
-                users = pol_rates[:, k].tolist()
-            result[scheme] += [
-                SweepPoint(beta=beta, value=value, order_id=oid, per_user_rates=tuple(rates_))
-                for beta, value, oid, rates_ in zip(betas, values, order_ids, users)
-            ]
-    return result
+    """Evaluate several schemes over a beta grid on one channel draw: the
+    one-trial call of ``_score_block``, one ``SweepPoint`` per beta."""
+    scores = _score_block(schemes, beta_grid, [channels], params)
+    return {
+        scheme: [
+            SweepPoint(beta=beta, value=value, order_id=oid, per_user_rates=tuple(rates))
+            for beta, value, oid, rates in zip(
+                beta_grid, values[0].tolist(), order_ids[0].tolist(), users[0].tolist()
+            )
+        ]
+        for scheme, (values, order_ids, users) in scores.items()
+    }

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product
 from typing import Iterable, Iterator
 
@@ -204,12 +204,12 @@ def order_id(order: DecodingOrder) -> int:
     """Mixed-radix rank of an order: base N! per column, column 1 most
     significant, each column ranked lexicographically. Bijective with the
     set of decoding orders for fixed N."""
-    n = order.n_users
-    base = math.factorial(n)
-    oid = 0
-    for col in order.columns:
-        oid = oid * base + _perm_rank(col)
-    return oid
+    return _rank_id(map(_perm_rank, order.columns), math.factorial(order.n_users))
+
+
+def _rank_id(ranks: Iterable[int], base: int) -> int:
+    """``order_id`` of an order given its per-column ranks, base = N!."""
+    return reduce(lambda oid, r: oid * base + r, ranks, 0)
 
 
 def order_from_id(n: int, oid: int) -> DecodingOrder:

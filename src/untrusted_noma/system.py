@@ -54,8 +54,8 @@ class SystemParams:
             raise ValueError(f"n_users must be >= 1, got {self.n_users}")
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError(f"zeta must lie in [0, 1], got {self.zeta}")
-        if not self.field_len_m > 0.0:
-            raise ValueError(f"field_len_m must be positive, got {self.field_len_m}")
+        if not (math.isfinite(self.field_len_m) and self.field_len_m > 0.0):
+            raise ValueError(f"field_len_m must be positive and finite, got {self.field_len_m}")
         if not self.path_loss_exp > 0.0:
             raise ValueError(f"path_loss_exp must be positive, got {self.path_loss_exp}")
         if not self.path_loss_const > 0.0:
@@ -179,21 +179,25 @@ def power_allocation_grid(
     channels: ChannelRealization, beta_grid: Sequence[float]
 ) -> np.ndarray:
     """Fractional power allocation at every beta of a grid, as [B, n] alphas:
-    row b has alpha_n proportional to gain_n**(-beta_grid[b]).
+    row b has alpha_n proportional to gain_n**(-beta_grid[b]). The rows pass
+    the checks of ``PowerAllocation``."""
+    return _alpha_grid(np.asarray(channels.gains, dtype=float), beta_grid)
 
-    Each row is raised to its own scalar exponent: an array exponent takes a
-    different numpy path and moves the last bits of some rows. The rows pass
-    the checks of ``PowerAllocation``.
+
+def _alpha_grid(gains: np.ndarray, beta_grid: Sequence[float]) -> np.ndarray:
+    """``power_allocation_grid`` of gains [..., n], as alphas [..., B, n].
+
+    Each beta raises the gains to its own scalar exponent: an array exponent
+    takes a different numpy path and moves the last bits of some rows.
     """
     for beta in beta_grid:
         if not -1.0 <= beta <= 1.0:
             raise ValueError(f"beta must lie in [-1, 1], got {beta}")
-    gains = np.asarray(channels.gains, dtype=float)
-    weights = np.stack([gains ** (-beta) for beta in beta_grid])
-    alphas = weights / weights.sum(axis=1, keepdims=True)
+    weights = np.stack([gains ** (-beta) for beta in beta_grid], axis=-2)
+    alphas = weights / weights.sum(axis=-1, keepdims=True)
     if not (alphas > 0.0).all():
         raise ValueError("all power coefficients must be positive")
-    if (np.abs(alphas.sum(axis=1) - 1.0) > 1e-12).any():
+    if (np.abs(alphas.sum(axis=-1) - 1.0) > 1e-12).any():
         raise ValueError("power coefficients must sum to 1 within 1e-12")
     return alphas
 

@@ -167,6 +167,7 @@ class TestExtremePhysics:
             (("--noise-dbm", "-4000"), "transmit SNR"),
             (("--pt-dbm", "4000"), "transmit SNR"),
             (("--field-len", "1e200"), "channel gains"),
+            (("--field-len", "inf"), "field_len_m"),
         ],
     )
     def test_one_error_line_and_exit_1(self, capsys, flags, message):
@@ -177,6 +178,19 @@ class TestExtremePhysics:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert message in err
+
+    def test_sinr_overflow_is_one_error_line(self, capsys, tmp_path):
+        # without residual interference the last-decoded user's SINR is
+        # alpha * g * rho_t, past the float range at this power and gain
+        config = tmp_path / "strong.cfg"
+        config.write_text("path_loss_const = 1e10\n")
+        code, out, err = run_cli(
+            capsys, "eval", "--users", "2", "--seed", "1", "--beta", "0", "--zeta", "0",
+            "--pt-dbm", "3080", "--noise-dbm", "0", "--config", str(config),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: SINR overflows") and err.count("\n") == 1
 
 
 class TestSweep:

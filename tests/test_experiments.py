@@ -1,6 +1,8 @@
 import csv
+import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from untrusted_noma import (
     sample_channels,
     sweep_all,
 )
-from untrusted_noma.experiments import format_number
+from untrusted_noma.experiments import format_number, sweep_records, write_csv
+from untrusted_noma.optimizer import _trials_per_block
 
 SMALL_GRID = (-0.5, 0.0, 0.5)
 
@@ -115,6 +118,53 @@ class TestRunExperiment:
             assert all(v >= 0.0 and np.isfinite(v) for v in r.per_user_rates)
 
 
+class TestTrialBlocks:
+    """run_experiment scores a block of trials per kernel call; every row
+    must equal the matching point of a one-trial sweep_all, bit for bit."""
+
+    @staticmethod
+    def one_trial_records(cfg):
+        return [
+            record
+            for t in range(cfg.trials)
+            for record in sweep_records(
+                t,
+                sweep_all(
+                    cfg.schemes,
+                    cfg.beta_grid,
+                    sample_channels(cfg.params, derive_trial_seed(cfg.master_seed, t)),
+                    cfg.params,
+                ),
+            )
+        ]
+
+    def assert_rows_match(self, cfg):
+        # the trial count must cross several block boundaries
+        per_block = _trials_per_block(cfg.schemes, cfg.params.n_users, len(cfg.beta_grid))
+        assert 2 * per_block < cfg.trials
+        assert run_experiment(cfg) == self.one_trial_records(cfg)
+
+    @pytest.mark.parametrize("n, trials", [(1, 140), (2, 140), (3, 30), (4, 3)])
+    @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
+    def test_all_schemes(self, n, trials, zeta):
+        self.assert_rows_match(
+            ExperimentConfig(
+                params=SystemParams(n_users=n, zeta=zeta), trials=trials, master_seed=n + 31
+            )
+        )
+
+    @pytest.mark.parametrize("n", [5, 12, 21])
+    def test_policies_beyond_the_cap(self, n):
+        self.assert_rows_match(
+            ExperimentConfig(
+                params=SystemParams(n_users=n),
+                trials=45,
+                master_seed=n,
+                schemes=("policy-LPWU", "policy-LPSU"),
+            )
+        )
+
+
 class TestGainVsUsers:
     def test_rejects_unsupported_counts(self):
         with pytest.raises(ValueError, match="capped at 4 users"):
@@ -148,6 +198,30 @@ class TestGainVsUsers:
         (row,) = gain_vs_users(config, [2])
         assert row.mean_benchmark_value == 0.0
         assert math.isnan(row.gain_percent)
+
+    @pytest.mark.parametrize("n, trials", [(1, 140), (2, 140), (3, 30), (4, 3)])
+    @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
+    def test_rows_match_one_trial_sweeps(self, n, trials, zeta):
+        cfg = ExperimentConfig(
+            params=SystemParams(n_users=3, zeta=zeta), trials=trials, master_seed=n + 57
+        )
+        params = replace(cfg.params, n_users=n)
+        policy, bench = [], []
+        for t in range(trials):
+            channels = sample_channels(params, derive_trial_seed(cfg.master_seed, t))
+            sweeps = sweep_all(
+                ("policy-LPWU", "policy-LPSU", "benchmark"), cfg.beta_grid, channels, params
+            )
+            policy.append(max(p.value for s in ("policy-LPWU", "policy-LPSU") for p in sweeps[s]))
+            bench.append(float(np.mean([p.value for p in sweeps["benchmark"]])))
+        for aggregate, stat in (("mean", np.mean), ("median", np.median)):
+            (row,) = gain_vs_users(cfg, [n], aggregate=aggregate)
+            pol, ben = float(stat(policy)), float(stat(bench))
+            assert (row.n_users, row.mean_policy_value, row.mean_benchmark_value) == (n, pol, ben)
+            if ben:
+                assert row.gain_percent == 100.0 * (pol - ben) / ben
+            else:
+                assert math.isnan(row.gain_percent)
 
     def test_median_aggregation_switch(self):
         cfg = small_config(trials=5)
@@ -223,6 +297,68 @@ class TestExport:
         export(run_experiment(small_config()), a, "csv")
         export(run_experiment(small_config()), b, "csv")
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCsvWriter:
+    """The line-per-record writer must give the bytes of csv.writer over one
+    row per record, numbers as format_number text."""
+
+    @staticmethod
+    def csv_writer_bytes(records) -> bytes:
+        stream = io.StringIO()
+        writer = csv.writer(stream, lineterminator="\n")
+        header = ["trial", "beta", "scheme", "order_id", "min_secrecy_rate"]
+        if records:
+            header += [f"user_rate_{i + 1}" for i in range(len(records[0].per_user_rates))]
+        writer.writerow(header)
+        for r in records:
+            writer.writerow(
+                [
+                    r.trial,
+                    format_number(r.beta),
+                    r.scheme,
+                    "" if r.order_id is None else r.order_id,
+                    format_number(r.min_secrecy_rate),
+                    *(format_number(v) for v in r.per_user_rates),
+                ]
+            )
+        return stream.getvalue().encode()
+
+    @staticmethod
+    def written_bytes(records) -> bytes:
+        stream = io.StringIO()
+        write_csv(records, stream)
+        return stream.getvalue().encode()
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_bytes_match_csv_writer(self, n):
+        # benchmark rows have no order id, and at zeta = 1 with N > 1 some
+        # cells have no feasible optimal-L order, which leaves that id None
+        records = run_experiment(
+            small_config(params=SystemParams(n_users=n, zeta=1.0), schemes=SCHEMES, trials=2)
+        )
+        assert (n > 1) == any(r.order_id is None for r in records if r.scheme == "optimal-L")
+        assert self.written_bytes(records) == self.csv_writer_bytes(records)
+
+    def test_empty_records(self):
+        assert self.written_bytes([]) == self.csv_writer_bytes([])
+
+    def test_edge_values_match_csv_writer(self):
+        inf = float("inf")
+        records = [
+            ResultRecord(0, -0.0, "benchmark", None, float("nan"), (inf, -inf, 1e-300)),
+            ResultRecord(7, 0.1, 'quote"d', 2**70, 123456789012345.0, ()),
+            ResultRecord(8, 1, "a,b", 0, 5, (2,)),
+            ResultRecord(9, 0.5, "", None, 0.25, (0.5, 1e22)),
+            ResultRecord(10, 0.5, "line\nbreak\r", 3, 0.25, ()),
+        ]
+        assert self.written_bytes(records) == self.csv_writer_bytes(records)
+
+    def test_many_records_cross_write_batches(self):
+        records = [
+            ResultRecord(t, 0.1 * t, "policy-LPWU", t, 1.0 / (t + 1), (0.5,)) for t in range(9000)
+        ]
+        assert self.written_bytes(records) == self.csv_writer_bytes(records)
 
 
 class TestJsonWriter:

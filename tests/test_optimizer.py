@@ -24,6 +24,7 @@ from untrusted_noma import (
     policy_order_lpwu,
     power_allocation,
     sample_channels,
+    secrecy_rates,
     secure_orders,
     sinr,
     sweep_all,
@@ -341,3 +342,50 @@ class TestGridBlocks:
         ]
         with pytest.raises(ValueError):
             power_allocation_grid(ch, (0.0, 1.5))
+
+
+def _wide_or(low: float, high: float):
+    """Any float, non-finite ones included, or one from a range where the
+    physics is well defined, so that both kinds of case are drawn often."""
+    return st.one_of(st.floats(), st.floats(min_value=low, max_value=high))
+
+
+class TestArbitraryInputs:
+    """Any SystemParams x beta x zeta x N either raises ValueError or gives
+    finite secrecy rates >= 0 for every scheme allowed at that N."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=5),
+        zeta=st.one_of(st.sampled_from([0.0, 1.0]), _wide_or(0.0, 1.0)),
+        beta=_wide_or(-1.0, 1.0),
+        pt_dbm=_wide_or(-400.0, 3100.0),
+        noise_dbm=_wide_or(-3100.0, 400.0),
+        field_len_m=_wide_or(1e-6, 1e12),
+        path_loss_const=_wide_or(1e-300, 1e300),
+        path_loss_exp=_wide_or(1e-3, 50.0),
+        min_dist_m=_wide_or(1e-12, 1e3),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_value_error_or_finite_nonnegative_rates(self, n, beta, seed, **physics):
+        schemes = SCHEMES if n <= 4 else ("policy-LPWU", "policy-LPSU")
+        try:
+            params = SystemParams(n_users=n, **physics)
+            ch = sample_channels(params, seed)
+            sweeps = sweep_all(schemes, [beta], ch, params)
+        except ValueError:
+            return
+        for points in sweeps.values():
+            (point,) = points
+            assert np.isfinite(point.value) and point.value >= 0.0
+            assert all(np.isfinite(v) and v >= 0.0 for v in point.per_user_rates)
+
+    def test_sinr_overflow_raises(self):
+        # one user, no interference: the SINR is alpha * g * rho_t, which
+        # overflows once rho_t and the gain together pass the float range
+        params = SystemParams(n_users=1, pt_dbm=3080.0, noise_dbm=0.0)
+        ch = ChannelRealization(distances_m=(1.0,), gains=(10.0,))
+        with pytest.raises(ValueError, match="SINR overflows"):
+            sweep_all(SCHEMES, [0.0], ch, params)
+        with pytest.raises(ValueError, match="SINR overflows"):
+            secrecy_rates(policy_order_lpwu(1), ch, power_allocation(ch, 0.0), params)
