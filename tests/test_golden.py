@@ -37,6 +37,10 @@ def _sha256(data: str | bytes) -> str:
          "d078ef7b2071a50da1e6e6bb62ead725d45cec7818de9fa477a6683539223fe3"),
         ("simulate --users 9 --trials 120 --seed 3 --scheme policy-LPWU,policy-LPSU",
          "27825bd48164e27524f69c31285a55189de46704916b8a13a40b39b43b84eea7"),
+        ("policy --users 4 --beta -0.5",
+         "44e92233dba940b47780071e45720684d976d62441057ec6362e8254e23c2dc4"),
+        ("policy --users 4 --beta 0.5",
+         "1d26728ba07c619d831a3876afb079921a11fdb81aa8ee0038b9a6d1ba7caff9"),
     ],
 )
 def test_stdout_digest(capsys, argv, digest):

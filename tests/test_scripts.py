@@ -1,6 +1,7 @@
 """Smoke tests of the experiment scripts: each ``main()`` runs end to end on
 two trials and writes the expected header and number of rows."""
 import csv
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -37,3 +38,12 @@ def test_script_writes_header_and_rows(name, header, rows, tmp_path, monkeypatch
     assert table[0] == header
     assert len(table) == 1 + rows
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_gain_script_output_digest(tmp_path, monkeypatch):
+    out = tmp_path / "gain.csv"
+    argv = ["--counts", "2,3,4", "--trials", "60", "--seed", "20250810", "--out", str(out)]
+    _run_script("run_gain_vs_users", argv, monkeypatch)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3fc6d7c6b7f31c1ff5f855e08ca70edf096c63b50e6ec26f5ad4e8359d0fc5cc"
+    )
