@@ -1,5 +1,6 @@
 """Command-line front door: counting, secure-order filtering, single-order
-evaluation, policy generation, beta sweeps, and full Monte Carlo runs.
+evaluation, policy generation, beta sweeps, full Monte Carlo runs, and the
+policy-vs-benchmark secrecy gain versus user count.
 
 Exit codes: 0 success (also when the reader closes stdout early), 1 invalid
 input, 2 runtime/I-O failure. Powers are given in dBm and distances in
@@ -10,10 +11,11 @@ config path may be set via the UNTRUSTED_NOMA_CONFIG environment variable.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 from itertools import islice
 from typing import Sequence
 
@@ -23,11 +25,19 @@ from .experiments import (
     ResultRecord,
     export,
     format_number,
+    gain_vs_users,
     run_experiment,
     sweep_records,
     write_csv,
 )
-from .optimizer import SCHEMES, secrecy_rates, sweep_all
+from .optimizer import (
+    SCHEME_BENCHMARK,
+    SCHEME_POLICY_LPSU,
+    SCHEME_POLICY_LPWU,
+    SCHEMES,
+    secrecy_rates,
+    sweep_all,
+)
 from .orders import (
     _rank_id,
     _secure_column_ranks,
@@ -74,6 +84,13 @@ def _parse_schemes(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
+def _parse_user_counts(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise _CliError(f"invalid user counts {text!r}; expected comma-separated integers")
+
+
 def read_config_file(path: str) -> dict:
     """Parse a flat key=value config file into typed values."""
     values: dict = {}
@@ -111,8 +128,13 @@ def read_config_file(path: str) -> dict:
 
 
 def _load_config(args: argparse.Namespace) -> dict:
+    """The config file's values. Rejects --format when no output path is
+    given, before any work: the format would otherwise go unused."""
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    return read_config_file(path) if path else {}
+    cfg = read_config_file(path) if path else {}
+    if args.format is not None and not _pick(args, cfg, "output", "output_path", None):
+        raise _CliError("--format needs --output (or output_path in the config file)")
+    return cfg
 
 
 def _pick(args: argparse.Namespace, cfg: dict, flag: str, key: str, default):
@@ -229,6 +251,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_gain(args: argparse.Namespace) -> int:
+    config = ExperimentConfig(
+        params=SystemParams(n_users=args.users[0]),
+        trials=args.trials,
+        master_seed=args.seed,
+        schemes=(SCHEME_POLICY_LPWU, SCHEME_POLICY_LPSU, SCHEME_BENCHMARK),
+    )
+    rows = gain_vs_users(config, args.users)
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["n_users", "mean_policy_value", "mean_benchmark_value", "gain_percent"])
+    for row in rows:
+        n_users, *values = astuple(row)
+        writer.writerow([n_users, *map(format_number, values)])
+    return 0
+
+
 def _add_system_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--zeta", type=float, help="residual-interference factor in [0, 1]")
     sub.add_argument("--pt-dbm", type=float, dest="pt_dbm", help="transmit power in dBm")
@@ -282,6 +320,14 @@ def build_parser() -> _Parser:
     p.add_argument("--scheme", type=_parse_schemes, help="comma-separated scheme list")
     _add_system_flags(p)
     p.set_defaults(func=_cmd_simulate)
+
+    p = sub.add_parser("gain", help="policy-vs-benchmark secrecy gain per user count")
+    p.add_argument(
+        "--users", type=_parse_user_counts, default=(2, 3, 4), help="comma-separated user counts"
+    )
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=20250810, help="master seed")
+    p.set_defaults(func=_cmd_gain)
 
     return parser
 

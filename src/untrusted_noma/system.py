@@ -22,7 +22,6 @@ __all__ = [
     "sample_channels",
     "draw_gains",
     "power_allocation",
-    "power_allocation_grid",
 ]
 
 
@@ -175,17 +174,10 @@ def sample_channels(params: SystemParams, seed: int) -> ChannelRealization:
     )
 
 
-def power_allocation_grid(
-    channels: ChannelRealization, beta_grid: Sequence[float]
-) -> np.ndarray:
-    """Fractional power allocation at every beta of a grid, as [B, n] alphas:
-    row b has alpha_n proportional to gain_n**(-beta_grid[b]). The rows pass
-    the checks of ``PowerAllocation``."""
-    return _alpha_grid(np.asarray(channels.gains, dtype=float), beta_grid)
-
-
 def _alpha_grid(gains: np.ndarray, beta_grid: Sequence[float]) -> np.ndarray:
-    """``power_allocation_grid`` of gains [..., n], as alphas [..., B, n].
+    """Fractional power allocation of gains [..., n] at every beta of a grid,
+    as alphas [..., B, n]: row b has alpha_n proportional to
+    gain_n**(-beta_grid[b]). The rows pass the checks of ``PowerAllocation``.
 
     Each beta raises the gains to its own scalar exponent: an array exponent
     takes a different numpy path and moves the last bits of some rows.
@@ -204,6 +196,6 @@ def _alpha_grid(gains: np.ndarray, beta_grid: Sequence[float]) -> np.ndarray:
 
 def power_allocation(channels: ChannelRealization, beta: float) -> PowerAllocation:
     """Fractional power allocation: alpha_n proportional to gain_n**(-beta)."""
-    alphas = power_allocation_grid(channels, [beta])[0]
+    alphas = _alpha_grid(np.asarray(channels.gains, dtype=float), [beta])[0]
     return PowerAllocation(alphas=tuple(alphas.tolist()), beta=beta)
 

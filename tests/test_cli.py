@@ -254,6 +254,59 @@ class TestSimulate:
         assert all(line.split(",")[2] == "policy-LPSU" for line in lines[1:])
 
 
+class TestGain:
+    def test_defaults_reproduce_the_readme_figures(self):
+        args = cli.build_parser().parse_args(["gain"])
+        assert (args.users, args.trials, args.seed) == ((2, 3, 4), 1000, 20250810)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--users", "2,x"], "user counts"),
+            (["--users", "5"], "capped"),
+            (["--users", "0"], "n_users"),
+            (["--trials", "0"], "trials"),
+        ],
+    )
+    def test_one_error_line_and_exit_1(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "gain", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
+
+class TestFormatWithoutOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--users", "3", "--beta", "0.2", "--seed", "1"],
+            ["sweep", "--users", "3", "--seed", "1"],
+            ["simulate", "--users", "3", "--trials", "2", "--seed", "1"],
+        ],
+    )
+    def test_rejected_before_any_work(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "sample_channels", refuse)
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--output" in err
+
+    def test_config_output_path_is_enough(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("output_path = out.json\n")
+        argv = ["sweep", "--users", "2", "--seed", "1", "--config", str(cfg), "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(json.loads((tmp_path / "out.json").read_text())) == len(out.splitlines()) - 1
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

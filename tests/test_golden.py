@@ -1,48 +1,51 @@
 """Golden output: the sha256 of seeded CLI output is pinned, so a change that
 alters the exported bytes fails here even when it alters them the same way
 on every run."""
+import argparse
 import hashlib
 
 import pytest
 
-from untrusted_noma.cli import main
+from untrusted_noma.cli import build_parser, main
 
 
 def _sha256(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        ("sweep --users 4 --seed 11",
-         "53ca7474a17d10d16ef7eb967b6e3793327b039fc1ebd0ee6aba83faa88fa547"),
-        ("sweep --users 1 --seed 3",
-         "8ce8493e3be38ab52dac00e884200b771d70ba35807dac1eefaf7c8b77a7cf74"),
-        ("sweep --users 2 --seed 3 --zeta 1",
-         "64e0b89d603fdf69f9a33ee1438cdbc7e0686323430d012c3a483d589a357ac3"),
-        ("simulate --users 3 --trials 20 --seed 7",
-         "ccbe0c9e42418c5092e84be1a905e0e105237bec806a8bd29a52bbe952d15972"),
-        ("sweep --users 12 --seed 1 --scheme policy-LPWU,policy-LPSU",
-         "e4f505e62f7d9b559df0d9027c8af2e112f8af72127368d90767d4b598e09b6a"),
-        ("eval --users 3 --beta -0.3 --seed 42",
-         "081e10749dec5c350b2875988500327d4c5b25bf5e4a986ce34121dec39e4123"),
-        ("eval --users 2 --beta 0.1 --seed 7 --order-id 2",
-         "2e677106dba2629b1bf258dffac247202a8216c98aa8663cb2cc709a760e8ca0"),
-        ("filter-secure --users 4",
-         "21ff31d622df02b18651656553771131607e5f47092f9901c7c889b41baa1e12"),
-        ("count --users 4",
-         "019b8cb7c8ddc147fe1b4ed4a143c6dd9541c12924190cda8d71aa4636a447ce"),
-        ("simulate --users 2 --trials 150 --seed 9",
-         "d078ef7b2071a50da1e6e6bb62ead725d45cec7818de9fa477a6683539223fe3"),
-        ("simulate --users 9 --trials 120 --seed 3 --scheme policy-LPWU,policy-LPSU",
-         "27825bd48164e27524f69c31285a55189de46704916b8a13a40b39b43b84eea7"),
-        ("policy --users 4 --beta -0.5",
-         "44e92233dba940b47780071e45720684d976d62441057ec6362e8254e23c2dc4"),
-        ("policy --users 4 --beta 0.5",
-         "1d26728ba07c619d831a3876afb079921a11fdb81aa8ee0038b9a6d1ba7caff9"),
-    ],
-)
+GOLDEN = [
+    ("sweep --users 4 --seed 11",
+     "53ca7474a17d10d16ef7eb967b6e3793327b039fc1ebd0ee6aba83faa88fa547"),
+    ("sweep --users 1 --seed 3",
+     "8ce8493e3be38ab52dac00e884200b771d70ba35807dac1eefaf7c8b77a7cf74"),
+    ("sweep --users 2 --seed 3 --zeta 1",
+     "64e0b89d603fdf69f9a33ee1438cdbc7e0686323430d012c3a483d589a357ac3"),
+    ("simulate --users 3 --trials 20 --seed 7",
+     "ccbe0c9e42418c5092e84be1a905e0e105237bec806a8bd29a52bbe952d15972"),
+    ("sweep --users 12 --seed 1 --scheme policy-LPWU,policy-LPSU",
+     "e4f505e62f7d9b559df0d9027c8af2e112f8af72127368d90767d4b598e09b6a"),
+    ("eval --users 3 --beta -0.3 --seed 42",
+     "081e10749dec5c350b2875988500327d4c5b25bf5e4a986ce34121dec39e4123"),
+    ("eval --users 2 --beta 0.1 --seed 7 --order-id 2",
+     "2e677106dba2629b1bf258dffac247202a8216c98aa8663cb2cc709a760e8ca0"),
+    ("filter-secure --users 4",
+     "21ff31d622df02b18651656553771131607e5f47092f9901c7c889b41baa1e12"),
+    ("count --users 4",
+     "019b8cb7c8ddc147fe1b4ed4a143c6dd9541c12924190cda8d71aa4636a447ce"),
+    ("simulate --users 2 --trials 150 --seed 9",
+     "d078ef7b2071a50da1e6e6bb62ead725d45cec7818de9fa477a6683539223fe3"),
+    ("simulate --users 9 --trials 120 --seed 3 --scheme policy-LPWU,policy-LPSU",
+     "27825bd48164e27524f69c31285a55189de46704916b8a13a40b39b43b84eea7"),
+    ("policy --users 4 --beta -0.5",
+     "44e92233dba940b47780071e45720684d976d62441057ec6362e8254e23c2dc4"),
+    ("policy --users 4 --beta 0.5",
+     "1d26728ba07c619d831a3876afb079921a11fdb81aa8ee0038b9a6d1ba7caff9"),
+    ("gain --users 2,3,4 --trials 60 --seed 20250810",
+     "3fc6d7c6b7f31c1ff5f855e08ca70edf096c63b50e6ec26f5ad4e8359d0fc5cc"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN)
 def test_stdout_digest(capsys, argv, digest):
     assert main(argv.split()) == 0
     assert _sha256(capsys.readouterr().out) == digest
@@ -57,3 +60,12 @@ def test_simulate_stdout_and_json_file_digests(capsys, tmp_path):
     assert _sha256(path.read_bytes()) == (
         "50ab117204d07cfc3f7f5a3ff16e894d3c867db5ec5b8573568f1e6ad2586655"
     )
+
+
+def test_every_subcommand_is_pinned():
+    """A subcommand added without an entry in GOLDEN fails here."""
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    pinned = {argv.split()[0] for argv, _ in GOLDEN}
+    assert set(subparsers.choices) - pinned == set()

@@ -37,7 +37,7 @@ from untrusted_noma.optimizer import (
     _secrecy_rates,
     _secure_bundle,
 )
-from untrusted_noma.system import power_allocation_grid
+from untrusted_noma.system import _alpha_grid
 from scalar_oracle import secrecy_rates as oracle_secrecy_rates
 from scalar_oracle import sinr as oracle_sinr
 
@@ -336,12 +336,13 @@ class TestGridBlocks:
     def test_grid_alphas_match_power_allocation(self):
         params = SystemParams(n_users=9)
         ch = sample_channels(params, 5)
-        alphas = power_allocation_grid(ch, self.GRID)
+        gains = np.asarray(ch.gains)
+        alphas = _alpha_grid(gains, self.GRID)
         assert [tuple(row) for row in alphas.tolist()] == [
             power_allocation(ch, beta).alphas for beta in self.GRID
         ]
         with pytest.raises(ValueError):
-            power_allocation_grid(ch, (0.0, 1.5))
+            _alpha_grid(gains, (0.0, 1.5))
 
 
 def _wide_or(low: float, high: float):
