@@ -4,9 +4,12 @@ policy-vs-benchmark secrecy gain versus user count.
 
 Exit codes: 0 success (also when the reader closes stdout early), 1 invalid
 input, 2 runtime/I-O failure. Powers are given in dBm and distances in
-meters, converted internally. A config file (flat ``key = value`` lines,
-``#`` comments) supplies defaults; explicit flags override it. The default
-config path may be set via the UNTRUSTED_NOMA_CONFIG environment variable.
+meters, converted internally. A setting of eval, sweep or simulate has one
+name as flag dest, config key and dataclass field. A config file (flat
+``key = value`` lines, ``#`` comments) supplies settings, given flags
+override it, and unset ones take the ``SystemParams``/``ExperimentConfig``
+defaults. The default config path may be set via the UNTRUSTED_NOMA_CONFIG
+environment variable.
 """
 from __future__ import annotations
 
@@ -16,12 +19,13 @@ import math
 import os
 import sys
 from dataclasses import astuple, fields
+from functools import lru_cache
 from itertools import islice
 from typing import Sequence
 
 from .experiments import (
-    DEFAULT_BETA_GRID,
     ExperimentConfig,
+    GainRow,
     ResultRecord,
     export,
     format_number,
@@ -34,7 +38,6 @@ from .optimizer import (
     SCHEME_BENCHMARK,
     SCHEME_POLICY_LPSU,
     SCHEME_POLICY_LPWU,
-    SCHEMES,
     secrecy_rates,
     sweep_all,
 )
@@ -53,15 +56,10 @@ __all__ = ["main", "entry"]
 
 CONFIG_ENV_VAR = "UNTRUSTED_NOMA_CONFIG"
 
-_PARAM_KEYS = {f.name for f in fields(SystemParams)}
-_CONFIG_KEYS = _PARAM_KEYS | {
-    "trials",
-    "master_seed",
-    "beta_grid",
-    "schemes",
-    "output_path",
-    "output_format",
-}
+_CONFIG_KEYS = frozenset(
+    [f.name for cls in (SystemParams, ExperimentConfig) for f in fields(cls) if f.name != "params"]
+    + ["output_path", "output_format"]
+)
 
 
 class _CliError(Exception):
@@ -91,6 +89,27 @@ def _parse_user_counts(text: str) -> tuple[int, ...]:
         raise _CliError(f"invalid user counts {text!r}; expected comma-separated integers")
 
 
+_FORMATS = ("csv", "json")
+
+
+def _parse_format(text: str) -> str:
+    if text not in _FORMATS:
+        raise ValueError(text)
+    return text
+
+
+# How each config key's text is read; the other SystemParams fields are floats.
+_CONFIG_PARSERS = {
+    "n_users": int,
+    "trials": int,
+    "master_seed": int,
+    "beta_grid": _parse_beta_grid,
+    "schemes": _parse_schemes,
+    "output_path": str,
+    "output_format": _parse_format,
+}
+
+
 def read_config_file(path: str) -> dict:
     """Parse a flat key=value config file into typed values."""
     values: dict = {}
@@ -104,81 +123,42 @@ def read_config_file(path: str) -> dict:
             key, _, value = (part.strip() for part in line.partition("="))
             if key not in _CONFIG_KEYS:
                 raise _CliError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value
-    typed: dict = {}
-    for key, value in values.items():
-        try:
-            if key in ("n_users", "trials", "master_seed"):
-                typed[key] = int(value)
-            elif key == "beta_grid":
-                typed[key] = _parse_beta_grid(value)
-            elif key == "schemes":
-                typed[key] = _parse_schemes(value)
-            elif key == "output_format":
-                if value not in ("csv", "json"):
-                    raise ValueError(value)
-                typed[key] = value
-            elif key == "output_path":
-                typed[key] = value
-            else:  # remaining SystemParams fields are floats
-                typed[key] = float(value)
-        except ValueError:
-            raise _CliError(f"{path}: bad value for {key!r}: {value!r}")
-    return typed
+            try:
+                values[key] = _CONFIG_PARSERS.get(key, float)(value)
+            except ValueError:
+                raise _CliError(f"{path}:{lineno}: bad value for {key!r}: {value!r}")
+    return values
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    """The config file's values. Rejects --format when no output path is
-    given, before any work: the format would otherwise go unused."""
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    cfg = read_config_file(path) if path else {}
-    if args.format is not None and not _pick(args, cfg, "output", "output_path", None):
+def _settings(args: argparse.Namespace) -> dict:
+    """The config file's values overlaid with the flags that were given.
+    Rejects --format when no output path is given, before any work: the
+    format would otherwise go unused."""
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    settings = read_config_file(path) if path else {}
+    settings |= {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
+    if args.output_format is not None and not settings.get("output_path"):
         raise _CliError("--format needs --output (or output_path in the config file)")
-    return cfg
-
-
-def _pick(args: argparse.Namespace, cfg: dict, flag: str, key: str, default):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, flag, None)
-    if value is not None:
-        return value
-    return cfg.get(key, default)
-
-
-def _build_params(args: argparse.Namespace, cfg: dict) -> SystemParams:
-    n_users = _pick(args, cfg, "users", "n_users", None)
-    if n_users is None:
+    if "n_users" not in settings:
         raise _CliError("--users is required (or n_users in the config file)")
-    return SystemParams(
-        n_users=n_users,
-        pt_dbm=_pick(args, cfg, "pt_dbm", "pt_dbm", 10.0),
-        noise_dbm=_pick(args, cfg, "noise_dbm", "noise_dbm", -90.0),
-        zeta=_pick(args, cfg, "zeta", "zeta", 0.1),
-        field_len_m=_pick(args, cfg, "field_len", "field_len_m", 500.0),
-        path_loss_const=cfg.get("path_loss_const", 1.0),
-        path_loss_exp=cfg.get("path_loss_exp", 3.0),
-        min_dist_m=cfg.get("min_dist_m", 1.0),
-    )
+    return settings
 
 
-def _print_matrix(order) -> None:
-    """Columns are users, rows are SIC stages."""
-    n = order.n_users
-    for k in range(n):
-        print(" ".join(str(order.columns[m][k]) for m in range(n)))
+def _given(cls, settings: dict) -> dict:
+    """The settings that are fields of the dataclass ``cls``."""
+    return {f.name: settings[f.name] for f in fields(cls) if f.name in settings}
 
 
-def _mirror_records(records: list[ResultRecord], args: argparse.Namespace, cfg: dict) -> None:
-    """Write records to --output (or the config's output_path) when given."""
-    out = _pick(args, cfg, "output", "output_path", None)
-    if out:
-        export(records, out, _pick(args, cfg, "format", "output_format", "csv"))
+def _experiment(settings: dict) -> ExperimentConfig:
+    params = SystemParams(**_given(SystemParams, settings))
+    return ExperimentConfig(params=params, **_given(ExperimentConfig, settings))
 
 
-def _emit_records(records: list[ResultRecord], args: argparse.Namespace, cfg: dict) -> None:
-    """Print records as CSV and mirror them to --output when given."""
-    write_csv(records, sys.stdout)
-    _mirror_records(records, args, cfg)
+def _mirror_records(records: list[ResultRecord], settings: dict) -> None:
+    """Write records to --output (or the config's output_path) when given,
+    besides what the command prints."""
+    if settings.get("output_path"):
+        export(records, settings["output_path"], settings.get("output_format", "csv"))
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -189,8 +169,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter_secure(args: argparse.Namespace) -> int:
+    walk = _secure_column_ranks(args.users, bool(args.allow_large_n))  # checks n first
     base = math.factorial(args.users)
-    walk = _secure_column_ranks(args.users, bool(args.allow_large_n))
     ids = (_rank_id(row, base) for row in walk)
     while chunk := list(islice(ids, 4096)):
         sys.stdout.write("".join([f"{oid}\n" for oid in chunk]))
@@ -198,13 +178,15 @@ def _cmd_filter_secure(args: argparse.Namespace) -> int:
 
 
 def _cmd_policy(args: argparse.Namespace) -> int:
-    _print_matrix(policy_order(args.users, args.beta))
+    order = policy_order(args.users, args.beta)
+    for k in range(args.users):  # columns are users, rows are SIC stages
+        print(" ".join(str(column[k]) for column in order.columns))
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    params = _build_params(args, cfg)
+    settings = _settings(args)
+    params = SystemParams(**_given(SystemParams, settings))
     if args.order_id is not None:
         order = order_from_id(params.n_users, args.order_id)
     else:
@@ -224,30 +206,26 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     for i, rate in enumerate(rates, start=1):
         print(f"user_rate_{i}={format_number(rate)}")
     print(f"min_secrecy_rate={format_number(record.min_secrecy_rate)}")
-    _mirror_records([record], args, cfg)
+    _mirror_records([record], settings)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    params = _build_params(args, cfg)
-    grid = _pick(args, cfg, "beta_grid", "beta_grid", DEFAULT_BETA_GRID)
-    schemes = _pick(args, cfg, "scheme", "schemes", SCHEMES)
-    channels = sample_channels(params, args.seed)
-    _emit_records(sweep_records(0, sweep_all(schemes, grid, channels, params)), args, cfg)
+    settings = _settings(args)
+    config = _experiment(settings)
+    channels = sample_channels(config.params, args.seed)
+    sweeps = sweep_all(config.schemes, config.beta_grid, channels, config.params)
+    records = sweep_records(0, sweeps)
+    write_csv(records, sys.stdout)
+    _mirror_records(records, settings)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    config = ExperimentConfig(
-        params=_build_params(args, cfg),
-        trials=_pick(args, cfg, "trials", "trials", 1000),
-        master_seed=_pick(args, cfg, "seed", "master_seed", 0),
-        beta_grid=_pick(args, cfg, "beta_grid", "beta_grid", DEFAULT_BETA_GRID),
-        schemes=_pick(args, cfg, "scheme", "schemes", SCHEMES),
-    )
-    _emit_records(run_experiment(config), args, cfg)
+    settings = _settings(args)
+    records = run_experiment(_experiment(settings))
+    write_csv(records, sys.stdout)
+    _mirror_records(records, settings)
     return 0
 
 
@@ -260,7 +238,7 @@ def _cmd_gain(args: argparse.Namespace) -> int:
     )
     rows = gain_vs_users(config, args.users)
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["n_users", "mean_policy_value", "mean_benchmark_value", "gain_percent"])
+    writer.writerow([f.name for f in fields(GainRow)])
     for row in rows:
         n_users, *values = astuple(row)
         writer.writerow([n_users, *map(format_number, values)])
@@ -268,16 +246,22 @@ def _cmd_gain(args: argparse.Namespace) -> int:
 
 
 def _add_system_flags(sub: argparse.ArgumentParser) -> None:
+    """Flags of eval, sweep and simulate; every dest but ``config`` is a config key."""
+    sub.add_argument("--users", type=int, dest="n_users")
     sub.add_argument("--zeta", type=float, help="residual-interference factor in [0, 1]")
     sub.add_argument("--pt-dbm", type=float, dest="pt_dbm", help="transmit power in dBm")
     sub.add_argument("--noise-dbm", type=float, dest="noise_dbm", help="noise power in dBm")
-    sub.add_argument("--field-len", type=float, dest="field_len", help="square field side in meters")
+    sub.add_argument(
+        "--field-len", type=float, dest="field_len_m", help="square field side in meters"
+    )
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--output", help="write records to this path")
-    sub.add_argument("--format", choices=("csv", "json"), help="output file format")
+    sub.add_argument("--output", dest="output_path", help="write records to this path")
+    sub.add_argument("--format", choices=_FORMATS, dest="output_format", help="output file format")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The argparse parser, built once per process: parsing never mutates it."""
     parser = _Parser(prog="untrusted-noma", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
@@ -297,7 +281,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_policy)
 
     p = sub.add_parser("eval", help="evaluate one order on one realization")
-    p.add_argument("--users", type=int)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--order-id", type=int, dest="order_id", help="defaults to the policy order")
@@ -305,19 +288,21 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="beta sweep on one realization")
-    p.add_argument("--users", type=int)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--beta-grid", type=_parse_beta_grid, dest="beta_grid")
-    p.add_argument("--scheme", type=_parse_schemes, help="comma-separated scheme list")
+    p.add_argument(
+        "--scheme", type=_parse_schemes, dest="schemes", help="comma-separated scheme list"
+    )
     _add_system_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="full Monte Carlo experiment")
-    p.add_argument("--users", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--seed", type=int, dest="master_seed", help="master seed")
     p.add_argument("--beta-grid", type=_parse_beta_grid, dest="beta_grid")
-    p.add_argument("--scheme", type=_parse_schemes, help="comma-separated scheme list")
+    p.add_argument(
+        "--scheme", type=_parse_schemes, dest="schemes", help="comma-separated scheme list"
+    )
     _add_system_flags(p)
     p.set_defaults(func=_cmd_simulate)
 

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
@@ -156,25 +156,16 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
     return records
 
 
-def gain_vs_users(
-    config: ExperimentConfig,
-    user_counts: Sequence[int],
-    aggregate: str = "mean",
-) -> list[GainRow]:
+def gain_vs_users(config: ExperimentConfig, user_counts: Sequence[int]) -> list[GainRow]:
     """Mean policy value (better of the two policy matrices at its best grid
     beta, per trial) vs the benchmark average (mean over the beta grid),
     per user count, with the relative gain in percent.
 
-    ``aggregate="median"`` swaps the across-trial statistic; fading makes the
-    per-trial values heavy-tailed, so medians can be the more stable summary.
-    When the benchmark statistic is 0 (no secure order gives every user
+    When the mean benchmark value is 0 (no secure order gives every user
     positive secrecy, e.g. zeta = 1), the relative gain is undefined and
     ``gain_percent`` is ``math.nan``. Every user count is checked against
     the enumeration cap before any trial runs.
     """
-    if aggregate not in ("mean", "median"):
-        raise ValueError(f"aggregate must be 'mean' or 'median', got {aggregate!r}")
-    stat = np.mean if aggregate == "mean" else np.median
     pol_schemes = (SCHEME_POLICY_LPWU, SCHEME_POLICY_LPSU)
     schemes = pol_schemes + (SCHEME_BENCHMARK,)
     cells = [replace(config.params, n_users=n) for n in user_counts]
@@ -188,8 +179,8 @@ def gain_vs_users(
             policy = np.maximum(*(scores[s][0] for s in pol_schemes))  # [T, B]
             policy_vals += policy.max(axis=1).tolist()
             bench_vals += scores[SCHEME_BENCHMARK][0].mean(axis=1).tolist()
-        mean_policy = float(stat(policy_vals))
-        mean_bench = float(stat(bench_vals))
+        mean_policy = float(np.mean(policy_vals))
+        mean_bench = float(np.mean(bench_vals))
         rows.append(
             GainRow(
                 n_users=params.n_users,
@@ -208,7 +199,7 @@ def format_number(x: float) -> str:
     return format(float(x), ".12g")
 
 
-_FIXED_HEADER = ("trial", "beta", "scheme", "order_id", "min_secrecy_rate")
+_FIXED_HEADER = tuple(f.name for f in fields(ResultRecord) if f.name != "per_user_rates")
 _CSV_BATCH = 256  # records joined into one write; larger batches raise peak RSS
 
 

@@ -1,4 +1,7 @@
+import argparse
 import csv
+import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -7,8 +10,19 @@ import sys
 import pytest
 
 import untrusted_noma
-from untrusted_noma import cli, orders
+from untrusted_noma import (
+    DEFAULT_BETA_GRID,
+    SCHEMES,
+    ExperimentConfig,
+    SystemParams,
+    cli,
+    orders,
+    run_experiment,
+    sample_channels,
+    sweep_all,
+)
 from untrusted_noma.cli import CONFIG_ENV_VAR, main
+from untrusted_noma.experiments import sweep_records, write_csv
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +72,14 @@ class TestFilterSecure:
         assert len(ids) == 12
         assert ids == sorted(ids)
 
+    @pytest.mark.parametrize("users", ["-1", "0"])
+    @pytest.mark.parametrize("subcommand", ["filter-secure", "count"])
+    def test_nonpositive_users_is_one_error_line(self, capsys, subcommand, users):
+        code, out, err = run_cli(capsys, subcommand, "--users", users)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "n must be >= 1" in err
 
     def test_reader_closing_stdout_early_is_not_an_error(self):
         src = os.path.dirname(os.path.dirname(untrusted_noma.__file__))
@@ -369,3 +391,74 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "sweep", "--seed", "1")
         assert code == 1
         assert "--users" in err
+
+
+def _csv(records) -> str:
+    stream = io.StringIO()
+    write_csv(records, stream)
+    return stream.getvalue()
+
+
+class TestSettings:
+    """Flags, config keys and dataclass fields are one set of names, and
+    every default comes from ``SystemParams`` and ``ExperimentConfig``."""
+
+    @pytest.fixture(autouse=True)
+    def no_env_config(self, monkeypatch):
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+
+    def test_simulate_takes_the_dataclass_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--users", "3", "--trials", "2", "--seed", "5")
+        assert code == 0
+        config = ExperimentConfig(SystemParams(3), trials=2, master_seed=5)
+        assert out == _csv(run_experiment(config))
+
+    def test_sweep_takes_the_dataclass_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--users", "3", "--seed", "5")
+        assert code == 0
+        params = SystemParams(3)
+        sweeps = sweep_all(SCHEMES, DEFAULT_BETA_GRID, sample_channels(params, 5), params)
+        assert out == _csv(sweep_records(0, sweeps))
+
+    CONFIG_VALUES = {
+        "pt_dbm": 12.5,
+        "noise_dbm": -85.5,
+        "zeta": 0.25,
+        "field_len_m": 400.0,
+        "path_loss_const": 2.0,
+        "path_loss_exp": 2.5,
+        "min_dist_m": 2.0,
+    }
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(SystemParams) if f.name != "n_users"]
+    )
+    def test_config_field_reaches_the_sweep_params(self, capsys, tmp_path, monkeypatch, field):
+        seen = []
+
+        def capture(params, seed):
+            seen.append(params)
+            return sample_channels(params, seed)
+
+        monkeypatch.setattr(cli, "sample_channels", capture)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{field} = {self.CONFIG_VALUES[field]}\n")
+        argv = ["sweep", "--users", "2", "--seed", "1", "--scheme", "policy-LPWU"]
+        code, _, _ = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0
+        assert seen == [SystemParams(2, **{field: self.CONFIG_VALUES[field]})]
+
+    @pytest.mark.parametrize("subcommand", ["eval", "sweep", "simulate"])
+    def test_every_flag_dest_is_a_config_key(self, subcommand):
+        (subparsers,) = [
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        dests = {
+            a.dest
+            for a in subparsers.choices[subcommand]._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert dests - cli._CONFIG_KEYS <= {"seed", "beta", "order_id", "config"}
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()

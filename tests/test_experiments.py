@@ -214,22 +214,13 @@ class TestGainVsUsers:
             )
             policy.append(max(p.value for s in ("policy-LPWU", "policy-LPSU") for p in sweeps[s]))
             bench.append(float(np.mean([p.value for p in sweeps["benchmark"]])))
-        for aggregate, stat in (("mean", np.mean), ("median", np.median)):
-            (row,) = gain_vs_users(cfg, [n], aggregate=aggregate)
-            pol, ben = float(stat(policy)), float(stat(bench))
-            assert (row.n_users, row.mean_policy_value, row.mean_benchmark_value) == (n, pol, ben)
-            if ben:
-                assert row.gain_percent == 100.0 * (pol - ben) / ben
-            else:
-                assert math.isnan(row.gain_percent)
-
-    def test_median_aggregation_switch(self):
-        cfg = small_config(trials=5)
-        means = gain_vs_users(cfg, [3])
-        medians = gain_vs_users(cfg, [3], aggregate="median")
-        assert medians[0].mean_policy_value != means[0].mean_policy_value
-        with pytest.raises(ValueError):
-            gain_vs_users(cfg, [3], aggregate="mode")
+        (row,) = gain_vs_users(cfg, [n])
+        pol, ben = float(np.mean(policy)), float(np.mean(bench))
+        assert (row.n_users, row.mean_policy_value, row.mean_benchmark_value) == (n, pol, ben)
+        if ben:
+            assert row.gain_percent == 100.0 * (pol - ben) / ben
+        else:
+            assert math.isnan(row.gain_percent)
 
 
 class TestExport:
