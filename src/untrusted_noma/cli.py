@@ -8,7 +8,9 @@ meters, converted internally. A setting of eval, sweep or simulate has one
 name as flag dest, config key and dataclass field. A config file (flat
 ``key = value`` lines, ``#`` comments) supplies settings, given flags
 override it, and unset ones take the ``SystemParams``/``ExperimentConfig``
-defaults. The default config path may be set via the UNTRUSTED_NOMA_CONFIG
+defaults. Config keys a subcommand does not use (``eval`` and ``sweep``
+take their one channel draw from ``--seed``) are named in one warning on
+stderr. The default config path may be set via the UNTRUSTED_NOMA_CONFIG
 environment variable.
 """
 from __future__ import annotations
@@ -132,10 +134,16 @@ def read_config_file(path: str) -> dict:
 
 def _settings(args: argparse.Namespace) -> dict:
     """The config file's values overlaid with the flags that were given.
-    Rejects --format when no output path is given, before any work: the
-    format would otherwise go unused."""
+    Warns about config keys the subcommand does not use. Rejects --format
+    when no output path is given, before any work: the format would
+    otherwise go unused."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     settings = read_config_file(path) if path else {}
+    # a subcommand uses the system parameters and the settings it has flags for
+    ignored = settings.keys() - vars(args).keys() - {f.name for f in fields(SystemParams)}
+    if ignored:
+        keys = ", ".join(sorted(ignored))
+        print(f"warning: {args.subcommand} ignores config keys {keys}", file=sys.stderr)
     settings |= {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
     if args.output_format is not None and not settings.get("output_path"):
         raise _CliError("--format needs --output (or output_path in the config file)")

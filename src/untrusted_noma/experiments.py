@@ -242,8 +242,16 @@ _json_string = lru_cache(maxsize=64)(json.dumps)
 
 
 def _json_number(x: float) -> str:
-    text = repr(float(format_number(x)))
-    return _JSON_NONFINITE.get(text, text)
+    """``json.dumps`` text of the float that ``format_number(x)`` parses to.
+    Without an exponent that is the text itself, with ``.0`` appended to an
+    integer; repr spells some exponent forms anew (``5e-324``, ``1e12`` as
+    ``1000000000000.0``), so those are parsed back."""
+    text = f"{float(x):.12g}"
+    if "e" in text:
+        return repr(float(text))
+    if "." in text:
+        return text
+    return _JSON_NONFINITE.get(text, text + ".0")
 
 
 def write_json(records: Sequence[ResultRecord], stream) -> None:

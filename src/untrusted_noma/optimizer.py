@@ -5,14 +5,24 @@ An order set is an int array of per-column ranks, [K, N]: entry (k, m) is
 the lexicographic rank of receiver m's column in order k, as in
 ``order_id``. Receiver m's SINRs depend only on its own column, so a set is
 scored from a table that holds, for each distinct column the set uses, the
-SINR of every user at that column's receiver; one gather from it gives
-every order's own and wiretap rates. The secure set at N = 4 has 3036
-orders but uses at most 4 * 24 distinct columns. ``_sinr_table`` is the
-package's only SINR formula: ``sinr`` and ``secrecy_rates`` score a single
-order as a set of one.
+SINR of every user at that column's receiver. The secure set at N = 4 has
+3036 orders but uses at most 4 * 24 distinct columns. ``_sinr_table`` is
+the package's only SINR formula and ``_secrecy_rates`` its only rate
+kernel: ``sinr`` and ``secrecy_rates`` score a single order as a set of one.
+
+Rates are user-major, [..., N, K]: the rate table is transposed once per
+call to [..., N, C], own rates come from one flat gather of it, and the
+per-order minimum is a contiguous reduction over the user axis. User t's
+wiretap rate in order k is the max of its rates at the other receivers'
+columns, and max is exact, so it is folded down the prefix tree of the
+set's columns (``_Columns.levels``): a node of level m is a distinct
+prefix of columns 1..m, and its tap is the max of its parent's tap and the
+rates at its own column. At N = 4 the secure set's levels hold 6 / 48 /
+392 / 3036 nodes, so scoring it takes two [N, K] gathers at the leaves
+where a gather per receiver took N.
 
 The kernel also takes leading axes: gains and alphas of shape [M, N], one
-row per (trial, beta) cell, give an [M, C, N] table and [M, K, N] rates,
+row per (trial, beta) cell, give an [M, C, N] table and [M, N, K] rates,
 and each (cell, column) is still the same [N, N] matrix-vector product.
 ``_score_block`` flattens the (trial, beta) pairs of a block of trials into
 one cell axis and scores up to ``_SCORE_BUDGET // K`` cells per kernel call
@@ -20,13 +30,17 @@ one cell axis and scores up to ``_SCORE_BUDGET // K`` cells per kernel call
 policy matrices alone), so at N <= 3 (K <= 14) about 14 trials x 21 betas
 share one call and one pass of each reduction, while the 3038 orders at
 N = 4 keep one cell per call. ``sweep_all`` is its one-trial call.
+
+The benchmark's per-user mean adds the K orders' rates one after another,
+as the [K, N] layout's strided reduction did: a contiguous sum over K
+would add them pairwise and move the last bits of the exported rates.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,8 +82,9 @@ SCHEMES = (
 )
 # schemes that need the exhaustive secure set (vs the two policy matrices)
 _ENUM_SCHEMES = frozenset({SCHEME_OPTIMAL_L, SCHEME_OPTIMAL_O, SCHEME_BENCHMARK})
-# rate rows (orders x (trial, beta) cells) scored per kernel call; batching
-# betas over the 3038 orders at N = 4 measured slower than one beta per call
+# rate rows (orders x (trial, beta) cells) scored per kernel call, one cell
+# at N = 4: five cells per call there held 6 % more peak memory in the
+# beta-sweep benchmark
 _SCORE_BUDGET = 4096
 
 
@@ -140,10 +155,24 @@ def _order_ids(ranks: np.ndarray) -> np.ndarray:
     return np.array([_rank_id(row, base) for row in ranks.tolist()], dtype=object)
 
 
-def _column_index(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct columns an order set uses, as (stage [C, n], the 0-based
-    SIC stage of each user; receiver [C]; index [K, n], the table row of
-    order k's column m)."""
+class _Columns(NamedTuple):
+    """The distinct columns an order set uses (C of them, grouped by
+    receiver) and where its K orders find them; the arrays are read-only."""
+
+    stage: np.ndarray  # [C, n]: the 0-based SIC stage of each user
+    receiver: np.ndarray  # [C]: the column's receiver
+    index: np.ndarray  # [K, n]: the table row of order k's column m
+    own: np.ndarray  # [n, K]: position of user t's own rate in a flat [n, C] table
+    # prefix tree of the orders' columns: levels[m - 1] is (parent, table row)
+    # of each node of level m, a distinct prefix of columns 1..m; the parents
+    # index level m - 1, whose only node at m = 1 is the root, and the last
+    # level has one node per order, in order
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _column_index(ranks: np.ndarray) -> _Columns:
+    """The ``_Columns`` of the order set whose rank rows are ``ranks``, in
+    any row order and with repeats allowed."""
     n = ranks.shape[1]
     index = np.empty(ranks.shape, dtype=np.intp)
     perms: list[tuple[int, ...]] = []
@@ -153,12 +182,27 @@ def _column_index(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
         index[:, m] = inverse + len(perms)
         perms += [_perm_unrank(n, int(r)) for r in used]
         receiver += [m] * len(used)
-    stage = np.argsort(np.array(perms, dtype=np.intp).reshape(-1, n), axis=1)
-    return stage, np.array(receiver, dtype=np.intp), index
+    c = len(perms)
+    levels = []
+    node = np.zeros(len(index), dtype=np.intp)  # each order's node on the current level
+    for m in range(n - 1):
+        prefixes, node = np.unique(node * c + index[:, m], return_inverse=True)
+        levels.append((prefixes // c, prefixes % c))
+    levels.append((node, index[:, -1]))
+    columns = _Columns(
+        stage=np.argsort(np.array(perms, dtype=np.intp).reshape(-1, n), axis=1),
+        receiver=np.array(receiver, dtype=np.intp),
+        index=index,
+        own=index.T + np.arange(n)[:, None] * c,
+        levels=tuple(levels),
+    )
+    for array in (*columns[:4], *(a for level in levels for a in level)):
+        array.flags.writeable = False
+    return columns
 
 
 def _sinr_table(
-    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
+    columns: _Columns,
     gains: np.ndarray,
     alphas: np.ndarray,
     zeta: float,
@@ -172,7 +216,7 @@ def _sinr_table(
     Users decoded before t in the column leak only residual power (factor
     zeta); users decoded after t interfere at full power.
     """
-    stage, receiver, _ = columns
+    stage, receiver = columns.stage, columns.receiver
     diag = np.arange(gains.shape[-1])
     # weights[c, t, i]: zeta if column c decodes user i before user t, else 1; 0 for i == t
     weights = np.where(stage[:, None, :] < stage[:, :, None], zeta, 1.0)
@@ -192,28 +236,26 @@ def _sinr_table(
 
 
 def _secrecy_rates(
-    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
+    columns: _Columns,
     gains: np.ndarray,
     alphas: np.ndarray,
     zeta: float,
     inv_rho: float,
 ) -> np.ndarray:
-    """Clamped per-user secrecy rates [..., K, n] of the order set whose
-    ``_column_index`` is ``columns``, for gains and alphas [..., n]."""
-    index = columns[2]
-    n = gains.shape[-1]
-    diag = np.arange(n)
-    # [..., C, n]: user t's rate at column c's receiver
+    """Clamped secrecy rates [..., n, K] of each user in each order of the
+    set whose ``_Columns`` is ``columns``, for gains and alphas [..., n]."""
+    # [..., n, C]: user t's rate at column c's receiver
     rate = np.log2(1.0 + _sinr_table(columns, gains, alphas, zeta, inv_rho))
-    # np.take gathers about twice as fast as fancy indexing with the same result
-    own = np.take(rate.reshape(*rate.shape[:-2], -1), index * n + diag, axis=-1)
-    # rates are >= 0, so starting the wiretap max at 0 and leaving out the
-    # own receiver changes no max and gives a single user no eavesdropper
-    tap = np.zeros_like(own)
-    for m in diag:
-        seen = np.take(rate, index[:, m], axis=-2)  # [..., K, t]: user t's rate at receiver m
-        seen[..., m] = 0.0
-        np.maximum(tap, seen, out=tap)
+    rate = np.swapaxes(rate, -1, -2).copy()
+    # the take method skips np.take's wrapper, a few us a call at N = 4
+    own = rate.reshape(*rate.shape[:-2], -1).take(columns.own, axis=-1)
+    # rates are >= 0, so zeroing each user's rate at its own receiver and
+    # starting the taps at 0 changes no max and gives a single user no
+    # eavesdropper
+    rate[..., columns.receiver, np.arange(rate.shape[-1])] = 0.0
+    tap = np.zeros((*rate.shape[:-1], 1))
+    for parent, row in columns.levels:
+        tap = np.maximum(tap.take(parent, axis=-1), rate.take(row, axis=-1))
     return np.maximum(0.0, own - tap)
 
 
@@ -239,14 +281,6 @@ def _as_arrays(channels: ChannelRealization, alpha: PowerAllocation, params: Sys
     return gains, alphas, params.zeta, 1.0 / params.rho_t
 
 
-def _row_min(rates: np.ndarray) -> np.ndarray:
-    """Per-order minimum [..., K] of [..., K, n] rates, folded over the n
-    users: at K = 3038, n = 4 that takes 11 us against 167 us for
-    min(axis=-1). The result is C-contiguous, so a mean over its last axis
-    sums in the order a 1-D mean does."""
-    return np.ascontiguousarray(reduce(np.minimum, np.moveaxis(rates, -1, 0)))
-
-
 def sinr(
     order: DecodingOrder,
     channels: ChannelRealization,
@@ -263,7 +297,7 @@ def sinr(
         raise ValueError("order size does not match channel realization")
     columns = _column_index(_ranks([order], n_users))
     table = _sinr_table(columns, *_as_arrays(channels, alpha, params))
-    return float(table[columns[2][0, m - 1], n - 1])
+    return float(table[columns.index[0, m - 1], n - 1])
 
 
 def secrecy_rates(
@@ -280,7 +314,7 @@ def secrecy_rates(
     """
     gains, alphas, zeta, inv_rho = _as_arrays(channels, alpha, params)
     columns = _column_index(_ranks([order], len(gains)))
-    return tuple(float(r) for r in _secrecy_rates(columns, gains, alphas, zeta, inv_rho)[0])
+    return tuple(float(r) for r in _secrecy_rates(columns, gains, alphas, zeta, inv_rho)[:, 0])
 
 
 def _best_rows(mask: np.ndarray, mins: np.ndarray) -> np.ndarray:
@@ -315,7 +349,8 @@ def max_min_order(
     """
     gains, alphas, zeta, inv_rho = _as_arrays(channels, alpha, params)
     ranks = _ranks(order_source, len(gains))
-    mins = _row_min(_secrecy_rates(_column_index(ranks), gains, alphas, zeta, inv_rho))
+    rates = _secrecy_rates(_column_index(ranks), gains, alphas, zeta, inv_rho)
+    mins = np.minimum.reduce(rates, axis=-2)
     ids = _order_ids(ranks)
     k = _best_of(np.ones(len(mins), dtype=bool), mins, ids)
     return SearchOutcome(
@@ -335,13 +370,12 @@ def benchmark_average(
     orders where some user ends up at exactly zero contribute that zero."""
     gains, alphas, zeta, inv_rho = _as_arrays(channels, alpha, params)
     columns = _column_index(_secure_bundle(len(gains))[0])
-    return float(_row_min(_secrecy_rates(columns, gains, alphas, zeta, inv_rho)).mean())
+    rates = _secrecy_rates(columns, gains, alphas, zeta, inv_rho)
+    return float(np.minimum.reduce(rates, axis=-2).mean())
 
 
 @lru_cache(maxsize=16)
-def _scored_set(
-    n: int, secure: bool
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray, tuple[int, int]]:
+def _scored_set(n: int, secure: bool) -> tuple[_Columns, np.ndarray, np.ndarray, tuple[int, int]]:
     """What a sweep at n users scores: the secure orders (when ``secure``)
     followed by the LPWU and LPSU matrices. Returns (their
     ``_column_index``, secure ids, favourable mask, the two policy ids);
@@ -352,18 +386,15 @@ def _scored_set(
     if secure:
         sec_ranks, ids, fav = _secure_bundle(n)
         ranks = np.concatenate([sec_ranks, ranks])
-    columns = _column_index(ranks)
-    for array in (*columns, ids, fav):
-        array.flags.writeable = False
-    return columns, ids, fav, pol_ids
+    fav.flags.writeable = ids.flags.writeable = False
+    return _column_index(ranks), ids, fav, pol_ids
 
 
-def _cells_per_call(columns: tuple[np.ndarray, np.ndarray, np.ndarray]) -> int:
+def _cells_per_call(columns: _Columns) -> int:
     """(trial, beta) cells per kernel call: each cell takes K rate rows and C
     table rows, and the larger of the two is held to ``_SCORE_BUDGET`` rows
     in total, at least one cell per call."""
-    _, receiver, index = columns
-    return max(1, _SCORE_BUDGET // max(len(index), len(receiver)))
+    return max(1, _SCORE_BUDGET // max(len(columns.index), len(columns.receiver)))
 
 
 def _trials_per_block(schemes: Sequence[str], n_users: int, n_betas: int) -> int:
@@ -411,22 +442,24 @@ def _score_block(
     for start in range(0, cells, step):
         part = slice(start, start + step)
         rates = _secrecy_rates(columns, cell_gains[part], cell_alphas[part], params.zeta, inv_rho)
-        rates, pol_rates = rates[:, :-2], rates[:, -2:]
-        mins = _row_min(rates)  # [c, K]
+        mins = np.minimum.reduce(rates, axis=1)  # [c, K]
         for scheme in schemes:
             if scheme == SCHEME_BENCHMARK:
-                values[scheme][part] = mins.mean(axis=1)
-                users[scheme][part] = rates.mean(axis=1)
+                values[scheme][part] = mins[:, :-2].mean(axis=1)
+                # a left-to-right sum over the orders, whose last bits the
+                # exported per-user rates carry
+                total = np.add.accumulate(rates[..., :-2], axis=-1)[..., -1]
+                users[scheme][part] = total / len(ids)
             elif scheme in optimal:
-                k = _best_rows(fav if scheme == SCHEME_OPTIMAL_L else ~fav, mins)
+                k = _best_rows(fav if scheme == SCHEME_OPTIMAL_L else ~fav, mins[:, :-2])
                 rows, found = np.arange(len(k)), k >= 0
                 values[scheme][part] = np.where(found, mins[rows, k], 0.0)
-                users[scheme][part] = np.where(found[:, None], rates[rows, k], 0.0)
+                users[scheme][part] = np.where(found[:, None], rates[rows, :, k], 0.0)
                 best[scheme][part] = k
             else:
-                k = 0 if scheme == SCHEME_POLICY_LPWU else 1
-                values[scheme][part] = _row_min(pol_rates[:, k])
-                users[scheme][part] = pol_rates[:, k]
+                k = -2 if scheme == SCHEME_POLICY_LPWU else -1
+                values[scheme][part] = mins[:, k]
+                users[scheme][part] = rates[..., k]
 
     # the benchmark averages orders, so it has no order id
     fixed_id = {SCHEME_POLICY_LPWU: pol_ids[0], SCHEME_POLICY_LPSU: pol_ids[1]}

@@ -55,10 +55,12 @@ class SystemParams:
             raise ValueError(f"zeta must lie in [0, 1], got {self.zeta}")
         if not (math.isfinite(self.field_len_m) and self.field_len_m > 0.0):
             raise ValueError(f"field_len_m must be positive and finite, got {self.field_len_m}")
-        if not self.path_loss_exp > 0.0:
-            raise ValueError(f"path_loss_exp must be positive, got {self.path_loss_exp}")
-        if not self.path_loss_const > 0.0:
-            raise ValueError(f"path_loss_const must be positive, got {self.path_loss_const}")
+        if not (math.isfinite(self.path_loss_exp) and self.path_loss_exp > 0.0):
+            raise ValueError(f"path_loss_exp must be positive and finite, got {self.path_loss_exp}")
+        if not (math.isfinite(self.path_loss_const) and self.path_loss_const > 0.0):
+            raise ValueError(
+                f"path_loss_const must be positive and finite, got {self.path_loss_const}"
+            )
         if not 0.0 < self.min_dist_m < self.field_len_m / 2.0:
             raise ValueError(
                 f"min_dist_m must lie in (0, field_len_m/2), got {self.min_dist_m}"

@@ -392,6 +392,40 @@ class TestConfigFile:
         assert code == 1
         assert "--users" in err
 
+    @pytest.mark.parametrize(
+        "argv, ignored",
+        [
+            (("eval", "--beta", "0.1"), "beta_grid, master_seed, schemes, trials"),
+            (("sweep", "--beta-grid=-0.5,0.5", "--scheme", "policy-LPWU"), "master_seed, trials"),
+        ],
+    )
+    def test_unused_keys_named_in_one_warning(self, capsys, tmp_path, argv, ignored):
+        # eval and sweep draw their one realization from --seed alone
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("master_seed = 7\ntrials = 5\nbeta_grid = 0.3\nschemes = benchmark\n")
+        flags = (*argv, "--users", "2", "--seed", "1")
+        code, plain, err = run_cli(capsys, *flags)
+        assert (code, err) == (0, "")
+        code, out, err = run_cli(capsys, *flags, "--config", str(cfg))
+        assert code == 0
+        assert out == plain
+        assert err == f"warning: {argv[0]} ignores config keys {ignored}\n"
+
+    def test_simulate_uses_every_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_users = 2\nmaster_seed = 7\ntrials = 1\nbeta_grid = 0.0\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("key", ["path_loss_const", "path_loss_exp"])
+    def test_infinite_path_loss_is_one_error_line(self, capsys, tmp_path, key):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(f"{key} = inf\n")
+        code, out, err = run_cli(capsys, "sweep", "--users", "2", "--seed", "1", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {key} must be positive and finite") and err.count("\n") == 1
+
 
 def _csv(records) -> str:
     stream = io.StringIO()

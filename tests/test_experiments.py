@@ -20,7 +20,7 @@ from untrusted_noma import (
     sample_channels,
     sweep_all,
 )
-from untrusted_noma.experiments import format_number, sweep_records, write_csv
+from untrusted_noma.experiments import _json_number, format_number, sweep_records, write_csv
 from untrusted_noma.optimizer import _trials_per_block
 
 SMALL_GRID = (-0.5, 0.0, 0.5)
@@ -397,3 +397,25 @@ class TestJsonWriter:
         path = tmp_path / "edge.json"
         export(records, path, "json")
         assert path.read_bytes() == self.json_dump_bytes(records)
+
+    def test_number_text_matches_repr_of_parsed_text(self):
+        # the writer's one formatting pass against the two-pass spelling
+        # json.dumps gives: repr of the float that the 12-digit text parses to
+        def two_pass(x):
+            text = repr(float(format_number(x)))
+            return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+
+        rng = np.random.default_rng(20)
+        edges = [
+            0.0, -0.0, 1.0, -3.0, 0.5, 1e-4, 9.99999999999e-5, 1e-5, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1e11, 999999999999.5, 1e12, 123456789012345.0, 1e16,
+            1.7976931348623157e308, math.inf, -math.inf, math.nan,
+        ]
+        values = np.concatenate([
+            edges,
+            rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64),
+            rng.uniform(-30.0, 30.0, size=20000),
+            10.0 ** rng.uniform(-20.0, 20.0, size=20000) * rng.choice([-1.0, 1.0], size=20000),
+        ])
+        for x in values.tolist():
+            assert _json_number(x) == two_pass(x), x

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from untrusted_noma import (
+    DEFAULT_BETA_GRID,
     SCHEMES,
     ChannelRealization,
     PowerAllocation,
@@ -34,6 +35,7 @@ from untrusted_noma.optimizer import (
     _best_of,
     _column_index,
     _ranks,
+    _score_block,
     _secrecy_rates,
     _secure_bundle,
 )
@@ -140,9 +142,10 @@ class TestBatchEvaluator:
                     zeta,
                     1.0 / params.rho_t,
                 )
+                assert got.shape == (n, len(picks))  # user-major
                 for k, order in enumerate(picks):
                     expected = oracle_secrecy_rates(order, ch, pa, params).per_user_rates
-                    assert got[k] == pytest.approx(expected, abs=1e-12)
+                    assert got[:, k] == pytest.approx(expected, abs=1e-12)
                     for u in range(1, n + 1):
                         for m in range(1, n + 1):
                             assert sinr(order, ch, pa, params, u, m) == pytest.approx(
@@ -158,13 +161,57 @@ class TestBatchEvaluator:
         assert rates[0, 0] == 0.0
 
     def test_table_holds_only_the_columns_used(self):
-        stage, receiver, index = _column_index(np.array([[5, 0, 3], [5, 2, 3], [1, 2, 3]]))
-        assert receiver.tolist() == [0, 0, 1, 1, 2]
-        assert index.tolist() == [[1, 2, 4], [1, 3, 4], [0, 3, 4]]
-        assert stage[1].tolist() == [2, 1, 0]  # rank 5 is the column (3, 2, 1)
+        columns = _column_index(np.array([[5, 0, 3], [5, 2, 3], [1, 2, 3]]))
+        assert columns.receiver.tolist() == [0, 0, 1, 1, 2]
+        assert columns.index.tolist() == [[1, 2, 4], [1, 3, 4], [0, 3, 4]]
+        assert columns.stage[1].tolist() == [2, 1, 0]  # rank 5 is the column (3, 2, 1)
         # 12! = 479001600 columns exist; the two policy matrices use 24
         ranks = _ranks([policy_order_lpwu(12), policy_order_lpsu(12)], 12)
         assert _column_index(ranks)[0].shape == (24, 12)
+
+
+class TestOrderLists:
+    """The prefix tree is built from the rank rows of any order list, so
+    shuffled, repeated and prefix-sharing lists score exactly as each order
+    does alone."""
+
+    @staticmethod
+    def order_list(n, rng):
+        sec = list(secure_orders(n))
+        start = int(rng.integers(0, len(sec)))
+        near = sec[start:start + 30]  # consecutive ids share leading columns
+        anywhere = [order_from_id(n, int(i)) for i in rng.integers(0, total_orders(n), size=20)]
+        orders = near + anywhere
+        orders += [orders[int(i)] for i in rng.integers(0, len(orders), size=10)]
+        return [orders[int(i)] for i in rng.permutation(len(orders))]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rates_and_search_match_per_order_scoring(self, n):
+        rng = np.random.default_rng(n)
+        for zeta in (0.0, 0.1, 1.0):
+            params = SystemParams(n_users=n, zeta=zeta)
+            for seed in range(3):
+                ch = sample_channels(params, seed)
+                pa = power_allocation(ch, float(rng.uniform(-1, 1)))
+                orders = self.order_list(n, rng)
+                got = _secrecy_rates(
+                    _column_index(_ranks(orders, n)),
+                    np.array(ch.gains),
+                    np.array(pa.alphas),
+                    zeta,
+                    1.0 / params.rho_t,
+                )
+                alone = [secrecy_rates(o, ch, pa, params) for o in orders]
+                assert [tuple(col) for col in got.T.tolist()] == alone
+                feasible = [(-min(r), order_id(o)) for o, r in zip(orders, alone) if min(r) > 0]
+                out = max_min_order(iter(orders), ch, pa, params)
+                assert out.feasible_count == len(feasible)
+                assert out.evaluated_count == len(orders)
+                if feasible:
+                    value, oid = min(feasible)
+                    assert (out.best_order_id, out.best_value) == (oid, -value)
+                else:
+                    assert (out.best_order_id, out.best_value) == (None, 0.0)
 
 
 class TestSecureBundle:
@@ -215,6 +262,26 @@ class TestBenchmarkAverage:
         pa = power_allocation(ch, 0.0)
         with pytest.raises(ValueError):
             benchmark_average(ch, pa, params)
+
+
+class TestBenchmarkSummation:
+    """The benchmark's per-user rates carry the bits of a left-to-right sum
+    over the secure orders, divided by |S|."""
+
+    @pytest.mark.parametrize("n, trials, grid", [(3, 14, DEFAULT_BETA_GRID), (4, 1, (0.3,))])
+    def test_per_user_mean_is_a_left_to_right_sum(self, n, trials, grid):
+        params = SystemParams(n_users=n)
+        channels = [sample_channels(params, 40 + t) for t in range(trials)]
+        users = _score_block(["benchmark"], grid, channels, params)["benchmark"][2]
+        sec = list(secure_orders(n))
+        for t, ch in enumerate(channels):
+            for b, beta in enumerate(grid):
+                pa = power_allocation(ch, beta)
+                total = [0.0] * n
+                for order in sec:
+                    for u, rate in enumerate(secrecy_rates(order, ch, pa, params)):
+                        total[u] += rate
+                assert users[t, b].tolist() == [x / len(sec) for x in total]
 
 
 class TestBetaSweep:
