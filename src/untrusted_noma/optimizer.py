@@ -12,14 +12,11 @@ kernel: ``sinr`` and ``secrecy_rates`` score a single order as a set of one.
 
 Rates are user-major, [..., N, K]: the rate table is transposed once per
 call to [..., N, C], own rates come from one flat gather of it, and the
-per-order minimum is a contiguous reduction over the user axis. User t's
-wiretap rate in order k is the max of its rates at the other receivers'
-columns, and max is exact, so it is folded down the prefix tree of the
-set's columns (``_Columns.levels``): a node of level m is a distinct
-prefix of columns 1..m, and its tap is the max of its parent's tap and the
-rates at its own column. At N = 4 the secure set's levels hold 6 / 48 /
-392 / 3036 nodes, so scoring it takes two [N, K] gathers at the leaves
-where a gather per receiver took N.
+per-order minimum is a contiguous reduction over the user axis. A wiretap
+rate is a max over the other receivers' columns, and max is exact, so the
+taps are folded down the prefix tree of the set's columns
+(``_Columns.levels``): at N = 4 the secure set's levels hold 6 / 48 / 392 /
+3036 nodes, and the leaves take two [N, K] gathers whatever N is.
 
 The kernel also takes leading axes: gains and alphas of shape [M, N], one
 row per (trial, beta) cell, give an [M, C, N] table and [M, N, K] rates,
@@ -32,8 +29,8 @@ share one call and one pass of each reduction, while the 3038 orders at
 N = 4 keep one cell per call. ``sweep_all`` is its one-trial call.
 
 The benchmark's per-user mean adds the K orders' rates one after another,
-as the [K, N] layout's strided reduction did: a contiguous sum over K
-would add them pairwise and move the last bits of the exported rates.
+the order the pinned outputs were made in: numpy sums a contiguous axis
+pairwise, which would move the last bits of the exported rates.
 """
 from __future__ import annotations
 
@@ -82,9 +79,8 @@ SCHEMES = (
 )
 # schemes that need the exhaustive secure set (vs the two policy matrices)
 _ENUM_SCHEMES = frozenset({SCHEME_OPTIMAL_L, SCHEME_OPTIMAL_O, SCHEME_BENCHMARK})
-# rate rows (orders x (trial, beta) cells) scored per kernel call, one cell
-# at N = 4: five cells per call there held 6 % more peak memory in the
-# beta-sweep benchmark
+# rate rows (orders x (trial, beta) cells) scored per kernel call: one cell
+# at N = 4, where more cells per call raise peak memory
 _SCORE_BUDGET = 4096
 
 
