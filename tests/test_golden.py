@@ -3,9 +3,13 @@ alters the exported bytes fails here even when it alters them the same way
 on every run."""
 import argparse
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import untrusted_noma
 from untrusted_noma.cli import build_parser, main
 
 
@@ -69,3 +73,33 @@ def test_every_subcommand_is_pinned():
     ]
     pinned = {argv.split()[0] for argv, _ in GOLDEN}
     assert set(subparsers.choices) - pinned == set()
+
+
+# (users, lines read, first line, sha256 of the lines read): the heads of
+# listings too long to print whole; from N = 7 the ids exceed int64
+FILTER_SECURE_HEADS = [
+    (5, 1_000_000, "6858475320",
+     "6cc840448ddb483b2f6198a8bc78f7e8aebf5e86fdf0dd10522a3d9264916afb"),
+    (7, 10_000, "14309108100517354092465840",
+     "fb9a67de8f06b4c329417e67ea3cdefa46fb63d6753b910923f101d73a8bb570"),
+    (8, 1, "1024361230926444808657938195835739520",
+     "275b1cc2de74b01d28a6edf13c4bb2b4931e27a8fa4b84aec85dc762dfe65d65"),
+]
+
+
+@pytest.mark.parametrize("users, lines, first, digest", FILTER_SECURE_HEADS)
+def test_filter_secure_head_digest(users, lines, first, digest):
+    """The first lines of ``filter-secure --allow-large-n``, read from a child
+    process whose stdout is then closed."""
+    src = os.path.dirname(os.path.dirname(untrusted_noma.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["filter-secure", "--users", str(users), "--allow-large-n"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "untrusted_noma.cli", *argv], stdout=subprocess.PIPE, env=env
+    )
+    head = b"".join(proc.stdout.readline() for _ in range(lines))
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert head.split(b"\n", 1)[0].decode() == first
+    assert head.count(b"\n") == lines
+    assert _sha256(head) == digest
