@@ -22,7 +22,6 @@ import os
 import sys
 from dataclasses import astuple, fields
 from functools import lru_cache
-from itertools import islice
 from typing import Sequence
 
 from .experiments import (
@@ -44,8 +43,8 @@ from .optimizer import (
     sweep_all,
 )
 from .orders import (
-    _rank_id,
-    _secure_column_ranks,
+    _order_ids,
+    _secure_rank_blocks,
     count_secure,
     order_from_id,
     order_id,
@@ -177,11 +176,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter_secure(args: argparse.Namespace) -> int:
-    walk = _secure_column_ranks(args.users, bool(args.allow_large_n))  # checks n first
-    base = math.factorial(args.users)
-    ids = (_rank_id(row, base) for row in walk)
-    while chunk := list(islice(ids, 4096)):
-        sys.stdout.write("".join([f"{oid}\n" for oid in chunk]))
+    for ranks in _secure_rank_blocks(args.users, bool(args.allow_large_n)):  # checks n first
+        sys.stdout.write("\n".join(map(str, _order_ids(ranks).tolist())) + "\n")
     return 0
 
 

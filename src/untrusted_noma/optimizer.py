@@ -34,7 +34,6 @@ pairwise, which would move the last bits of the exported rates.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -45,10 +44,10 @@ from . import orders as ord_mod
 from .orders import (
     DecodingOrder,
     _column_permutations,
+    _order_ids,
     _perm_rank,
     _perm_unrank,
-    _rank_id,
-    _secure_column_ranks,
+    _secure_rank_blocks,
     policy_order_lpsu,
     policy_order_lpwu,
 )
@@ -142,13 +141,6 @@ def _ranks(order_source: Iterable[DecodingOrder], n: int) -> np.ndarray:
 
     flat = (rank(col) for order in order_source for col in order.columns)
     return np.fromiter(flat, dtype=np.int64 if n <= 20 else object).reshape(-1, n)
-
-
-def _order_ids(ranks: np.ndarray) -> np.ndarray:
-    """Exact ``order_id`` of each rank row, as Python ints: (N!)^N
-    overflows int64 from N = 7."""
-    base = math.factorial(ranks.shape[1])
-    return np.array([_rank_id(row, base) for row in ranks.tolist()], dtype=object)
 
 
 class _Columns(NamedTuple):
@@ -259,7 +251,7 @@ def _secrecy_rates(
 def _secure_bundle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-column ranks, ids and favourable mask of the secure orders,
     ascending by id. The arrays are read-only."""
-    ranks = np.array(list(_secure_column_ranks(n)), dtype=np.int64).reshape(-1, n)
+    ranks = np.concatenate(list(_secure_rank_blocks(n)))
     ids = _order_ids(ranks)
     last = np.array([col[-1] for col in _column_permutations(n)])
     fav = (last[ranks] == np.arange(1, n + 1)).all(axis=1)
@@ -313,13 +305,15 @@ def secrecy_rates(
     return tuple(float(r) for r in _secrecy_rates(columns, gains, alphas, zeta, inv_rho)[:, 0])
 
 
-def _best_rows(mask: np.ndarray, mins: np.ndarray) -> np.ndarray:
-    """Per row of ``mins`` [..., K], whose orders ascend by id: index of the
-    max-min feasible order within ``mask``, the first (smallest id) of a
-    tie, or -1 when no order within ``mask`` is feasible."""
-    # feasible values are > 0, so 0 marks the rest and never wins
-    vals = np.where(mask & (mins > 0.0), mins, 0.0)
-    return np.where(vals.max(axis=-1) > 0.0, vals.argmax(axis=-1), -1)
+def _best_rows(feasible: np.ndarray, subset: np.ndarray) -> np.ndarray:
+    """Per row of ``feasible`` [..., K], the per-order minima with 0 for
+    infeasible orders and the orders ascending by id: index of the max-min
+    order among the ascending order indices ``subset``, the first (smallest
+    id) of a tie, or -1 when none of them is feasible."""
+    if len(subset) == 0:
+        return np.full(feasible.shape[:-1], -1, dtype=np.intp)
+    vals = feasible.take(subset, axis=-1)
+    return np.where(vals.max(axis=-1) > 0.0, subset[vals.argmax(axis=-1)], -1)
 
 
 def _best_of(mask: np.ndarray, mins: np.ndarray, ids: np.ndarray) -> int | None:
@@ -327,7 +321,8 @@ def _best_of(mask: np.ndarray, mins: np.ndarray, ids: np.ndarray) -> int | None:
     if len(mins) == 0:
         return None
     by_id = np.argsort(ids, kind="stable")
-    k = int(_best_rows(mask[by_id], mins[by_id]))
+    feasible = np.where(mins[by_id] > 0.0, mins[by_id], 0.0)
+    k = int(_best_rows(feasible, np.flatnonzero(mask[by_id])))
     return None if k < 0 else int(by_id[k])
 
 
@@ -371,19 +366,24 @@ def benchmark_average(
 
 
 @lru_cache(maxsize=16)
-def _scored_set(n: int, secure: bool) -> tuple[_Columns, np.ndarray, np.ndarray, tuple[int, int]]:
+def _scored_set(
+    n: int, secure: bool
+) -> tuple[_Columns, np.ndarray, dict[str, np.ndarray], tuple[int, int]]:
     """What a sweep at n users scores: the secure orders (when ``secure``)
     followed by the LPWU and LPSU matrices. Returns (their
-    ``_column_index``, secure ids, favourable mask, the two policy ids);
-    the arrays are read-only."""
+    ``_column_index``, secure ids, the ascending indices of the secure
+    orders each optimal scheme searches, the two policy ids); the arrays
+    are read-only."""
     ranks = _ranks([policy_order_lpwu(n), policy_order_lpsu(n)], n)
     pol_ids = tuple(_order_ids(ranks).tolist())
-    ids = fav = np.empty(0)
+    ids, searched = np.empty(0), {}
     if secure:
         sec_ranks, ids, fav = _secure_bundle(n)
         ranks = np.concatenate([sec_ranks, ranks])
-    fav.flags.writeable = ids.flags.writeable = False
-    return _column_index(ranks), ids, fav, pol_ids
+        searched = {SCHEME_OPTIMAL_L: np.flatnonzero(fav), SCHEME_OPTIMAL_O: np.flatnonzero(~fav)}
+    for array in (ids, *searched.values()):
+        array.flags.writeable = False
+    return _column_index(ranks), ids, searched, pol_ids
 
 
 def _cells_per_call(columns: _Columns) -> int:
@@ -421,7 +421,7 @@ def _score_block(
         raise ValueError("channels and params disagree on the user count")
     _check_request(schemes, beta_grid, n)
 
-    columns, ids, fav, pol_ids = _scored_set(n, bool(_ENUM_SCHEMES & set(schemes)))
+    columns, ids, searched, pol_ids = _scored_set(n, bool(_ENUM_SCHEMES & set(schemes)))
     gains = np.array([ch.gains for ch in channels], dtype=float)
     alphas = _alpha_grid(gains, beta_grid)  # [T, B, n]
     shape = alphas.shape[:-1]
@@ -439,6 +439,8 @@ def _score_block(
         part = slice(start, start + step)
         rates = _secrecy_rates(columns, cell_gains[part], cell_alphas[part], params.zeta, inv_rho)
         mins = np.minimum.reduce(rates, axis=1)  # [c, K]
+        # feasible values are > 0, so 0 marks the rest and never wins
+        feasible = np.where(mins > 0.0, mins, 0.0) if best else None
         for scheme in schemes:
             if scheme == SCHEME_BENCHMARK:
                 values[scheme][part] = mins[:, :-2].mean(axis=1)
@@ -447,7 +449,7 @@ def _score_block(
                 total = np.add.accumulate(rates[..., :-2], axis=-1)[..., -1]
                 users[scheme][part] = total / len(ids)
             elif scheme in optimal:
-                k = _best_rows(fav if scheme == SCHEME_OPTIMAL_L else ~fav, mins[:, :-2])
+                k = _best_rows(feasible, searched[scheme])
                 rows, found = np.arange(len(k)), k >= 0
                 values[scheme][part] = np.where(found, mins[rows, k], 0.0)
                 users[scheme][part] = np.where(found[:, None], rates[rows, :, k], 0.0)

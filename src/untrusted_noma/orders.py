@@ -4,15 +4,23 @@ A decoding order for an N-user cell is an N x N matrix whose m-th column is
 the SIC sequence followed by receiver m: entry k of column m names the user
 whose signal receiver m decodes at stage k. Users are indexed 1..N from the
 strongest channel down.
+
+The secure set S is never filtered out of all (N!)^N orders: it is listed
+as numpy blocks of per-column ranks by one level-wise walk of the prefix
+tree of its columns (``_secure_rank_blocks``), which ``secure_orders``,
+the ``filter-secure`` listing and the optimizer's secure set share, and
+``count_secure`` counts it exactly from the users' own stages.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations, product
 from typing import Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -35,6 +43,9 @@ __all__ = [
 
 # (5!)^5 ~ 2.5e10 matrices makes exhaustive work intractable beyond 4 users.
 ENUMERATION_CAP = 4
+# rank rows per block of the secure walk, and (prefix, column) pairs per
+# mask of one of its expansion steps
+_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -109,28 +120,35 @@ def is_secure(order: DecodingOrder) -> bool:
 
 
 def count_secure(n: int, allow_large_n: bool = False) -> int:
-    """Number of secure decoding orders, counted over the column walk of
-    ``secure_orders`` without visiting its leaves.
+    """Number of secure decoding orders, summed over the users' own stages
+    without building any order.
 
-    The orders that can follow column m depend only on m and on the stage
-    bounds of the users m..N (see ``_admissible``), so the count of each
-    such subtree is memoised. Column m contributes only through the stages
-    of users m..N, so its permutations are grouped by those. Refuses
-    n > ENUMERATION_CAP unless explicitly overridden.
+    Fix the stage s_u at which each user u decodes itself. ``is_secure``
+    then asks column m to hold user m at s_m and each weaker user u before
+    s_u; the m - 1 stronger users take the places left, in (m - 1)! ways.
+    Taking the weaker users by ascending bound b, the i-th (from 0) has
+    b - i - [s_m < b] places left, so column m's count is a product. Users
+    are added from N down to 1, and the sum is kept per sorted stage tuple
+    of the users added so far, on which the next column's count depends.
+    Refuses n > ENUMERATION_CAP unless explicitly overridden.
     """
     _check_cap(n, allow_large_n)
-    grouped = [
-        tuple((k, stages) for stages, k in Counter(s for _, s in choices).items())
-        for choices in _column_choices(n)
-    ]
-
-    @lru_cache(maxsize=None)
-    def count_from(m: int, bound: tuple[int, ...]) -> int:
-        if m == n:
-            return 1
-        return sum(k * count_from(m + 1, later) for k, later in _admissible(grouped[m], bound))
-
-    return count_from(0, (-1,) * n)
+    later: dict[tuple[int, ...], int] = {(): 1}
+    for m in range(n, 0, -1):
+        added: dict[tuple[int, ...], int] = defaultdict(int)
+        for bounds, weight in later.items():
+            weight *= math.factorial(m - 1)
+            for own in range(n):
+                ways = weight
+                for i, b in enumerate(bounds):
+                    free = b - i - (own < b)
+                    if free <= 0:
+                        break
+                    ways *= free
+                else:
+                    added[tuple(sorted((*bounds, own)))] += ways
+        later = added
+    return sum(later.values())
 
 
 def is_favourable(order: DecodingOrder) -> bool:
@@ -234,66 +252,86 @@ def _column_permutations(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=8)
-def _column_choices(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-    """Per receiver m = 1..n, ascending by rank: (rank, 0-based SIC stages
-    of users m..N) for each column that decodes no weaker user last. A
-    weaker user decoded last by receiver m has no later stage left for that
-    user's own receiver to decode itself at, so no secure order uses it."""
-    return tuple(
-        tuple(
-            (r, tuple(col.index(u) for u in range(m, n + 1)))
-            for r, col in enumerate(_column_permutations(n))
-            if col[-1] <= m
-        )
-        for m in range(1, n + 1)
-    )
+def _column_choices(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per receiver m = 1..n: the ranks [C] (ascending) of the columns that
+    decode no weaker user last, and the 0-based SIC stages [C, n - m + 1]
+    of users m..N in each. A weaker user decoded last by receiver m has no
+    later stage left for that user's own receiver to decode itself at, so
+    no secure order uses such a column. The arrays are read-only."""
+    perms = np.array(_column_permutations(n), dtype=np.int64)
+    stages = np.argsort(perms, axis=1)  # [N!, n]: the stage of each user
+    choices = []
+    for m in range(1, n + 1):
+        ranks = np.flatnonzero(perms[:, -1] <= m).astype(np.int64)
+        choices.append((ranks, stages[ranks, m - 1 :]))
+    for array in (a for choice in choices for a in choice):
+        array.flags.writeable = False
+    return tuple(choices)
 
 
-def _admissible(
-    choices: Iterable[tuple[int, tuple[int, ...]]], bound: tuple[int, ...]
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The pruning rule of the secure walk, for one column m.
+def _secure_rank_blocks(n: int, allow_large_n: bool = False) -> Iterator[np.ndarray]:
+    """Stream the per-column ranks of every secure order, ascending by id,
+    as [k, n] int64 blocks of at most ``_BLOCK_ROWS`` rows.
 
-    ``bound`` holds, for users m..N, the latest stage at which receivers
-    1..m-1 decode them. ``is_secure`` asks that receiver m decodes itself
-    after its bound. Yields (key, bound of users m+1..N once this column is
-    added) for each (key, stages of users m..N) in ``choices`` that does.
-    """
-    for key, stages in choices:
-        if stages[0] > bound[0]:
-            yield key, tuple(map(max, bound[1:], stages[1:]))
-
-
-def _secure_column_ranks(n: int, allow_large_n: bool = False) -> Iterator[tuple[int, ...]]:
-    """Stream the per-column ranks of every secure order, ascending by id.
-
-    The walk fills columns 1..N depth-first, each in rank order, and keeps
-    a column only if ``_admissible`` does. Every prefix it keeps can still
-    be completed (no user was decoded last by a stronger receiver), so the
-    walk meets no dead ends: O(|S| * N * N!) time. Refuses
-    n > ENUMERATION_CAP unless explicitly overridden.
+    The walk expands the prefix tree of columns 1..N level by level. A
+    prefix of columns 1..m - 1 carries, for users m..N, the latest stage at
+    which its receivers decode them (its bound), and column m is kept only
+    if receiver m decodes itself after user m's bound, as ``is_secure``
+    asks. One [P, C] mask tests every (prefix, column) pair of a level, and
+    its row-major nonzeros keep the ids ascending. Levels are expanded
+    depth-first over slices of at most ``_BLOCK_ROWS`` pairs, so memory
+    stays flat and the first block comes at once. Every prefix the walk
+    keeps can still be completed (no user was decoded last by a stronger
+    receiver), so it meets no dead ends. Refuses n > ENUMERATION_CAP
+    unless explicitly overridden.
     """
     _check_cap(n, allow_large_n)
     choices = _column_choices(n)
 
-    def walk(m: int, bound: tuple[int, ...], prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if m == n:
-            yield prefix
-            return
-        for r, later in _admissible(choices[m], bound):
-            yield from walk(m + 1, later, prefix + (r,))
+    def expand(m: int, ranks: np.ndarray, bound: np.ndarray) -> Iterator[np.ndarray]:
+        col_ranks, stages = choices[m]
+        step = max(1, _BLOCK_ROWS // len(col_ranks))
+        for start in range(0, len(ranks), step):
+            p, c = np.nonzero(stages[:, 0] > bound[start : start + step, :1])
+            p += start
+            kept = np.concatenate([ranks[p], col_ranks[c, None]], axis=1)
+            later = np.maximum(bound[p, 1:], stages[c, 1:])
+            # one prefix has more than _BLOCK_ROWS columns only when N! does
+            for first in range(0, len(kept), _BLOCK_ROWS):
+                rows = slice(first, first + _BLOCK_ROWS)
+                if m + 1 == n:
+                    yield kept[rows]
+                else:
+                    yield from expand(m + 1, kept[rows], later[rows])
 
-    return walk(0, (-1,) * n, ())
+    return expand(0, np.empty((1, 0), dtype=np.int64), np.full((1, n), -1, dtype=np.int64))
+
+
+def _order_ids(ranks: np.ndarray) -> np.ndarray:
+    """``order_id`` of each rank row of ``ranks`` [K, N]: int64 while
+    (N!)^N fits (N <= 6), exact Python ints in an object array beyond."""
+    n = ranks.shape[1]
+    base = math.factorial(n)
+    if total_orders(n) > np.iinfo(np.int64).max:
+        return np.array([_rank_id(row, base) for row in ranks.tolist()], dtype=object)
+    ids = np.zeros(len(ranks), dtype=np.int64)
+    for column in ranks.T:
+        ids = ids * base + column
+    return ids
 
 
 def secure_orders(n: int, allow_large_n: bool = False) -> Iterator[DecodingOrder]:
     """Stream every secure order for n users, ascending by order id, built
-    column by column (see ``_secure_column_ranks``) rather than filtered out
+    column by column (see ``_secure_rank_blocks``) rather than filtered out
     of all (N!)^N orders. Refuses n > ENUMERATION_CAP unless explicitly
     overridden."""
-    walk = _secure_column_ranks(n, allow_large_n)
+    blocks = _secure_rank_blocks(n, allow_large_n)
     perms = _column_permutations(n)
-    return (DecodingOrder(columns=tuple(perms[r] for r in ranks)) for ranks in walk)
+    return (
+        DecodingOrder(columns=tuple(perms[r] for r in row))
+        for block in blocks
+        for row in block.tolist()
+    )
 
 
 def favourable_orders(n: int) -> Iterator[DecodingOrder]:

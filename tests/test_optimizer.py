@@ -9,6 +9,7 @@ from untrusted_noma import (
     DEFAULT_BETA_GRID,
     SCHEMES,
     ChannelRealization,
+    DecodingOrder,
     PowerAllocation,
     SearchOutcome,
     SystemParams,
@@ -39,9 +40,11 @@ from untrusted_noma.optimizer import (
     _secrecy_rates,
     _secure_bundle,
 )
+from untrusted_noma.orders import _column_permutations
 from untrusted_noma.system import _alpha_grid
 from scalar_oracle import secrecy_rates as oracle_secrecy_rates
 from scalar_oracle import sinr as oracle_sinr
+from walk_oracle import secure_column_ranks
 
 WORKED_CH = ChannelRealization(distances_m=(1.0, 2.0), gains=(4.0, 1.0))
 WORKED_ALPHA = PowerAllocation(alphas=(0.2, 0.8), beta=0.0)
@@ -223,6 +226,16 @@ class TestSecureBundle:
         assert ids.tolist() == [order_id(o) for o in sec]
         assert np.array_equal(fav, np.array([is_favourable(o) for o in sec]))
         assert (ranks.dtype, fav.dtype) == (np.int64, bool)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_recursive_walk(self, n):
+        ranks = np.array(list(secure_column_ranks(n)), dtype=np.int64).reshape(-1, n)
+        perms = _column_permutations(n)
+        sec = [DecodingOrder(tuple(perms[r] for r in row)) for row in ranks.tolist()]
+        want = (ranks, np.array([order_id(o) for o in sec]), np.array([is_favourable(o) for o in sec]))
+        got = _secure_bundle(n)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert not any(a.flags.writeable for a in got)
 
     def test_cached_arrays_are_read_only(self):
         ranks, ids, fav = _secure_bundle(3)

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import untrusted_noma
 from untrusted_noma import (
     DecodingOrder,
     conventional_order,
@@ -20,6 +25,8 @@ from untrusted_noma import (
     self_last_transform,
     total_orders,
 )
+from untrusted_noma import orders
+from walk_oracle import secure_column_ranks
 
 
 def secure_by_before_sets(order: DecodingOrder) -> bool:
@@ -132,6 +139,7 @@ class TestSecureWalk:
     def test_ids_match_exhaustive_filter_in_order(self, n):
         walked = [order_id(o) for o in secure_orders(n)]
         assert walked == [order_id(o) for o in enumerate_orders(n) if is_secure(o)]
+        assert count_secure(n) == len(walked)
         walked = [order_id(o) for o in favourable_orders(n)]
         assert walked == [order_id(o) for o in enumerate_orders(n) if is_favourable(o)]
 
@@ -145,12 +153,62 @@ class TestSecureWalk:
     def test_counts_beyond_the_cap(self):
         assert count_secure(5, allow_large_n=True) == 29_638_368
         assert count_secure(6, allow_large_n=True) == 17_916_701_852_160
+        assert count_secure(7, allow_large_n=True) == 981_429_924_852_324_864_000
+
+    def test_ten_user_count_finishes(self):
+        src = os.path.dirname(os.path.dirname(untrusted_noma.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["count", "--users", "10", "--allow-large-n"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "untrusted_noma.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(f"total={total_orders(10)} secure=")
 
     def test_cap_refused_at_the_call(self):
         with pytest.raises(ValueError, match="allow_large_n"):
             secure_orders(5)
         with pytest.raises(ValueError, match="allow_large_n"):
             favourable_orders(5)
+
+
+class TestBlockWalk:
+    @pytest.mark.parametrize("n, rows", [(5, 300_000), (6, 20_000)])
+    def test_head_matches_recursive_walk(self, n, rows):
+        blocks, got = [], 0
+        for block in orders._secure_rank_blocks(n, allow_large_n=True):
+            blocks.append(block)
+            got += len(block)
+            if got >= rows:
+                break
+        head = np.concatenate(blocks)[:rows]
+        want = list(islice(secure_column_ranks(n, allow_large_n=True), rows))
+        assert head.dtype == np.int64
+        assert np.array_equal(head, np.array(want))
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 100])
+    def test_blocks_hold_at_most_the_row_constant(self, monkeypatch, block_rows):
+        # 7 and 1 rows are fewer than one prefix's columns at N = 4 (up to 24)
+        monkeypatch.setattr(orders, "_BLOCK_ROWS", block_rows)
+        blocks = list(orders._secure_rank_blocks(4))
+        assert all(0 < len(b) <= block_rows for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), np.array(list(secure_column_ranks(4))))
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 6, 7, 8])
+    def test_default_blocks_hold_at_most_the_row_constant(self, n):
+        blocks = islice(orders._secure_rank_blocks(n, allow_large_n=True), 50)
+        assert all(0 < len(b) <= orders._BLOCK_ROWS for b in blocks)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
+    def test_ids_are_exact(self, n):
+        # int64 holds (N!)^N only up to N = 6
+        ranks = next(orders._secure_rank_blocks(n, allow_large_n=True))[:50]
+        ids = orders._order_ids(ranks)
+        perms = orders._column_permutations(n)
+        want = [order_id(DecodingOrder(tuple(perms[r] for r in row))) for row in ranks.tolist()]
+        assert ids.dtype == (np.int64 if n <= 6 else object)
+        assert ids.tolist() == want
 
 
 class TestSelfLastTransform:
