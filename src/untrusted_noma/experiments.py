@@ -4,6 +4,14 @@ exponent, policy-vs-benchmark gain versus user count, and tabular export.
 Every run is a pure function of its configuration: trial seeds are derived
 from the master seed with a fixed 64-bit mix, so any single row can be
 replayed in isolation and repeated runs are byte-identical.
+
+A row is a ``ResultRecord``, a NamedTuple: it unpacks and compares equal to
+the plain tuple of its six fields, and ``ResultRecord._fields`` names them.
+It also carries the frozen dataclass field table it had as a dataclass, so
+``dataclasses.fields``, ``replace`` and ``asdict`` still work on it.
+``run_experiment`` builds records from the block arrays with no Python frame
+per record. The CSV and JSON writers take the records ``_WRITE_BATCH`` at a
+time and format each run of equal-width records with one ``%`` template.
 """
 from __future__ import annotations
 
@@ -11,11 +19,12 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields, replace
-from functools import lru_cache
-from itertools import repeat
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
+from itertools import chain, cycle, groupby, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,8 +86,7 @@ class ExperimentConfig:
         _check_request(self.schemes, self.beta_grid, self.params.n_users)
 
 
-@dataclass(frozen=True)
-class ResultRecord:
+class ResultRecord(NamedTuple):
     """One evaluated (trial, beta, scheme) row."""
 
     trial: int
@@ -87,6 +95,14 @@ class ResultRecord:
     order_id: int | None
     min_secrecy_rate: float
     per_user_rates: tuple[float, ...]
+
+
+# the dataclass field table, frozen, on top of the tuple: dataclasses.fields,
+# replace and asdict keep working on records, and the NamedTuple's own
+# constructor, repr, equality and hash stay in place
+dataclass(frozen=True, init=False, repr=False, eq=False)(ResultRecord)
+# a record from a 6-tuple without a Python frame per record
+_new_record = partial(tuple.__new__, ResultRecord)
 
 
 @dataclass(frozen=True)
@@ -102,14 +118,7 @@ class GainRow:
 def sweep_records(trial: int, sweeps: dict[str, list[SweepPoint]]) -> list[ResultRecord]:
     """The rows of one trial's ``sweep_all`` result, by scheme, then beta."""
     return [
-        ResultRecord(
-            trial=trial,
-            beta=point.beta,
-            scheme=scheme,
-            order_id=point.order_id,
-            min_secrecy_rate=point.value,
-            per_user_rates=point.per_user_rates,
-        )
+        _new_record((trial, point.beta, scheme, point.order_id, point.value, point.per_user_rates))
         for scheme, points in sweeps.items()
         for point in points
     ]
@@ -137,22 +146,23 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
     be reproduced from (master_seed, trial) alone.
     """
     records: list[ResultRecord] = []
+    grid = config.beta_grid
     for trials, scores in _trial_blocks(config, config.params, config.schemes):
-        columns = [
-            (scheme, values.tolist(), order_ids.tolist(), users.tolist())
-            for scheme, (values, order_ids, users) in scores.items()
-        ]
-        for i, trial in enumerate(trials):
-            for scheme, values, order_ids, users in columns:
-                records += map(
-                    ResultRecord,
-                    repeat(trial),
-                    config.beta_grid,
-                    repeat(scheme),
-                    order_ids[i],
-                    values[i],
-                    map(tuple, users[i]),
-                )
+        # [T, S, B] arrays (users [T, S, B, n]): flat in (trial, scheme, beta) order
+        values, order_ids, users = (
+            np.stack([score[i] for score in scores.values()], axis=1) for i in range(3)
+        )
+        records += map(
+            _new_record,
+            zip(
+                chain.from_iterable(map(repeat, trials, repeat(len(scores) * len(grid)))),
+                cycle(grid),
+                cycle([scheme for scheme in scores for _ in grid]),
+                order_ids.ravel().tolist(),
+                values.ravel().tolist(),
+                map(tuple, users.reshape(-1, users.shape[-1]).tolist()),
+            ),
+        )
     return records
 
 
@@ -199,8 +209,8 @@ def format_number(x: float) -> str:
     return format(float(x), ".12g")
 
 
-_FIXED_HEADER = tuple(f.name for f in fields(ResultRecord) if f.name != "per_user_rates")
-_CSV_BATCH = 256  # records joined into one write; larger batches raise peak RSS
+_FIXED_HEADER = tuple(name for name in ResultRecord._fields if name != "per_user_rates")
+_WRITE_BATCH = 256  # records formatted into one write; larger batches raise peak RSS
 
 
 def _header(records: Sequence[ResultRecord]) -> list[str]:
@@ -208,6 +218,17 @@ def _header(records: Sequence[ResultRecord]) -> list[str]:
     if records:
         cols += [f"user_rate_{i + 1}" for i in range(len(records[0].per_user_rates))]
     return cols
+
+
+def _runs(records: Sequence[ResultRecord]) -> Iterator[tuple[int, tuple[tuple, ...]]]:
+    """The records a batch of ``_WRITE_BATCH`` at a time, each batch split
+    into runs of one per-user width, as (width, the run's six field
+    columns)."""
+    for start in range(0, len(records), _WRITE_BATCH):
+        batch = records[start:start + _WRITE_BATCH]
+        keyed = zip(map(len, map(attrgetter("per_user_rates"), batch)), batch)
+        for width, run in groupby(keyed, key=itemgetter(0)):
+            yield width, tuple(zip(*map(itemgetter(1), run)))
 
 
 @lru_cache(maxsize=64)
@@ -218,64 +239,82 @@ def _csv_text(field: str) -> str:
     return line.getvalue()[:-2]
 
 
-def _csv_line(r: ResultRecord) -> str:
-    # every number as format_number writes it, spelled inline for speed
-    users = "".join([f",{float(v):.12g}" for v in r.per_user_rates])
-    return (
-        f"{r.trial},{float(r.beta):.12g},{_csv_text(r.scheme)},"
-        f"{'' if r.order_id is None else r.order_id},{float(r.min_secrecy_rate):.12g}{users}\n"
-    )
+# an order id as written: None as the empty field or null, any other id as
+# itself (``map(d.get, ids, ids)``)
+_CSV_ID = {None: ""}
+_JSON_ID = {None: "null"}
 
 
 def write_csv(records: Sequence[ResultRecord], stream) -> None:
     """Write records as CSV (LF line endings) to an open text stream: the
     bytes of ``csv.writer`` over one row per record, numbers as
-    ``format_number`` text, built one line per record."""
+    ``format_number`` text, formatted one run of equal-width records at a
+    time by a single ``%`` template."""
     csv.writer(stream, lineterminator="\n").writerow(_header(records))
-    for start in range(0, len(records), _CSV_BATCH):
-        stream.write("".join([_csv_line(r) for r in records[start:start + _CSV_BATCH]]))
+    for width, (trials, betas, schemes, order_ids, mins, users) in _runs(records):
+        row = "%s,%.12g,%s,%s,%.12g" + ",%.12g" * width + "\n"
+        fields = zip(
+            trials,
+            betas,
+            map(_csv_text, schemes),
+            map(_CSV_ID.get, order_ids, order_ids),
+            mins,
+            *zip(*users),
+        )
+        stream.write(row * len(trials) % tuple(chain.from_iterable(fields)))
 
 
 # json.dumps spells the non-finite floats its own way
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _json_string = lru_cache(maxsize=64)(json.dumps)
+# one record of write_json's array, led by its separator, up to the rates
+_JSON_FIELDS = (
+    ',\n  {\n    "trial": %s,\n    "beta": %s,\n    "scheme": %s,\n'
+    '    "order_id": %s,\n    "min_secrecy_rate": %s,\n    "per_user_rates": '
+)
 
 
-def _json_number(x: float) -> str:
-    """``json.dumps`` text of the float that ``format_number(x)`` parses to.
-    Without an exponent that is the text itself, with ``.0`` appended to an
-    integer; repr spells some exponent forms anew (``5e-324``, ``1e12`` as
-    ``1000000000000.0``), so those are parsed back."""
-    text = f"{float(x):.12g}"
+def _json_numbers(column: tuple[float, ...]) -> list[str]:
+    """``json.dumps`` text of the float that ``format_number(x)`` parses to,
+    for each x of the column, all formatted by one ``%`` pass. Text without
+    an exponent is kept, with ``.0`` appended to an integer; repr spells some
+    exponent forms anew (``5e-324``, ``1e12`` as ``1000000000000.0``), so
+    those are parsed back."""
+    texts = ("%.12g\n" * len(column) % column).split("\n")
+    texts.pop()
+    return [t if "." in t and "e" not in t else _json_spelling(t) for t in texts]
+
+
+def _json_spelling(text: str) -> str:
+    """The JSON text of a ``%.12g`` text that has an exponent or no point."""
     if "e" in text:
         return repr(float(text))
-    if "." in text:
-        return text
     return _JSON_NONFINITE.get(text, text + ".0")
 
 
 def write_json(records: Sequence[ResultRecord], stream) -> None:
-    """Write records as a JSON array to an open text stream, one record at a
-    time: the bytes of ``json.dump(..., indent=2)`` over one object per
-    record, then a newline. Numbers are parsed back from ``format_number``."""
+    """Write records as a JSON array to an open text stream: the bytes of
+    ``json.dump(..., indent=2)`` over one object per record, then a newline.
+    Numbers are parsed back from ``format_number``. Each run of equal-width
+    records is formatted by a single ``%`` template."""
     if not records:
         stream.write("[]\n")
         return
-    sep = "[\n"
-    for r in records:
-        users = ",\n      ".join(_json_number(v) for v in r.per_user_rates)
-        users = f"[\n      {users}\n    ]" if users else "[]"
-        stream.write(
-            f"{sep}  {{\n"
-            f'    "trial": {r.trial},\n'
-            f'    "beta": {_json_number(r.beta)},\n'
-            f'    "scheme": {_json_string(r.scheme)},\n'
-            f'    "order_id": {"null" if r.order_id is None else r.order_id},\n'
-            f'    "min_secrecy_rate": {_json_number(r.min_secrecy_rate)},\n'
-            f'    "per_user_rates": {users}\n'
-            "  }"
+    stream.write("[")
+    skip = 1  # the first record's separator is "\n", after the "["
+    for width, (trials, betas, schemes, order_ids, mins, users) in _runs(records):
+        rates = "[\n      " + ",\n      ".join(["%s"] * width) + "\n    ]" if width else "[]"
+        fields = zip(
+            trials,
+            _json_numbers(betas),
+            map(_json_string, schemes),
+            map(_JSON_ID.get, order_ids, order_ids),
+            _json_numbers(mins),
+            *map(_json_numbers, zip(*users)),
         )
-        sep = ",\n"
+        text = (_JSON_FIELDS + rates + "\n  }") * len(trials) % tuple(chain.from_iterable(fields))
+        stream.write(text[skip:])
+        skip = 0
     stream.write("\n]\n")
 
 

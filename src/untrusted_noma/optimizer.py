@@ -12,7 +12,7 @@ kernel: ``sinr`` and ``secrecy_rates`` score a single order as a set of one.
 
 Rates are user-major, [..., N, K]: the rate table is transposed once per
 call to [..., N, C], own rates come from one flat gather of it, and the
-per-order minimum is a contiguous reduction over the user axis. A wiretap
+per-order minimum is taken over the user axis. A wiretap
 rate is a max over the other receivers' columns, and max is exact, so the
 taps are folded down the prefix tree of the set's columns
 (``_Columns.levels``): at N = 4 the secure set's levels hold 6 / 48 / 392 /
@@ -35,7 +35,7 @@ pairwise, which would move the last bits of the exported rates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -438,7 +438,13 @@ def _score_block(
     for start in range(0, cells, step):
         part = slice(start, start + step)
         rates = _secrecy_rates(columns, cell_gains[part], cell_alphas[part], params.zeta, inv_rho)
-        mins = np.minimum.reduce(rates, axis=1)  # [c, K]
+        # the per-order minimum, [c, K]: numpy's reduce over the user axis
+        # runs an inner loop of K per (cell, user), slow when K is short and
+        # the cells many; there a fold over the user rows is the faster
+        if len(rates) > rates.shape[-1]:
+            mins = reduce(np.minimum, rates.swapaxes(0, 1))
+        else:
+            mins = np.minimum.reduce(rates, axis=1)
         # feasible values are > 0, so 0 marks the rest and never wins
         feasible = np.where(mins > 0.0, mins, 0.0) if best else None
         for scheme in schemes:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -20,7 +21,14 @@ from untrusted_noma import (
     sample_channels,
     sweep_all,
 )
-from untrusted_noma.experiments import _json_number, format_number, sweep_records, write_csv
+from untrusted_noma.experiments import (
+    _WRITE_BATCH,
+    _json_numbers,
+    format_number,
+    sweep_records,
+    write_csv,
+    write_json,
+)
 from untrusted_noma.optimizer import _trials_per_block
 
 SMALL_GRID = (-0.5, 0.0, 0.5)
@@ -36,6 +44,81 @@ def small_config(**kwargs) -> ExperimentConfig:
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+def many_records(count: int) -> list[ResultRecord]:
+    return [
+        ResultRecord(t, 0.1 * t, "policy-LPWU", t, 1.0 / (t + 1), (0.5,)) for t in range(count)
+    ]
+
+
+def uniform_then_mixed_widths() -> list[ResultRecord]:
+    """One write batch of width-2 records, then records whose width changes
+    every one to four records (0 to 3 rates)."""
+    uniform = [
+        ResultRecord(t, -1.0 + t / 128, "optimal-L", None if t % 5 else t, t / 7, (t / 3, 0.0))
+        for t in range(_WRITE_BATCH)
+    ]
+    widths = (0, 0, 1, 3, 3, 3, 2, 1, 1, 1, 1)
+    mixed = [
+        ResultRecord(
+            t,
+            1e-5 * t,
+            ("benchmark", 'q"uote', "a,b")[t % 3],
+            None if t % 2 else 2**70,
+            1.0 / t,
+            tuple(t / (k + 1) for k in range(widths[t % len(widths)])),
+        )
+        for t in range(_WRITE_BATCH, 2 * _WRITE_BATCH + 40)
+    ]
+    assert len({len(r.per_user_rates) for r in mixed}) == 4
+    return uniform + mixed
+
+
+class TestResultRecord:
+    """Records are NamedTuples that keep the frozen dataclass's interface:
+    keyword construction, repr text, immutability, hashing, and the
+    dataclasses field table."""
+
+    record = ResultRecord(
+        trial=3,
+        beta=-0.5,
+        scheme="policy-LPWU",
+        order_id=None,
+        min_secrecy_rate=0.25,
+        per_user_rates=(0.25, 1e-300),
+    )
+
+    def test_keyword_construction_and_repr(self):
+        assert repr(self.record) == (
+            "ResultRecord(trial=3, beta=-0.5, scheme='policy-LPWU', order_id=None, "
+            "min_secrecy_rate=0.25, per_user_rates=(0.25, 1e-300))"
+        )
+        assert ResultRecord(3, -0.5, "policy-LPWU", None, 0.25, (0.25, 1e-300)) == self.record
+
+    def test_immutable_and_hashable(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.record.trial = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del self.record.beta
+        twin = ResultRecord(**self.record._asdict())
+        assert twin is not self.record and hash(twin) == hash(self.record)
+        assert len({twin, self.record, replace(self.record, trial=4)}) == 2
+
+    def test_tuple_and_dataclass_views(self):
+        trial, beta, scheme, order_id, value, rates = self.record
+        assert self.record == (3, -0.5, "policy-LPWU", None, 0.25, (0.25, 1e-300))
+        assert (trial, order_id, rates) == (3, None, (0.25, 1e-300))
+        names = [f.name for f in dataclasses.fields(ResultRecord)]
+        assert names == list(ResultRecord._fields) == list(dataclasses.asdict(self.record))
+        assert replace(self.record, order_id=7) == self.record._replace(order_id=7)
+
+    def test_experiments_build_records(self):
+        cfg = small_config()
+        records = run_experiment(cfg) + sweep_records(
+            0, sweep_all(cfg.schemes, cfg.beta_grid, sample_channels(cfg.params, 1), cfg.params)
+        )
+        assert {type(r) for r in records} == {ResultRecord}
 
 
 class TestSeedDerivation:
@@ -291,8 +374,8 @@ class TestExport:
 
 
 class TestCsvWriter:
-    """The line-per-record writer must give the bytes of csv.writer over one
-    row per record, numbers as format_number text."""
+    """The batch writer must give the bytes of csv.writer over one row per
+    record, numbers as format_number text."""
 
     @staticmethod
     def csv_writer_bytes(records) -> bytes:
@@ -346,15 +429,17 @@ class TestCsvWriter:
         assert self.written_bytes(records) == self.csv_writer_bytes(records)
 
     def test_many_records_cross_write_batches(self):
-        records = [
-            ResultRecord(t, 0.1 * t, "policy-LPWU", t, 1.0 / (t + 1), (0.5,)) for t in range(9000)
-        ]
+        records = many_records(9000)
+        assert self.written_bytes(records) == self.csv_writer_bytes(records)
+
+    def test_uniform_batch_then_mixed_widths(self):
+        records = uniform_then_mixed_widths()
         assert self.written_bytes(records) == self.csv_writer_bytes(records)
 
 
 class TestJsonWriter:
-    """The record-by-record writer must give the bytes of json.dump over one
-    dict per record, numbers parsed back from their 12-digit text."""
+    """The batch writer must give the bytes of json.dump over one dict per
+    record, numbers parsed back from their 12-digit text."""
 
     @staticmethod
     def json_dump_bytes(records) -> bytes:
@@ -373,6 +458,12 @@ class TestJsonWriter:
             for r in records
         ]
         return (json.dumps(rows, indent=2) + "\n").encode()
+
+    @staticmethod
+    def written_bytes(records) -> bytes:
+        stream = io.StringIO()
+        write_json(records, stream)
+        return stream.getvalue().encode()
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_bytes_match_json_dump(self, tmp_path, n):
@@ -398,6 +489,14 @@ class TestJsonWriter:
         export(records, path, "json")
         assert path.read_bytes() == self.json_dump_bytes(records)
 
+    def test_many_records_cross_write_batches(self):
+        records = many_records(9000)
+        assert self.written_bytes(records) == self.json_dump_bytes(records)
+
+    def test_uniform_batch_then_mixed_widths(self):
+        records = uniform_then_mixed_widths()
+        assert self.written_bytes(records) == self.json_dump_bytes(records)
+
     def test_number_text_matches_repr_of_parsed_text(self):
         # the writer's one formatting pass against the two-pass spelling
         # json.dumps gives: repr of the float that the 12-digit text parses to
@@ -417,5 +516,5 @@ class TestJsonWriter:
             rng.uniform(-30.0, 30.0, size=20000),
             10.0 ** rng.uniform(-20.0, 20.0, size=20000) * rng.choice([-1.0, 1.0], size=20000),
         ])
-        for x in values.tolist():
-            assert _json_number(x) == two_pass(x), x
+        values = tuple(values.tolist())
+        assert _json_numbers(values) == [two_pass(x) for x in values]
