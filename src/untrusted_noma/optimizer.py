@@ -438,13 +438,10 @@ def _score_block(
     for start in range(0, cells, step):
         part = slice(start, start + step)
         rates = _secrecy_rates(columns, cell_gains[part], cell_alphas[part], params.zeta, inv_rho)
-        # the per-order minimum, [c, K]: numpy's reduce over the user axis
-        # runs an inner loop of K per (cell, user), slow when K is short and
-        # the cells many; there a fold over the user rows is the faster
-        if len(rates) > rates.shape[-1]:
-            mins = reduce(np.minimum, rates.swapaxes(0, 1))
-        else:
-            mins = np.minimum.reduce(rates, axis=1)
+        # the per-order minimum, [c, K], as a fold over the user rows: numpy's
+        # reduce over the user axis runs an inner loop of K per (cell, user),
+        # slow when K is short and the cells many
+        mins = reduce(np.minimum, rates.swapaxes(0, 1))
         # feasible values are > 0, so 0 marks the rest and never wins
         feasible = np.where(mins > 0.0, mins, 0.0) if best else None
         for scheme in schemes:
