@@ -7,30 +7,33 @@ the lexicographic rank of receiver m's column in order k, as in
 scored from a table that holds, for each distinct column the set uses, the
 SINR of every user at that column's receiver. The secure set at N = 4 has
 3036 orders but uses at most 4 * 24 distinct columns. ``_sinr_table`` is
-the package's only SINR formula and ``_secrecy_rates`` its only rate
-kernel: ``sinr`` and ``secrecy_rates`` score a single order as a set of one.
+the package's only SINR formula, and ``_rate_table`` with ``_score_orders``
+its only rate kernel: ``sinr`` and ``secrecy_rates`` score a single order
+as a set of one, and ``_order_rates`` re-reads chosen orders' per-user
+rates from the same table.
 
-Rates are user-major, [..., N, K]: the rate table is transposed once per
-call to [..., N, C], own rates come from one flat gather of it, and the
-per-order minimum is taken over the user axis. A wiretap
-rate is a max over the other receivers' columns, and max is exact, so the
-taps are folded down the prefix tree of the set's columns
+Rates are order-major, [K, N, c]: orders, then users, then the (trial,
+beta) cells, contiguous last, so every gather copies whole rows of N * c
+floats. A wiretap rate is a max over the other receivers' columns, and max
+is exact, so the taps are folded down the prefix tree of the set's columns
 (``_Columns.levels``): at N = 4 the secure set's levels hold 6 / 48 / 392 /
-3036 nodes, and the leaves take two [N, K] gathers whatever N is.
+3036 nodes, and the leaves take two gathers whatever N is. The leaf level is
+walked in chunks of ``_SCORE_BUDGET // c`` orders, so a call's working set
+is the [c, K] minima plus a few chunks, and the per-order minimum is a fold
+over the user rows of each chunk.
 
-The kernel also takes leading axes: gains and alphas of shape [M, N], one
-row per (trial, beta) cell, give an [M, C, N] table and [M, N, K] rates,
-and each (cell, column) is still the same [N, N] matrix-vector product.
 ``_score_block`` flattens the (trial, beta) pairs of a block of trials into
-one cell axis and scores up to ``_SCORE_BUDGET // K`` cells per kernel call
-(``// C`` where the C table rows outnumber the K orders, as for the two
-policy matrices alone), so at N <= 3 (K <= 14) about 14 trials x 21 betas
-share one call and one pass of each reduction, while the 3038 orders at
-N = 4 keep one cell per call. ``sweep_all`` is its one-trial call.
+one cell axis. A call takes as many trials as keep cells x max(K, C) within
+``_SCORE_BUDGET``, and at least one: 13 to 65 trials x 21 betas at N <= 3
+(K <= 14), and one trial's whole beta grid at N = 4. ``sweep_all`` is its
+one-trial call.
 
 The benchmark's per-user mean adds the K orders' rates one after another,
 the order the pinned outputs were made in: numpy sums a contiguous axis
-pairwise, which would move the last bits of the exported rates.
+pairwise, which would move the last bits of the exported rates. Over the
+leading order axis, ``np.add.reduce`` adds row after row, and each chunk
+carries the running sum in as its leading row. Its value is the mean of
+the [c, K] minima, a pairwise sum along each cell's row.
 """
 from __future__ import annotations
 
@@ -78,8 +81,9 @@ SCHEMES = (
 )
 # schemes that need the exhaustive secure set (vs the two policy matrices)
 _ENUM_SCHEMES = frozenset({SCHEME_OPTIMAL_L, SCHEME_OPTIMAL_O, SCHEME_BENCHMARK})
-# rate rows (orders x (trial, beta) cells) scored per kernel call: one cell
-# at N = 4, where more cells per call raise peak memory
+# (order, cell) pairs scored at once: a kernel call takes as many trials'
+# beta grids as fit, at least one, and walks the leaf orders in chunks of
+# this many pairs
 _SCORE_BUDGET = 4096
 
 
@@ -150,7 +154,6 @@ class _Columns(NamedTuple):
     stage: np.ndarray  # [C, n]: the 0-based SIC stage of each user
     receiver: np.ndarray  # [C]: the column's receiver
     index: np.ndarray  # [K, n]: the table row of order k's column m
-    own: np.ndarray  # [n, K]: position of user t's own rate in a flat [n, C] table
     # prefix tree of the orders' columns: levels[m - 1] is (parent, table row)
     # of each node of level m, a distinct prefix of columns 1..m; the parents
     # index level m - 1, whose only node at m = 1 is the root, and the last
@@ -181,10 +184,9 @@ def _column_index(ranks: np.ndarray) -> _Columns:
         stage=np.argsort(np.array(perms, dtype=np.intp).reshape(-1, n), axis=1),
         receiver=np.array(receiver, dtype=np.intp),
         index=index,
-        own=index.T + np.arange(n)[:, None] * c,
         levels=tuple(levels),
     )
-    for array in (*columns[:4], *(a for level in levels for a in level)):
+    for array in (*columns[:3], *(a for level in levels for a in level)):
         array.flags.writeable = False
     return columns
 
@@ -223,28 +225,68 @@ def _sinr_table(
     return table
 
 
-def _secrecy_rates(
+def _rate_table(
     columns: _Columns,
     gains: np.ndarray,
     alphas: np.ndarray,
     zeta: float,
     inv_rho: float,
-) -> np.ndarray:
-    """Clamped secrecy rates [..., n, K] of each user in each order of the
-    set whose ``_Columns`` is ``columns``, for gains and alphas [..., n]."""
-    # [..., n, C]: user t's rate at column c's receiver
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rates of the columns in ``columns`` for gains and alphas [c, n], one
+    row per cell: (rate [C, n, c], own [C, c]). rate[r, t, j] is user t's
+    rate at column r's receiver in cell j, 0 for the receiver itself, whose
+    own rate is own[r, j]."""
     rate = np.log2(1.0 + _sinr_table(columns, gains, alphas, zeta, inv_rho))
-    rate = np.swapaxes(rate, -1, -2).copy()
-    # the take method skips np.take's wrapper, a few us a call at N = 4
-    own = rate.reshape(*rate.shape[:-2], -1).take(columns.own, axis=-1)
-    # rates are >= 0, so zeroing each user's rate at its own receiver and
-    # starting the taps at 0 changes no max and gives a single user no
-    # eavesdropper
-    rate[..., columns.receiver, np.arange(rate.shape[-1])] = 0.0
-    tap = np.zeros((*rate.shape[:-1], 1))
-    for parent, row in columns.levels:
-        tap = np.maximum(tap.take(parent, axis=-1), rate.take(row, axis=-1))
-    return np.maximum(0.0, own - tap)
+    rate = rate.transpose(1, 2, 0).copy()
+    at_receiver = (np.arange(len(rate)), columns.receiver)
+    own = rate[at_receiver]
+    # rates are >= 0, so a zero at the receiver and taps that start at 0
+    # change no max and give a single user no eavesdropper
+    rate[at_receiver] = 0.0
+    return rate, own
+
+
+def _score_orders(
+    columns: _Columns, rate: np.ndarray, own: np.ndarray, summed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-order minimum secrecy rate [c, K] of each order of the set in
+    each cell, from a ``_rate_table``, and the per-user sum [n, c] of the
+    first ``summed`` orders' rates, added left to right."""
+    n, c = rate.shape[1:]
+    tap = np.zeros((1, n, c))
+    for parent, row in columns.levels[:-1]:
+        node = rate.take(row, axis=0)
+        tap = np.maximum(node, tap.take(parent, axis=0), out=node)
+    parent, row = columns.levels[-1]
+    mins = np.empty((c, len(row)))
+    step = max(1, _SCORE_BUDGET // c)
+    # the chunk's rates follow a leading row that carries the running sum
+    # into it: a reduce over the leading axis adds row after row
+    buf = np.zeros((1 + min(step, len(row)), n, c))
+    for start in range(0, len(row), step):
+        part = slice(start, start + step)
+        rates = buf[1 : 1 + len(row[part])]
+        # mode "clip" lets take write to ``out`` without a buffer
+        rate.take(row[part], axis=0, out=rates, mode="clip")
+        np.maximum(rates, tap.take(parent[part], axis=0), out=rates)
+        np.subtract(own.take(columns.index[part], axis=0), rates, out=rates)
+        np.maximum(rates, 0.0, out=rates)
+        mins[:, part] = reduce(np.minimum, rates.swapaxes(0, 1)).T
+        if start < summed:
+            buf[0] = np.add.reduce(buf[: 1 + min(len(rates), summed - start)], axis=0)
+    return mins, buf[0]
+
+
+def _order_rates(columns: _Columns, rate: np.ndarray, own: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per-user secrecy rates [S, n, c] of order k[s, j] of the set in cell
+    j, for picks k [S, c], read from a ``_rate_table``."""
+    n, c = rate.shape[1:]
+    rows = columns.index.T.take(k, axis=1)  # [n, S, c]: the table row of each pick's column m
+    # taps[m, t, s, j] = rate[rows[m, s, j], t, j], gathered with the cells innermost
+    at = (rows * (n * c) + np.arange(c))[:, None] + np.arange(0, n * c, c)[:, None, None]
+    taps = rate.take(at)
+    rates = np.maximum(own.take(rows * c + np.arange(c)) - reduce(np.maximum, taps), 0.0)
+    return rates.swapaxes(0, 1)
 
 
 @lru_cache(maxsize=8)
@@ -262,11 +304,22 @@ def _secure_bundle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _as_arrays(channels: ChannelRealization, alpha: PowerAllocation, params: SystemParams):
+    """Gains and alphas [1, n] of one cell, zeta and 1 / rho_t."""
     gains = np.asarray(channels.gains, dtype=float)
     alphas = np.asarray(alpha.alphas, dtype=float)
     if len(alphas) != len(gains) or params.n_users != len(gains):
         raise ValueError("channels, alpha and params disagree on the user count")
-    return gains, alphas, params.zeta, 1.0 / params.rho_t
+    return gains[None], alphas[None], params.zeta, 1.0 / params.rho_t
+
+
+def _one_cell(
+    ranks: np.ndarray, channels: ChannelRealization, alpha: PowerAllocation, params: SystemParams
+) -> tuple[_Columns, tuple[np.ndarray, np.ndarray]]:
+    """The ``_column_index`` of the order set ``ranks`` and its one-cell
+    ``_rate_table``."""
+    gains, alphas, zeta, inv_rho = _as_arrays(channels, alpha, params)
+    columns = _column_index(ranks)
+    return columns, _rate_table(columns, gains, alphas, zeta, inv_rho)
 
 
 def sinr(
@@ -285,7 +338,7 @@ def sinr(
         raise ValueError("order size does not match channel realization")
     columns = _column_index(_ranks([order], n_users))
     table = _sinr_table(columns, *_as_arrays(channels, alpha, params))
-    return float(table[columns.index[0, m - 1], n - 1])
+    return float(table[0, columns.index[0, m - 1], n - 1])
 
 
 def secrecy_rates(
@@ -300,19 +353,18 @@ def secrecy_rates(
     Exact zeros are meaningful: they mark users whose data the decoding
     order fails to protect. A single user keeps its own rate.
     """
-    gains, alphas, zeta, inv_rho = _as_arrays(channels, alpha, params)
-    columns = _column_index(_ranks([order], len(gains)))
-    return tuple(float(r) for r in _secrecy_rates(columns, gains, alphas, zeta, inv_rho)[:, 0])
+    columns, table = _one_cell(_ranks([order], channels.n_users), channels, alpha, params)
+    return tuple(_order_rates(columns, *table, np.zeros((1, 1), dtype=np.intp))[0, :, 0].tolist())
 
 
-def _best_rows(feasible: np.ndarray, subset: np.ndarray) -> np.ndarray:
-    """Per row of ``feasible`` [..., K], the per-order minima with 0 for
-    infeasible orders and the orders ascending by id: index of the max-min
-    order among the ascending order indices ``subset``, the first (smallest
-    id) of a tie, or -1 when none of them is feasible."""
+def _best_rows(mins: np.ndarray, subset: np.ndarray) -> np.ndarray:
+    """Per row of ``mins`` [..., K], the per-order minima (0 for infeasible
+    orders) with the orders ascending by id: index of the max-min order
+    among the ascending order indices ``subset``, the first (smallest id) of
+    a tie, or -1 when none of them is feasible."""
     if len(subset) == 0:
-        return np.full(feasible.shape[:-1], -1, dtype=np.intp)
-    vals = feasible.take(subset, axis=-1)
+        return np.full(mins.shape[:-1], -1, dtype=np.intp)
+    vals = mins.take(subset, axis=-1)
     return np.where(vals.max(axis=-1) > 0.0, subset[vals.argmax(axis=-1)], -1)
 
 
@@ -321,8 +373,7 @@ def _best_of(mask: np.ndarray, mins: np.ndarray, ids: np.ndarray) -> int | None:
     if len(mins) == 0:
         return None
     by_id = np.argsort(ids, kind="stable")
-    feasible = np.where(mins[by_id] > 0.0, mins[by_id], 0.0)
-    k = int(_best_rows(feasible, np.flatnonzero(mask[by_id])))
+    k = int(_best_rows(mins[by_id], np.flatnonzero(mask[by_id])))
     return None if k < 0 else int(by_id[k])
 
 
@@ -338,10 +389,9 @@ def max_min_order(
     Infeasibility is a value, not an error: with no feasible order the
     outcome carries no order id and a zero value.
     """
-    gains, alphas, zeta, inv_rho = _as_arrays(channels, alpha, params)
-    ranks = _ranks(order_source, len(gains))
-    rates = _secrecy_rates(_column_index(ranks), gains, alphas, zeta, inv_rho)
-    mins = np.minimum.reduce(rates, axis=-2)
+    ranks = _ranks(order_source, channels.n_users)
+    columns, table = _one_cell(ranks, channels, alpha, params)
+    mins = _score_orders(columns, *table)[0][0]
     ids = _order_ids(ranks)
     k = _best_of(np.ones(len(mins), dtype=bool), mins, ids)
     return SearchOutcome(
@@ -359,10 +409,8 @@ def benchmark_average(
 ) -> float:
     """Mean over all secure orders of the per-order minimum secrecy rate;
     orders where some user ends up at exactly zero contribute that zero."""
-    gains, alphas, zeta, inv_rho = _as_arrays(channels, alpha, params)
-    columns = _column_index(_secure_bundle(len(gains))[0])
-    rates = _secrecy_rates(columns, gains, alphas, zeta, inv_rho)
-    return float(np.minimum.reduce(rates, axis=-2).mean())
+    columns, table = _one_cell(_secure_bundle(channels.n_users)[0], channels, alpha, params)
+    return float(_score_orders(columns, *table)[0][0].mean())
 
 
 @lru_cache(maxsize=16)
@@ -386,17 +434,13 @@ def _scored_set(
     return _column_index(ranks), ids, searched, pol_ids
 
 
-def _cells_per_call(columns: _Columns) -> int:
-    """(trial, beta) cells per kernel call: each cell takes K rate rows and C
-    table rows, and the larger of the two is held to ``_SCORE_BUDGET`` rows
-    in total, at least one cell per call."""
-    return max(1, _SCORE_BUDGET // max(len(columns.index), len(columns.receiver)))
-
-
 def _trials_per_block(schemes: Sequence[str], n_users: int, n_betas: int) -> int:
-    """Trials whose (trial, beta) cells fit in one kernel call, at least 1."""
+    """Trials whose (trial, beta) cells one kernel call scores: each cell
+    takes K rate rows and C table rows, and the larger of the two is held
+    to ``_SCORE_BUDGET`` rows in total, at least one trial per call."""
     columns = _scored_set(n_users, bool(_ENUM_SCHEMES & set(schemes)))[0]
-    return max(1, _cells_per_call(columns) // n_betas)
+    rows = max(len(columns.index), len(columns.receiver))
+    return max(1, _SCORE_BUDGET // (rows * n_betas))
 
 
 def _score_block(
@@ -413,8 +457,8 @@ def _score_block(
     (order id None where no order is feasible), the policy schemes score
     their single matrix, and the benchmark averages the secure set (order id
     None). The secure set (when a scheme needs it) and the two policy
-    matrices are scored together, ``_cells_per_call`` (trial, beta) cells
-    per kernel call, and each scheme's reduction runs once per call.
+    matrices are scored together, ``_trials_per_block`` trials' cells per
+    kernel call, and each scheme's reduction runs once per call.
     """
     n = params.n_users
     if any(ch.n_users != n for ch in channels):
@@ -429,53 +473,45 @@ def _score_block(
     cell_gains = np.repeat(gains, shape[1], axis=0)
     cells = len(cell_alphas)
     inv_rho = 1.0 / params.rho_t
-    step = _cells_per_call(columns)
+    step = _trials_per_block(schemes, n, shape[1]) * shape[1]
+    summed = len(ids) if SCHEME_BENCHMARK in schemes else 0
+    # the schemes that pick one order per cell, then the benchmark if asked;
+    # the policy matrices are the last two orders scored
+    picked = [s for s in schemes if s != SCHEME_BENCHMARK]
+    rows_of = picked + [SCHEME_BENCHMARK] * (SCHEME_BENCHMARK in schemes)
+    fixed = {SCHEME_POLICY_LPWU: len(columns.index) - 2, SCHEME_POLICY_LPSU: len(columns.index) - 1}
 
-    values = {s: np.empty(cells) for s in schemes}
-    users = {s: np.empty((cells, n)) for s in schemes}
-    optimal = (SCHEME_OPTIMAL_L, SCHEME_OPTIMAL_O)
-    best = {s: np.empty(cells, dtype=np.intp) for s in schemes if s in optimal}
+    k = np.empty((len(picked), cells), dtype=np.intp)  # the order picked per cell, -1 for none
+    values = np.empty((len(schemes), cells))
+    users = np.empty((len(schemes), n, cells))
     for start in range(0, cells, step):
         part = slice(start, start + step)
-        rates = _secrecy_rates(columns, cell_gains[part], cell_alphas[part], params.zeta, inv_rho)
-        # the per-order minimum, [c, K], as a fold over the user rows: numpy's
-        # reduce over the user axis runs an inner loop of K per (cell, user),
-        # slow when K is short and the cells many
-        mins = reduce(np.minimum, rates.swapaxes(0, 1))
-        # feasible values are > 0, so 0 marks the rest and never wins
-        feasible = np.where(mins > 0.0, mins, 0.0) if best else None
-        for scheme in schemes:
-            if scheme == SCHEME_BENCHMARK:
-                values[scheme][part] = mins[:, :-2].mean(axis=1)
-                # a left-to-right sum over the orders, whose last bits the
-                # exported per-user rates carry
-                total = np.add.accumulate(rates[..., :-2], axis=-1)[..., -1]
-                users[scheme][part] = total / len(ids)
-            elif scheme in optimal:
-                k = _best_rows(feasible, searched[scheme])
-                rows, found = np.arange(len(k)), k >= 0
-                values[scheme][part] = np.where(found, mins[rows, k], 0.0)
-                users[scheme][part] = np.where(found[:, None], rates[rows, :, k], 0.0)
-                best[scheme][part] = k
-            else:
-                k = -2 if scheme == SCHEME_POLICY_LPWU else -1
-                values[scheme][part] = mins[:, k]
-                users[scheme][part] = rates[..., k]
+        table = _rate_table(columns, cell_gains[part], cell_alphas[part], params.zeta, inv_rho)
+        mins, total = _score_orders(columns, *table, summed)
+        for i, scheme in enumerate(picked):
+            k[i, part] = _best_rows(mins, searched[scheme]) if scheme in searched else fixed[scheme]
+        rates = _order_rates(columns, *table, k[:, part])
+        rates = users[: len(picked), :, part] = np.where(k[:, None, part] >= 0, rates, 0.0)
+        # the picked order's minimum, 0 where none is picked
+        values[: len(picked), part] = reduce(np.minimum, rates.swapaxes(0, 1))
+        if summed:
+            values[-1, part] = mins[:, :-2].mean(axis=1)
+            users[-1, :, part] = total / len(ids)
 
     # the benchmark averages orders, so it has no order id
     fixed_id = {SCHEME_POLICY_LPWU: pol_ids[0], SCHEME_POLICY_LPSU: pol_ids[1]}
     result = {}
-    for scheme in schemes:
-        if scheme in best:
-            order_ids = np.where(best[scheme] >= 0, ids[best[scheme]], None)
+    for i, scheme in enumerate(rows_of):
+        if scheme in searched:
+            order_ids = np.where(k[i] >= 0, ids[k[i]], None)
         else:
             order_ids = np.full(cells, fixed_id.get(scheme), dtype=object)
         result[scheme] = (
-            values[scheme].reshape(shape),
+            values[i].reshape(shape),
             order_ids.reshape(shape),
-            users[scheme].reshape(*shape, n),
+            users[i].T.reshape(*shape, n),
         )
-    return result
+    return {scheme: result[scheme] for scheme in schemes}
 
 
 def sweep_all(

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -32,12 +33,16 @@ from untrusted_noma import (
     sweep_all,
     total_orders,
 )
+from untrusted_noma import optimizer
 from untrusted_noma.optimizer import (
     _best_of,
     _column_index,
+    _order_rates,
     _ranks,
+    _rate_table,
     _score_block,
-    _secrecy_rates,
+    _score_orders,
+    _scored_set,
     _secure_bundle,
 )
 from untrusted_noma.orders import _column_permutations
@@ -50,6 +55,16 @@ WORKED_CH = ChannelRealization(distances_m=(1.0, 2.0), gains=(4.0, 1.0))
 WORKED_ALPHA = PowerAllocation(alphas=(0.2, 0.8), beta=0.0)
 WORKED_PARAMS = SystemParams(n_users=2, pt_dbm=10.0, noise_dbm=0.0, zeta=0.1)
 ORACLE_MIN_RATE = 0.7509724521600853  # log2(69/41), hand-derived
+
+
+def kernel_rates(ranks, gains, alphas, zeta, inv_rho):
+    """Per-user rates [n, K] of each order of the rank rows ``ranks`` in one
+    cell, re-read from the rate table, and the per-order minima [K] of the
+    kernel's walk of the prefix tree."""
+    columns = _column_index(ranks)
+    table = _rate_table(columns, np.array([gains]), np.array([alphas]), zeta, inv_rho)
+    rates = _order_rates(columns, *table, np.arange(len(ranks))[:, None])[:, :, 0]
+    return rates.T, _score_orders(columns, *table)[0][0]
 
 
 class TestMaxMinOrder:
@@ -138,14 +153,11 @@ class TestBatchEvaluator:
                 ch = sample_channels(params, seed)
                 pa = power_allocation(ch, beta)
                 picks = [order_from_id(n, int(i)) for i in rng.integers(0, total_orders(n), size=8)]
-                got = _secrecy_rates(
-                    _column_index(_ranks(picks, n)),
-                    np.array(ch.gains),
-                    np.array(pa.alphas),
-                    zeta,
-                    1.0 / params.rho_t,
+                got, mins = kernel_rates(
+                    _ranks(picks, n), ch.gains, pa.alphas, zeta, 1.0 / params.rho_t
                 )
-                assert got.shape == (n, len(picks))  # user-major
+                assert got.shape == (n, len(picks))
+                assert mins.tolist() == got.min(axis=0).tolist()
                 for k, order in enumerate(picks):
                     expected = oracle_secrecy_rates(order, ch, pa, params).per_user_rates
                     assert got[:, k] == pytest.approx(expected, abs=1e-12)
@@ -158,10 +170,8 @@ class TestBatchEvaluator:
     def test_zero_power_user_has_zero_secrecy(self):
         # alpha -> 0 limit: no signal power, clamped rate is exactly zero
         ranks = _ranks([next(secure_orders(3))], 3)
-        rates = _secrecy_rates(
-            _column_index(ranks), np.array([0.9, 0.5, 0.1]), np.array([0.0, 0.6, 0.4]), 0.1, 1e-10
-        )
-        assert rates[0, 0] == 0.0
+        rates, mins = kernel_rates(ranks, [0.9, 0.5, 0.1], [0.0, 0.6, 0.4], 0.1, 1e-10)
+        assert rates[0, 0] == 0.0 and mins[0] == 0.0
 
     def test_table_holds_only_the_columns_used(self):
         columns = _column_index(np.array([[5, 0, 3], [5, 2, 3], [1, 2, 3]]))
@@ -197,15 +207,12 @@ class TestOrderLists:
                 ch = sample_channels(params, seed)
                 pa = power_allocation(ch, float(rng.uniform(-1, 1)))
                 orders = self.order_list(n, rng)
-                got = _secrecy_rates(
-                    _column_index(_ranks(orders, n)),
-                    np.array(ch.gains),
-                    np.array(pa.alphas),
-                    zeta,
-                    1.0 / params.rho_t,
+                got, mins = kernel_rates(
+                    _ranks(orders, n), ch.gains, pa.alphas, zeta, 1.0 / params.rho_t
                 )
                 alone = [secrecy_rates(o, ch, pa, params) for o in orders]
                 assert [tuple(col) for col in got.T.tolist()] == alone
+                assert mins.tolist() == [min(r) for r in alone]
                 feasible = [(-min(r), order_id(o)) for o, r in zip(orders, alone) if min(r) > 0]
                 out = max_min_order(iter(orders), ch, pa, params)
                 assert out.feasible_count == len(feasible)
@@ -279,9 +286,46 @@ class TestBenchmarkAverage:
 
 class TestBenchmarkSummation:
     """The benchmark's per-user rates carry the bits of a left-to-right sum
-    over the secure orders, divided by |S|."""
+    over the secure orders, divided by |S|. The kernel walks the orders in
+    chunks and carries the running sum into each chunk as a leading row, so
+    the sum must not depend on where the chunks begin."""
 
-    @pytest.mark.parametrize("n, trials, grid", [(3, 14, DEFAULT_BETA_GRID), (4, 1, (0.3,))])
+    @staticmethod
+    def cell_rates(n, grid, params, seed):
+        """The scored set's columns, a one-trial rate table over ``grid``
+        and each secure order's per-user rates [K, n, c] re-read from it."""
+        columns, ids = _scored_set(n, True)[:2]
+        ch = sample_channels(params, seed)
+        pas = [power_allocation(ch, beta) for beta in grid]
+        table = _rate_table(
+            columns,
+            np.array([ch.gains] * len(grid)),
+            np.array([pa.alphas for pa in pas]),
+            params.zeta,
+            1.0 / params.rho_t,
+        )
+        k = np.repeat(np.arange(len(ids))[:, None], len(grid), axis=1)
+        return columns, table, _order_rates(columns, *table, k)
+
+    @pytest.mark.parametrize(
+        "n, grid, budget",
+        [
+            (4, DEFAULT_BETA_GRID, optimizer._SCORE_BUDGET),  # 3036 orders, chunks of 195
+            (3, DEFAULT_BETA_GRID, optimizer._SCORE_BUDGET),  # 12 orders, one chunk
+            (4, (0.3,), 1000),  # one cell, chunks of 1000
+        ],
+    )
+    def test_chunked_sum_equals_accumulate(self, n, grid, budget, monkeypatch):
+        monkeypatch.setattr(optimizer, "_SCORE_BUDGET", budget)
+        params = SystemParams(n_users=n)
+        columns, table, rates = self.cell_rates(n, grid, params, seed=5)
+        assert len(rates) % max(1, budget // len(grid)) != 0
+        total = _score_orders(columns, *table, len(rates))[1]
+        assert total.tobytes() == np.add.accumulate(rates, axis=0)[-1].tobytes()
+
+    @pytest.mark.parametrize(
+        "n, trials, grid", [(3, 14, DEFAULT_BETA_GRID), (4, 1, (0.3,)), (2, 70, DEFAULT_BETA_GRID)]
+    )
     def test_per_user_mean_is_a_left_to_right_sum(self, n, trials, grid):
         params = SystemParams(n_users=n)
         channels = [sample_channels(params, 40 + t) for t in range(trials)]
@@ -295,6 +339,33 @@ class TestBenchmarkSummation:
                     for u, rate in enumerate(secrecy_rates(order, ch, pa, params)):
                         total[u] += rate
                 assert users[t, b].tolist() == [x / len(sec) for x in total]
+
+    def test_full_grid_at_four_users(self):
+        # every cell of one trial's grid, each summed order by order from
+        # the secure orders' re-read rates
+        params = SystemParams(n_users=4)
+        users = _score_block(["benchmark"], DEFAULT_BETA_GRID, [sample_channels(params, 5)], params)
+        rates = self.cell_rates(4, DEFAULT_BETA_GRID, params, seed=5)[2]
+        total = rates[0].copy()
+        for row in rates[1:]:
+            total += row
+        assert users["benchmark"][2][0].tolist() == (total.T / len(rates)).tolist()
+
+
+def test_four_user_trial_memory_is_bounded():
+    # one trial's full grid at N = 4 scores 21 cells x 3038 orders in one
+    # kernel call; the leaf orders are walked in chunks, so the call's
+    # traced peak stays near the [cells, K] minima it must hold
+    params = SystemParams(n_users=4)
+    channels = [sample_channels(params, 3)]
+    _score_block(SCHEMES, DEFAULT_BETA_GRID, channels, params)  # build the cached order set
+    tracemalloc.start()
+    try:
+        _score_block(SCHEMES, DEFAULT_BETA_GRID, channels, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
 
 
 class TestBetaSweep:
