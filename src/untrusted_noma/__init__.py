@@ -31,12 +31,10 @@ from .system import (
 from .optimizer import (
     SCHEMES,
     SearchOutcome,
-    SweepPoint,
     benchmark_average,
     max_min_order,
     secrecy_rates,
     sinr,
-    sweep_all,
 )
 from .experiments import (
     DEFAULT_BETA_GRID,
@@ -47,6 +45,7 @@ from .experiments import (
     export,
     gain_vs_users,
     run_experiment,
+    sweep_all,
 )
 
 __version__ = "0.1.0"

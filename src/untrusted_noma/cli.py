@@ -32,16 +32,10 @@ from .experiments import (
     format_number,
     gain_vs_users,
     run_experiment,
-    sweep_records,
+    sweep_all,
     write_csv,
 )
-from .optimizer import (
-    SCHEME_BENCHMARK,
-    SCHEME_POLICY_LPSU,
-    SCHEME_POLICY_LPWU,
-    secrecy_rates,
-    sweep_all,
-)
+from .optimizer import SCHEME_BENCHMARK, SCHEME_POLICY_LPSU, SCHEME_POLICY_LPWU, secrecy_rates
 from .orders import (
     _order_ids,
     _secure_rank_blocks,
@@ -219,7 +213,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _experiment(settings)
     channels = sample_channels(config.params, args.seed)
     sweeps = sweep_all(config.schemes, config.beta_grid, channels, config.params)
-    records = sweep_records(0, sweeps)
+    records = [record for rows in sweeps.values() for record in rows]
     write_csv(records, sys.stdout)
     _mirror_records(records, settings)
     return 0

@@ -8,10 +8,14 @@ replayed in isolation and repeated runs are byte-identical.
 A row is a ``ResultRecord``, a NamedTuple: it unpacks and compares equal to
 the plain tuple of its six fields, and ``ResultRecord._fields`` names them.
 It also carries the frozen dataclass field table it had as a dataclass, so
-``dataclasses.fields``, ``replace`` and ``asdict`` still work on it.
-``run_experiment`` builds records from the block arrays with no Python frame
-per record. The CSV and JSON writers take the records ``_WRITE_BATCH`` at a
-time and format each run of equal-width records with one ``%`` template.
+``dataclasses.fields``, ``replace`` and ``asdict`` still work on it. It is
+the one row type from the kernel to the writers: ``run_experiment`` and
+``sweep_all`` both build records from the block scorer's arrays with one
+helper, ``_block_records``, with no Python frame per record. The public
+entries check a request once, before any kernel call: ``ExperimentConfig``
+for ``run_experiment``, ``gain_vs_users`` and ``sweep_all`` themselves.
+The CSV and JSON writers take the records ``_WRITE_BATCH`` at a time and
+format each run of equal-width records with one ``%`` template.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import chain, cycle, groupby, repeat
+from itertools import chain, cycle, groupby, islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
@@ -33,12 +37,11 @@ from .optimizer import (
     SCHEME_POLICY_LPSU,
     SCHEME_POLICY_LPWU,
     SCHEMES,
-    SweepPoint,
     _check_request,
     _score_block,
     _trials_per_block,
 )
-from .system import SystemParams, sample_channels
+from .system import ChannelRealization, SystemParams, sample_channels
 
 __all__ = [
     "DEFAULT_BETA_GRID",
@@ -47,7 +50,7 @@ __all__ = [
     "GainRow",
     "derive_trial_seed",
     "run_experiment",
-    "sweep_records",
+    "sweep_all",
     "gain_vs_users",
     "export",
     "format_number",
@@ -115,15 +118,6 @@ class GainRow:
     gain_percent: float
 
 
-def sweep_records(trial: int, sweeps: dict[str, list[SweepPoint]]) -> list[ResultRecord]:
-    """The rows of one trial's ``sweep_all`` result, by scheme, then beta."""
-    return [
-        _new_record((trial, point.beta, scheme, point.order_id, point.value, point.per_user_rates))
-        for scheme, points in sweeps.items()
-        for point in points
-    ]
-
-
 def _trial_blocks(
     config: ExperimentConfig, params: SystemParams, schemes: Sequence[str]
 ) -> Iterator[tuple[range, dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]]:
@@ -138,6 +132,30 @@ def _trial_blocks(
         yield trials, _score_block(schemes, config.beta_grid, channels, params)
 
 
+def _block_records(
+    trials: range,
+    grid: Sequence[float],
+    scores: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> Iterator[ResultRecord]:
+    """The records of a ``_score_block`` result for ``trials``, by trial,
+    then scheme, then beta, built with no Python frame per record."""
+    # [T, S, B] arrays (users [T, S, B, n]): flat in (trial, scheme, beta) order
+    values, order_ids, users = (
+        np.stack([score[i] for score in scores.values()], axis=1) for i in range(3)
+    )
+    return map(
+        _new_record,
+        zip(
+            chain.from_iterable(map(repeat, trials, repeat(len(scores) * len(grid)))),
+            cycle(grid),
+            cycle([scheme for scheme in scores for _ in grid]),
+            order_ids.ravel().tolist(),
+            values.ravel().tolist(),
+            map(tuple, users.reshape(-1, users.shape[-1]).tolist()),
+        ),
+    )
+
+
 def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
     """Run all trials; rows are ordered by trial, then scheme, then beta.
 
@@ -146,24 +164,27 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
     be reproduced from (master_seed, trial) alone.
     """
     records: list[ResultRecord] = []
-    grid = config.beta_grid
     for trials, scores in _trial_blocks(config, config.params, config.schemes):
-        # [T, S, B] arrays (users [T, S, B, n]): flat in (trial, scheme, beta) order
-        values, order_ids, users = (
-            np.stack([score[i] for score in scores.values()], axis=1) for i in range(3)
-        )
-        records += map(
-            _new_record,
-            zip(
-                chain.from_iterable(map(repeat, trials, repeat(len(scores) * len(grid)))),
-                cycle(grid),
-                cycle([scheme for scheme in scores for _ in grid]),
-                order_ids.ravel().tolist(),
-                values.ravel().tolist(),
-                map(tuple, users.reshape(-1, users.shape[-1]).tolist()),
-            ),
-        )
+        records += _block_records(trials, config.beta_grid, scores)
     return records
+
+
+def sweep_all(
+    schemes: Sequence[str],
+    beta_grid: Sequence[float],
+    channels: ChannelRealization,
+    params: SystemParams,
+) -> dict[str, list[ResultRecord]]:
+    """Evaluate several schemes over a beta grid on one channel draw: per
+    scheme, in request order, its records of trial 0, one per beta. The
+    request is checked first, as ``ExperimentConfig`` checks a run's."""
+    if channels.n_users != params.n_users:
+        raise ValueError("channels and params disagree on the user count")
+    _check_request(schemes, beta_grid, params.n_users)
+    scores = _score_block(schemes, beta_grid, [channels], params)
+    # one trial's records run scheme by scheme, a grid's worth each
+    records = _block_records(range(1), beta_grid, scores)
+    return {scheme: list(islice(records, len(beta_grid))) for scheme in scores}
 
 
 def gain_vs_users(config: ExperimentConfig, user_counts: Sequence[int]) -> list[GainRow]:

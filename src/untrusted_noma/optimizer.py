@@ -1,5 +1,6 @@
 """SINR and secrecy rates of decoding orders, max-min secrecy search over
-order sets, benchmark averaging, and power-allocation sweeps.
+order sets, benchmark averaging, and the block scorer behind the
+power-allocation sweeps.
 
 An order set is an int array of per-column ranks, [K, N]: entry (k, m) is
 the lexicographic rank of receiver m's column in order k, as in
@@ -22,11 +23,12 @@ walked in chunks of ``_SCORE_BUDGET // c`` orders, so a call's working set
 is the [c, K] minima plus a few chunks, and the per-order minimum is a fold
 over the user rows of each chunk.
 
-``_score_block`` flattens the (trial, beta) pairs of a block of trials into
-one cell axis. A call takes as many trials as keep cells x max(K, C) within
-``_SCORE_BUDGET``, and at least one: 13 to 65 trials x 21 betas at N <= 3
-(K <= 14), and one trial's whole beta grid at N = 4. ``sweep_all`` is its
-one-trial call.
+``_score_block`` flattens the (trial, beta) pairs of the block of trials it
+is handed into one cell axis and scores them in one kernel call. Its
+callers size a block with ``_trials_per_block``: as many trials as keep
+cells x max(K, C) within ``_SCORE_BUDGET``, and at least one, so 13 to 65
+trials x 21 betas at N <= 3 (K <= 14) and one trial's whole beta grid at
+N = 4. They also check the request (``_check_request``) before the call.
 
 The benchmark's per-user mean adds the K orders' rates one after another,
 the order the pinned outputs were made in: numpy sums a contiguous axis
@@ -59,12 +61,10 @@ from .system import ChannelRealization, PowerAllocation, SystemParams, _alpha_gr
 __all__ = [
     "SCHEMES",
     "SearchOutcome",
-    "SweepPoint",
     "sinr",
     "secrecy_rates",
     "max_min_order",
     "benchmark_average",
-    "sweep_all",
 ]
 
 SCHEME_OPTIMAL_L = "optimal-L"
@@ -98,18 +98,6 @@ class SearchOutcome:
     evaluated_count: int
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One (beta, scheme) evaluation: the scheme's min-secrecy value, the
-    order that realized it (None for averaged schemes), and per-user rates
-    (averaged across orders for the benchmark scheme)."""
-
-    beta: float
-    value: float
-    order_id: int | None
-    per_user_rates: tuple[float, ...]
-
-
 def _check_request(schemes: Sequence[str], beta_grid: Sequence[float], n_users: int) -> None:
     """Raise ValueError unless the schemes are nonempty, known and distinct,
     the beta grid is nonempty and within [-1, 1], and no scheme that needs
@@ -126,6 +114,12 @@ def _check_request(schemes: Sequence[str], beta_grid: Sequence[float], n_users: 
     for b in beta_grid:
         if not -1.0 <= b <= 1.0:
             raise ValueError(f"beta grid values must lie in [-1, 1], got {b}")
+    _check_scheme_cap(schemes, n_users)
+
+
+def _check_scheme_cap(schemes: Sequence[str], n_users: int) -> None:
+    """Raise ValueError if a scheme that needs the secure set asks for more
+    than ENUMERATION_CAP users."""
     if n_users > ord_mod.ENUMERATION_CAP and _ENUM_SCHEMES & set(schemes):
         raise ValueError(
             f"schemes {sorted(_ENUM_SCHEMES & set(schemes))} need exhaustive "
@@ -408,7 +402,9 @@ def benchmark_average(
     params: SystemParams,
 ) -> float:
     """Mean over all secure orders of the per-order minimum secrecy rate;
-    orders where some user ends up at exactly zero contribute that zero."""
+    orders where some user ends up at exactly zero contribute that zero.
+    Refuses more than ENUMERATION_CAP users."""
+    _check_scheme_cap([SCHEME_BENCHMARK], channels.n_users)
     columns, table = _one_cell(_secure_bundle(channels.n_users)[0], channels, alpha, params)
     return float(_score_orders(columns, *table)[0][0].mean())
 
@@ -449,7 +445,9 @@ def _score_block(
     channels: Sequence[ChannelRealization],
     params: SystemParams,
 ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Evaluate several schemes over a beta grid on each of T channel draws.
+    """Evaluate several schemes over a beta grid on each of T channel draws,
+    in one kernel call. The caller checks the request and sizes the block
+    (``_trials_per_block``).
 
     Returns, per scheme, (values [T, B], order ids [T, B] as an object array,
     per-user rates [T, B, n]). For each beta the power allocation follows
@@ -457,78 +455,45 @@ def _score_block(
     (order id None where no order is feasible), the policy schemes score
     their single matrix, and the benchmark averages the secure set (order id
     None). The secure set (when a scheme needs it) and the two policy
-    matrices are scored together, ``_trials_per_block`` trials' cells per
-    kernel call, and each scheme's reduction runs once per call.
+    matrices are scored together, and each scheme's reduction runs once.
     """
     n = params.n_users
-    if any(ch.n_users != n for ch in channels):
-        raise ValueError("channels and params disagree on the user count")
-    _check_request(schemes, beta_grid, n)
-
     columns, ids, searched, pol_ids = _scored_set(n, bool(_ENUM_SCHEMES & set(schemes)))
     gains = np.array([ch.gains for ch in channels], dtype=float)
     alphas = _alpha_grid(gains, beta_grid)  # [T, B, n]
     shape = alphas.shape[:-1]
-    cell_alphas = alphas.reshape(-1, n)
     cell_gains = np.repeat(gains, shape[1], axis=0)
-    cells = len(cell_alphas)
     inv_rho = 1.0 / params.rho_t
-    step = _trials_per_block(schemes, n, shape[1]) * shape[1]
+    table = _rate_table(columns, cell_gains, alphas.reshape(-1, n), params.zeta, inv_rho)
     summed = len(ids) if SCHEME_BENCHMARK in schemes else 0
-    # the schemes that pick one order per cell, then the benchmark if asked;
-    # the policy matrices are the last two orders scored
+    mins, total = _score_orders(columns, *table, summed)
+    cells = len(mins)
+
+    def block(values, order_ids, users):  # per-cell arrays as [T, B] ([T, B, n])
+        return values.reshape(shape), order_ids.reshape(shape), users.T.reshape(*shape, n)
+
+    # the schemes that pick one order per cell; the policy matrices are the
+    # last two orders scored
     picked = [s for s in schemes if s != SCHEME_BENCHMARK]
-    rows_of = picked + [SCHEME_BENCHMARK] * (SCHEME_BENCHMARK in schemes)
-    fixed = {SCHEME_POLICY_LPWU: len(columns.index) - 2, SCHEME_POLICY_LPSU: len(columns.index) - 1}
-
+    policy = {
+        SCHEME_POLICY_LPWU: (len(columns.index) - 2, pol_ids[0]),
+        SCHEME_POLICY_LPSU: (len(columns.index) - 1, pol_ids[1]),
+    }
     k = np.empty((len(picked), cells), dtype=np.intp)  # the order picked per cell, -1 for none
-    values = np.empty((len(schemes), cells))
-    users = np.empty((len(schemes), n, cells))
-    for start in range(0, cells, step):
-        part = slice(start, start + step)
-        table = _rate_table(columns, cell_gains[part], cell_alphas[part], params.zeta, inv_rho)
-        mins, total = _score_orders(columns, *table, summed)
-        for i, scheme in enumerate(picked):
-            k[i, part] = _best_rows(mins, searched[scheme]) if scheme in searched else fixed[scheme]
-        rates = _order_rates(columns, *table, k[:, part])
-        rates = users[: len(picked), :, part] = np.where(k[:, None, part] >= 0, rates, 0.0)
-        # the picked order's minimum, 0 where none is picked
-        values[: len(picked), part] = reduce(np.minimum, rates.swapaxes(0, 1))
-        if summed:
-            values[-1, part] = mins[:, :-2].mean(axis=1)
-            users[-1, :, part] = total / len(ids)
-
-    # the benchmark averages orders, so it has no order id
-    fixed_id = {SCHEME_POLICY_LPWU: pol_ids[0], SCHEME_POLICY_LPSU: pol_ids[1]}
+    for i, scheme in enumerate(picked):
+        k[i] = _best_rows(mins, searched[scheme]) if scheme in searched else policy[scheme][0]
+    rates = np.where(k[:, None] >= 0, _order_rates(columns, *table, k), 0.0)  # [S, n, c]
+    # the picked order's minimum, 0 where none is picked
+    values = reduce(np.minimum, rates.swapaxes(0, 1))
     result = {}
-    for i, scheme in enumerate(rows_of):
+    for i, scheme in enumerate(picked):
         if scheme in searched:
             order_ids = np.where(k[i] >= 0, ids[k[i]], None)
         else:
-            order_ids = np.full(cells, fixed_id.get(scheme), dtype=object)
-        result[scheme] = (
-            values[i].reshape(shape),
-            order_ids.reshape(shape),
-            users[i].T.reshape(*shape, n),
-        )
+            order_ids = np.full(cells, policy[scheme][1], dtype=object)
+        result[scheme] = block(values[i], order_ids, rates[i])
+    if summed:
+        # the benchmark averages orders, so it has no order id
+        none = np.full(cells, None, dtype=object)
+        result[SCHEME_BENCHMARK] = block(mins[:, :-2].mean(axis=1), none, total / len(ids))
     return {scheme: result[scheme] for scheme in schemes}
-
-
-def sweep_all(
-    schemes: Sequence[str],
-    beta_grid: Sequence[float],
-    channels: ChannelRealization,
-    params: SystemParams,
-) -> dict[str, list[SweepPoint]]:
-    """Evaluate several schemes over a beta grid on one channel draw: the
-    one-trial call of ``_score_block``, one ``SweepPoint`` per beta."""
-    scores = _score_block(schemes, beta_grid, [channels], params)
-    return {
-        scheme: [
-            SweepPoint(beta=beta, value=value, order_id=oid, per_user_rates=tuple(rates))
-            for beta, value, oid, rates in zip(
-                beta_grid, values[0].tolist(), order_ids[0].tolist(), users[0].tolist()
-            )
-        ]
-        for scheme, (values, order_ids, users) in scores.items()
-    }

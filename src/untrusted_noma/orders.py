@@ -75,13 +75,16 @@ def total_orders(n: int) -> int:
     return math.factorial(n) ** n
 
 
-def _check_cap(n: int, allow_large_n: bool) -> None:
+def _check_cap(n: int, allow_large_n: bool | None) -> None:
+    """Refuse n < 1, and n > ENUMERATION_CAP unless ``allow_large_n``; None
+    marks a caller without the override, which the error then leaves out."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > ENUMERATION_CAP and not allow_large_n:
+        override = "; pass allow_large_n=True (--allow-large-n) to override"
         raise ValueError(
-            f"enumeration is capped at {ENUMERATION_CAP} users ((N!)^N grows too fast); "
-            f"pass allow_large_n=True (--allow-large-n) to override"
+            f"enumeration is capped at {ENUMERATION_CAP} users ((N!)^N grows too fast)"
+            + ("" if allow_large_n is None else override)
         )
 
 
@@ -338,7 +341,7 @@ def favourable_orders(n: int) -> Iterator[DecodingOrder]:
     """Stream every favourable order for n users, ascending by order id: the
     product over receivers of the columns that end with the receiver itself.
     Refuses n > ENUMERATION_CAP."""
-    _check_cap(n, False)
+    _check_cap(n, None)
     perms = _column_permutations(n)
     columns = [[col for col in perms if col[-1] == m] for m in range(1, n + 1)]
     return (DecodingOrder(columns=cols) for cols in product(*columns))

@@ -155,6 +155,8 @@ def sample_channels(params: SystemParams, seed: int) -> ChannelRealization:
     its center, distances are clamped to at least ``min_dist_m``, and users
     are relabeled so gains sort strictly descending.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     half = params.field_len_m / 2.0
     xy = rng.uniform(-half, half, size=(params.n_users, 2))

@@ -171,8 +171,10 @@ def test_criterion_5_policy_accuracy():
         sweeps = sweep_all(
             ("optimal-L", "policy-LPWU", "policy-LPSU"), DEFAULT_BETA_GRID, ch, params
         )
-        v_opt = max(p.value for p in sweeps["optimal-L"])
-        v_pol = max(p.value for s in ("policy-LPWU", "policy-LPSU") for p in sweeps[s])
+        v_opt = max(p.min_secrecy_rate for p in sweeps["optimal-L"])
+        v_pol = max(
+            p.min_secrecy_rate for s in ("policy-LPWU", "policy-LPSU") for p in sweeps[s]
+        )
         # a trial with no positive-secrecy order anywhere constrains nothing
         ratios.append(v_pol / v_opt if v_opt > 0 else 1.0)
     measured = float(np.mean(ratios))

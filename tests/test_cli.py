@@ -22,7 +22,7 @@ from untrusted_noma import (
     sweep_all,
 )
 from untrusted_noma.cli import CONFIG_ENV_VAR, main
-from untrusted_noma.experiments import sweep_records, write_csv
+from untrusted_noma.experiments import write_csv
 
 
 def run_cli(capsys, *argv):
@@ -262,6 +262,27 @@ class TestSweep:
         assert "scheme" in err
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--users", "3", "--beta", "0.2", "--seed", "-1"],
+            ["sweep", "--users", "3", "--seed", "-1"],
+        ],
+    )
+    def test_one_error_line_naming_the_seed(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
+    def test_simulate_takes_a_negative_master_seed(self, capsys):
+        # trial seeds are mixed from the master seed modulo 2**64
+        code, out, _ = run_cli(capsys, "simulate", "--users", "2", "--trials", "1", "--seed", "-5")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + len(SCHEMES) * len(DEFAULT_BETA_GRID)
+
+
 class TestSimulate:
     def test_row_accounting_and_system_flags(self, capsys):
         code, out, _ = run_cli(
@@ -452,7 +473,7 @@ class TestSettings:
         assert code == 0
         params = SystemParams(3)
         sweeps = sweep_all(SCHEMES, DEFAULT_BETA_GRID, sample_channels(params, 5), params)
-        assert out == _csv(sweep_records(0, sweeps))
+        assert out == _csv([record for rows in sweeps.values() for record in rows])
 
     CONFIG_VALUES = {
         "pt_dbm": 12.5,

@@ -21,11 +21,11 @@ from untrusted_noma import (
     sample_channels,
     sweep_all,
 )
+from untrusted_noma import optimizer
 from untrusted_noma.experiments import (
     _WRITE_BATCH,
     _json_numbers,
     format_number,
-    sweep_records,
     write_csv,
     write_json,
 )
@@ -115,9 +115,8 @@ class TestResultRecord:
 
     def test_experiments_build_records(self):
         cfg = small_config()
-        records = run_experiment(cfg) + sweep_records(
-            0, sweep_all(cfg.schemes, cfg.beta_grid, sample_channels(cfg.params, 1), cfg.params)
-        )
+        sweeps = sweep_all(cfg.schemes, cfg.beta_grid, sample_channels(cfg.params, 1), cfg.params)
+        records = run_experiment(cfg) + [r for rows in sweeps.values() for r in rows]
         assert {type(r) for r in records} == {ResultRecord}
 
 
@@ -192,8 +191,7 @@ class TestRunExperiment:
         channels = sample_channels(cfg.params, seed)
         sweeps = sweep_all(cfg.schemes, cfg.beta_grid, channels, cfg.params)
         point = sweeps[probe.scheme][cfg.beta_grid.index(probe.beta)]
-        assert point.value == probe.min_secrecy_rate
-        assert point.per_user_rates == probe.per_user_rates
+        assert point == probe._replace(trial=0)
 
     def test_rates_valid(self):
         for r in run_experiment(small_config()):
@@ -203,23 +201,16 @@ class TestRunExperiment:
 
 class TestTrialBlocks:
     """run_experiment scores a block of trials per kernel call; every row
-    must equal the matching point of a one-trial sweep_all, bit for bit."""
+    must equal the matching row of a one-trial sweep_all, bit for bit."""
 
     @staticmethod
     def one_trial_records(cfg):
-        return [
-            record
-            for t in range(cfg.trials)
-            for record in sweep_records(
-                t,
-                sweep_all(
-                    cfg.schemes,
-                    cfg.beta_grid,
-                    sample_channels(cfg.params, derive_trial_seed(cfg.master_seed, t)),
-                    cfg.params,
-                ),
-            )
-        ]
+        records = []
+        for t in range(cfg.trials):
+            channels = sample_channels(cfg.params, derive_trial_seed(cfg.master_seed, t))
+            sweeps = sweep_all(cfg.schemes, cfg.beta_grid, channels, cfg.params)
+            records += [r._replace(trial=t) for rows in sweeps.values() for r in rows]
+        return records
 
     def assert_rows_match(self, cfg):
         # the trial count must cross several block boundaries
@@ -246,6 +237,60 @@ class TestTrialBlocks:
                 schemes=("policy-LPWU", "policy-LPSU"),
             )
         )
+
+
+class TestSweepAll:
+    def test_rows_by_scheme_in_request_order(self):
+        params = SystemParams(n_users=3)
+        schemes = ("benchmark", "policy-LPSU", "optimal-L")
+        sweeps = sweep_all(schemes, SMALL_GRID, sample_channels(params, 4), params)
+        assert tuple(sweeps) == schemes
+        for scheme, rows in sweeps.items():
+            assert [(r.trial, r.beta, r.scheme) for r in rows] == [
+                (0, beta, scheme) for beta in SMALL_GRID
+            ]
+
+    def test_rejects_channels_of_another_user_count(self):
+        channels = sample_channels(SystemParams(n_users=4), 1)
+        with pytest.raises(ValueError, match="disagree on the user count"):
+            sweep_all(("policy-LPWU",), SMALL_GRID, channels, SystemParams(n_users=3))
+
+
+class TestKernelCalls:
+    """Each block of trials is scored by exactly one rate-table call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        rate_table = optimizer._rate_table
+
+        def counting(*args):
+            counted.append(len(args[1]))  # the call's cells
+            return rate_table(*args)
+
+        monkeypatch.setattr(optimizer, "_rate_table", counting)
+        return counted
+
+    @pytest.mark.parametrize("n, trials", [(3, 120), (4, 25)])
+    def test_run_experiment(self, calls, n, trials):
+        cfg = ExperimentConfig(params=SystemParams(n_users=n), trials=trials, master_seed=n)
+        run_experiment(cfg)
+        per_block = _trials_per_block(cfg.schemes, n, len(cfg.beta_grid))
+        assert len(calls) == math.ceil(trials / per_block)
+        assert sum(calls) == trials * len(cfg.beta_grid)
+
+    def test_gain_vs_users(self, calls):
+        cfg = small_config(trials=120, beta_grid=DEFAULT_BETA_GRID)
+        gain_vs_users(cfg, (2, 3))
+        schemes = ("policy-LPWU", "policy-LPSU", "benchmark")
+        assert len(calls) == sum(
+            math.ceil(120 / _trials_per_block(schemes, n, len(DEFAULT_BETA_GRID))) for n in (2, 3)
+        )
+
+    def test_sweep_all(self, calls):
+        params = SystemParams(n_users=4)
+        sweep_all(SCHEMES, DEFAULT_BETA_GRID, sample_channels(params, 2), params)
+        assert calls == [len(DEFAULT_BETA_GRID)]
 
 
 class TestGainVsUsers:
@@ -295,8 +340,10 @@ class TestGainVsUsers:
             sweeps = sweep_all(
                 ("policy-LPWU", "policy-LPSU", "benchmark"), cfg.beta_grid, channels, params
             )
-            policy.append(max(p.value for s in ("policy-LPWU", "policy-LPSU") for p in sweeps[s]))
-            bench.append(float(np.mean([p.value for p in sweeps["benchmark"]])))
+            policy.append(
+                max(p.min_secrecy_rate for s in ("policy-LPWU", "policy-LPSU") for p in sweeps[s])
+            )
+            bench.append(float(np.mean([p.min_secrecy_rate for p in sweeps["benchmark"]])))
         (row,) = gain_vs_users(cfg, [n])
         pol, ben = float(np.mean(policy)), float(np.mean(bench))
         assert (row.n_users, row.mean_policy_value, row.mean_benchmark_value) == (n, pol, ben)

@@ -41,7 +41,8 @@ def assert_blocks_equal(got, want):
 @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
 def test_all_schemes_full_grid(n, zeta):
     params = SystemParams(n_users=n, zeta=zeta)
-    # enough trials to cross the block boundaries at n <= 3
+    # more trials than one block holds at n <= 3, scored in one call;
+    # test_experiments.TestTrialBlocks crosses the block boundaries
     channels = [sample_channels(params, 100 * n + seed) for seed in range(3 if n == 4 else 70)]
     got = _score_block(SCHEMES, DEFAULT_BETA_GRID, channels, params)
     assert_blocks_equal(got, oracle.score_block(SCHEMES, DEFAULT_BETA_GRID, channels, params))

@@ -128,8 +128,8 @@ class TestMaxMinOrder:
                 if not feasible:
                     assert (out.best_order_id, out.best_value) == (None, 0.0)
                     continue
-                best = min(feasible, key=lambda p: (-p.value, p.order_id))
-                assert (out.best_order_id, out.best_value) == (best.order_id, best.value)
+                best = min(feasible, key=lambda p: (-p.min_secrecy_rate, p.order_id))
+                assert (out.best_order_id, out.best_value) == (best.order_id, best.min_secrecy_rate)
                 assert out.evaluated_count == len(sec)
 
     def test_tie_break_prefers_smallest_id(self):
@@ -280,7 +280,7 @@ class TestBenchmarkAverage:
         params = SystemParams(n_users=5)
         ch = sample_channels(params, 1)
         pa = power_allocation(ch, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\['benchmark'\] need exhaustive .* capped at 4"):
             benchmark_average(ch, pa, params)
 
 
@@ -376,7 +376,7 @@ class TestBetaSweep:
         ch = sample_channels(params, 4)
         lpwu = sweep_all(["policy-LPWU"], [0.0], ch, params)["policy-LPWU"][0]
         lpsu = sweep_all(["policy-LPSU"], [0.0], ch, params)["policy-LPSU"][0]
-        assert lpwu.value == lpsu.value
+        assert lpwu.min_secrecy_rate == lpsu.min_secrecy_rate
         assert lpwu.order_id == lpsu.order_id
 
     @given(st.integers(min_value=0, max_value=2**32))
@@ -390,9 +390,9 @@ class TestBetaSweep:
         for pl, po, pw, ps in zip(
             sweeps["optimal-L"], sweeps["optimal-O"], sweeps["policy-LPWU"], sweeps["policy-LPSU"]
         ):
-            assert pl.value >= po.value - 1e-12
-            assert pl.value >= pw.value - 1e-12
-            assert pl.value >= ps.value - 1e-12
+            assert pl.min_secrecy_rate >= po.min_secrecy_rate - 1e-12
+            assert pl.min_secrecy_rate >= pw.min_secrecy_rate - 1e-12
+            assert pl.min_secrecy_rate >= ps.min_secrecy_rate - 1e-12
 
     def test_policy_points_carry_policy_ids(self):
         params = SystemParams(n_users=3)
@@ -409,7 +409,7 @@ class TestBetaSweep:
         expected = max_min_order(
             iter(favourable_orders(3)), ch, power_allocation(ch, pa_beta), params
         )
-        assert point.value == pytest.approx(expected.best_value, rel=1e-12)
+        assert point.min_secrecy_rate == pytest.approx(expected.best_value, rel=1e-12)
         assert point.order_id == expected.best_order_id
 
     def test_benchmark_points_average_per_user_rates(self):
@@ -456,7 +456,7 @@ class TestBetaSweep:
         params = SystemParams(n_users=5)
         ch = sample_channels(params, 1)
         points = sweep_all(["policy-LPWU"], [-0.5], ch, params)["policy-LPWU"]
-        assert len(points) == 1 and points[0].value >= 0.0
+        assert len(points) == 1 and points[0].min_secrecy_rate >= 0.0
 
 
 class TestGridBlocks:
@@ -529,7 +529,7 @@ class TestArbitraryInputs:
             return
         for points in sweeps.values():
             (point,) = points
-            assert np.isfinite(point.value) and point.value >= 0.0
+            assert np.isfinite(point.min_secrecy_rate) and point.min_secrecy_rate >= 0.0
             assert all(np.isfinite(v) and v >= 0.0 for v in point.per_user_rates)
 
     def test_sinr_overflow_raises(self):

@@ -169,7 +169,8 @@ class TestSecureWalk:
     def test_cap_refused_at_the_call(self):
         with pytest.raises(ValueError, match="allow_large_n"):
             secure_orders(5)
-        with pytest.raises(ValueError, match="allow_large_n"):
+        # favourable_orders has no override, so the error names none
+        with pytest.raises(ValueError, match=r"capped at 4 users \(\(N!\)\^N grows too fast\)$"):
             favourable_orders(5)
 
 

@@ -93,6 +93,10 @@ class TestSampling:
         params = SystemParams(n_users=4)
         assert sample_channels(params, 99) == sample_channels(params, 99)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            sample_channels(SystemParams(n_users=2), -1)
+
     def test_different_seeds_differ(self):
         params = SystemParams(n_users=4)
         assert sample_channels(params, 1) != sample_channels(params, 2)
