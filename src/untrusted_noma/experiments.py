@@ -41,7 +41,7 @@ from .optimizer import (
     _score_block,
     _trials_per_block,
 )
-from .system import ChannelRealization, SystemParams, sample_channels
+from .system import ChannelRealization, SystemParams, _sample_block
 
 __all__ = [
     "DEFAULT_BETA_GRID",
@@ -119,17 +119,21 @@ class GainRow:
 
 
 def _trial_blocks(
-    config: ExperimentConfig, params: SystemParams, schemes: Sequence[str]
-) -> Iterator[tuple[range, dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]]:
+    config: ExperimentConfig,
+    params: SystemParams,
+    schemes: Sequence[str],
+    values_only: bool = False,
+) -> Iterator[tuple[range, dict]]:
     """``_score_block`` over the config's beta grid, a block of trials at a
-    time, as (the block's trials, their scores). Trial t's channels are
-    drawn from ``derive_trial_seed(config.master_seed, t)``."""
+    time, as (the block's trials, their scores, or their values alone when
+    ``values_only``). Trial t's channels are drawn from
+    ``derive_trial_seed(config.master_seed, t)``, a block's as one array."""
     size = _trials_per_block(schemes, params.n_users, len(config.beta_grid))
     for start in range(0, config.trials, size):
         trials = range(start, min(start + size, config.trials))
-        seeds = (derive_trial_seed(config.master_seed, t) for t in trials)
-        channels = [sample_channels(params, seed) for seed in seeds]
-        yield trials, _score_block(schemes, config.beta_grid, channels, params)
+        seeds = [derive_trial_seed(config.master_seed, t) for t in trials]
+        gains = _sample_block(params, seeds)[1]
+        yield trials, _score_block(schemes, config.beta_grid, gains, params, values_only)
 
 
 def _block_records(
@@ -181,7 +185,7 @@ def sweep_all(
     if channels.n_users != params.n_users:
         raise ValueError("channels and params disagree on the user count")
     _check_request(schemes, beta_grid, params.n_users)
-    scores = _score_block(schemes, beta_grid, [channels], params)
+    scores = _score_block(schemes, beta_grid, np.array([channels.gains]), params)
     # one trial's records run scheme by scheme, a grid's worth each
     records = _block_records(range(1), beta_grid, scores)
     return {scheme: list(islice(records, len(beta_grid))) for scheme in scores}
@@ -206,10 +210,10 @@ def gain_vs_users(config: ExperimentConfig, user_counts: Sequence[int]) -> list[
     for params in cells:
         policy_vals: list[float] = []
         bench_vals: list[float] = []
-        for _, scores in _trial_blocks(config, params, schemes):
-            policy = np.maximum(*(scores[s][0] for s in pol_schemes))  # [T, B]
+        for _, values in _trial_blocks(config, params, schemes, values_only=True):
+            policy = np.maximum(*(values[s] for s in pol_schemes))  # [T, B]
             policy_vals += policy.max(axis=1).tolist()
-            bench_vals += scores[SCHEME_BENCHMARK][0].mean(axis=1).tolist()
+            bench_vals += values[SCHEME_BENCHMARK].mean(axis=1).tolist()
         mean_policy = float(np.mean(policy_vals))
         mean_bench = float(np.mean(bench_vals))
         rows.append(

@@ -19,16 +19,21 @@ floats. A wiretap rate is a max over the other receivers' columns, and max
 is exact, so the taps are folded down the prefix tree of the set's columns
 (``_Columns.levels``): at N = 4 the secure set's levels hold 6 / 48 / 392 /
 3036 nodes, and the leaves take two gathers whatever N is. The leaf level is
-walked in chunks of ``_SCORE_BUDGET // c`` orders, so a call's working set
-is the [c, K] minima plus a few chunks, and the per-order minimum is a fold
-over the user rows of each chunk.
+walked in chunks of ``_SCORE_BUDGET // c`` orders, and the level above it is
+not held whole but built a window of that many nodes at a time, so a call's
+working set is the [c, K] minima plus a few chunks, and the per-order
+minimum is a fold over the user rows of each chunk. The optimal schemes
+copy their orders' minima out a slice of rows at a time (``_best_rows``).
 
 ``_score_block`` flattens the (trial, beta) pairs of the block of trials it
 is handed into one cell axis and scores them in one kernel call. Its
 callers size a block with ``_trials_per_block``: as many trials as keep
-cells x max(K, C) within ``_SCORE_BUDGET``, and at least one, so 13 to 65
-trials x 21 betas at N <= 3 (K <= 14) and one trial's whole beta grid at
-N = 4. They also check the request (``_check_request``) before the call.
+cells x max(K, C) within ``_SCORE_BUDGET``, or as many as fit in
+``_MIN_CELLS`` cells where that is more, and at least one: 13 to 65 trials
+x 21 betas at N <= 3 (K <= 14) and three trials' beta grids at N = 4.
+They also check the request (``_check_request``) before the call. A caller
+that reads only values asks for them alone, which skips the benchmark's
+per-user sum and the re-read of the picked orders' rates.
 
 The benchmark's per-user mean adds the K orders' rates one after another,
 the order the pinned outputs were made in: numpy sums a contiguous axis
@@ -85,6 +90,12 @@ _ENUM_SCHEMES = frozenset({SCHEME_OPTIMAL_L, SCHEME_OPTIMAL_O, SCHEME_BENCHMARK}
 # beta grids as fit, at least one, and walks the leaf orders in chunks of
 # this many pairs
 _SCORE_BUDGET = 4096
+# (trial, beta) cells a kernel call takes at the least, in whole trials,
+# where the budget gives fewer: the leaf walk's inner loops run over the
+# cells, and shorter ones are dominated by per-call work
+_MIN_CELLS = 64
+# values ``_best_rows`` copies out of the per-order minima at a time
+_ROW_SLICE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -247,22 +258,49 @@ def _score_orders(
     each cell, from a ``_rate_table``, and the per-user sum [n, c] of the
     first ``summed`` orders' rates, added left to right."""
     n, c = rate.shape[1:]
+    *inner, (parent, row) = columns.levels
+    # the leaves' parents (the root when the leaves are the only level) are
+    # not held as a whole level but built a window of nodes at a time
+    top = inner.pop() if inner else None
     tap = np.zeros((1, n, c))
-    for parent, row in columns.levels[:-1]:
-        node = rate.take(row, axis=0)
-        tap = np.maximum(node, tap.take(parent, axis=0), out=node)
-    parent, row = columns.levels[-1]
+    for node_parent, node_row in inner:
+        node = rate.take(node_row, axis=0)
+        tap = np.maximum(node, tap.take(node_parent, axis=0), out=node)
+
+    def top_taps(nodes):
+        node = rate.take(top[1][nodes], axis=0)
+        return np.maximum(node, tap.take(top[0][nodes], axis=0), out=node)
+
     mins = np.empty((c, len(row)))
     step = max(1, _SCORE_BUDGET // c)
+    starts = range(0, len(row), step)
+    lows = np.minimum.reduceat(parent, starts).tolist()
+    highs = np.maximum.reduceat(parent, starts).tolist()
+    # taps holds the parent nodes first .. last - 1, a window that a chunk
+    # out of parent order empties
+    first, last, taps = (0, 1, tap) if top is None else (0, 0, None)
     # the chunk's rates follow a leading row that carries the running sum
     # into it: a reduce over the leading axis adds row after row
     buf = np.zeros((1 + min(step, len(row)), n, c))
-    for start in range(0, len(row), step):
+    for start, low, high in zip(starts, lows, highs):
         part = slice(start, start + step)
         rates = buf[1 : 1 + len(row[part])]
+        if high - low >= step:
+            # leaves far out of parent order, as the policy orders after the
+            # secure set: build only the parents they name
+            nodes, near = np.unique(parent[part], return_inverse=True)
+            first = last = 0
+            taps = top_taps(nodes)
+        else:
+            # leaves ascending by parent: a window of ``step`` parents serves
+            # the chunks that follow
+            if low < first or high >= last:
+                first, last = low, low + step
+                taps = top_taps(slice(first, last))
+            near = parent[part] - first
         # mode "clip" lets take write to ``out`` without a buffer
         rate.take(row[part], axis=0, out=rates, mode="clip")
-        np.maximum(rates, tap.take(parent[part], axis=0), out=rates)
+        np.maximum(rates, taps.take(near, axis=0), out=rates)
         np.subtract(own.take(columns.index[part], axis=0), rates, out=rates)
         np.maximum(rates, 0.0, out=rates)
         mins[:, part] = reduce(np.minimum, rates.swapaxes(0, 1)).T
@@ -355,11 +393,18 @@ def _best_rows(mins: np.ndarray, subset: np.ndarray) -> np.ndarray:
     """Per row of ``mins`` [..., K], the per-order minima (0 for infeasible
     orders) with the orders ascending by id: index of the max-min order
     among the ascending order indices ``subset``, the first (smallest id) of
-    a tie, or -1 when none of them is feasible."""
-    if len(subset) == 0:
-        return np.full(mins.shape[:-1], -1, dtype=np.intp)
-    vals = mins.take(subset, axis=-1)
-    return np.where(vals.max(axis=-1) > 0.0, subset[vals.argmax(axis=-1)], -1)
+    a tie, or -1 when none of them is feasible. The subset's columns are
+    copied a slice of rows at a time."""
+    flat = mins.reshape(-1, mins.shape[-1])
+    best = np.full(len(flat), -1, dtype=np.intp)
+    if len(subset):
+        step = max(1, _ROW_SLICE // len(subset))
+        for start in range(0, len(flat), step):
+            vals = flat[start : start + step].take(subset, axis=-1)
+            k = vals.argmax(axis=-1)
+            feasible = vals[np.arange(len(k)), k] > 0.0
+            best[start : start + step] = np.where(feasible, subset[k], -1)
+    return best.reshape(mins.shape[:-1])
 
 
 def _best_of(mask: np.ndarray, mins: np.ndarray, ids: np.ndarray) -> int | None:
@@ -433,39 +478,42 @@ def _scored_set(
 def _trials_per_block(schemes: Sequence[str], n_users: int, n_betas: int) -> int:
     """Trials whose (trial, beta) cells one kernel call scores: each cell
     takes K rate rows and C table rows, and the larger of the two is held
-    to ``_SCORE_BUDGET`` rows in total, at least one trial per call."""
+    to ``_SCORE_BUDGET`` rows in total; but a call takes as many trials as
+    fit in ``_MIN_CELLS`` cells where that is more, and at least one."""
     columns = _scored_set(n_users, bool(_ENUM_SCHEMES & set(schemes)))[0]
     rows = max(len(columns.index), len(columns.receiver))
-    return max(1, _SCORE_BUDGET // (rows * n_betas))
+    return max(1, _SCORE_BUDGET // (rows * n_betas), _MIN_CELLS // n_betas)
 
 
 def _score_block(
     schemes: Sequence[str],
     beta_grid: Sequence[float],
-    channels: Sequence[ChannelRealization],
+    gains: np.ndarray,
     params: SystemParams,
-) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    values_only: bool = False,
+) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] | dict[str, np.ndarray]:
     """Evaluate several schemes over a beta grid on each of T channel draws,
-    in one kernel call. The caller checks the request and sizes the block
-    (``_trials_per_block``).
+    given as their descending gains [T, n], in one kernel call. The caller
+    checks the request and sizes the block (``_trials_per_block``).
 
     Returns, per scheme, (values [T, B], order ids [T, B] as an object array,
-    per-user rates [T, B, n]). For each beta the power allocation follows
-    the fractional rule; the optimal-* schemes search their order subset
-    (order id None where no order is feasible), the policy schemes score
-    their single matrix, and the benchmark averages the secure set (order id
-    None). The secure set (when a scheme needs it) and the two policy
-    matrices are scored together, and each scheme's reduction runs once.
+    per-user rates [T, B, n]), or the values alone when ``values_only``. For
+    each beta the power allocation follows the fractional rule; the
+    optimal-* schemes search their order subset (order id None where no
+    order is feasible), the policy schemes score their single matrix, and
+    the benchmark averages the secure set (order id None). The secure set
+    (when a scheme needs it) and the two policy matrices are scored
+    together, and each scheme's reduction runs once.
     """
     n = params.n_users
     columns, ids, searched, pol_ids = _scored_set(n, bool(_ENUM_SCHEMES & set(schemes)))
-    gains = np.array([ch.gains for ch in channels], dtype=float)
+    gains = np.asarray(gains, dtype=float)
     alphas = _alpha_grid(gains, beta_grid)  # [T, B, n]
     shape = alphas.shape[:-1]
     cell_gains = np.repeat(gains, shape[1], axis=0)
     inv_rho = 1.0 / params.rho_t
     table = _rate_table(columns, cell_gains, alphas.reshape(-1, n), params.zeta, inv_rho)
-    summed = len(ids) if SCHEME_BENCHMARK in schemes else 0
+    summed = len(ids) if SCHEME_BENCHMARK in schemes and not values_only else 0
     mins, total = _score_orders(columns, *table, summed)
     cells = len(mins)
 
@@ -482,6 +530,12 @@ def _score_block(
     k = np.empty((len(picked), cells), dtype=np.intp)  # the order picked per cell, -1 for none
     for i, scheme in enumerate(picked):
         k[i] = _best_rows(mins, searched[scheme]) if scheme in searched else policy[scheme][0]
+    if values_only:
+        # the picked order's minimum, 0 where none is picked
+        result = dict(zip(picked, np.where(k >= 0, mins[np.arange(cells), k], 0.0)))
+        if SCHEME_BENCHMARK in schemes:
+            result[SCHEME_BENCHMARK] = mins[:, :-2].mean(axis=1)
+        return {scheme: result[scheme].reshape(shape) for scheme in schemes}
     rates = np.where(k[:, None] >= 0, _order_rates(columns, *table, k), 0.0)  # [S, n, c]
     # the picked order's minimum, 0 where none is picked
     values = reduce(np.minimum, rates.swapaxes(0, 1))

@@ -135,17 +135,65 @@ class PowerAllocation:
         return len(self.alphas)
 
 
+def _mean_gains(params: SystemParams, distances_m: np.ndarray) -> np.ndarray:
+    """Mean channel power gain L_c * d**(-e) of users at the given distances."""
+    # an overflow gives inf gains, which the sampler rejects
+    with np.errstate(over="ignore"):
+        path_loss = np.asarray(distances_m, dtype=float) ** (-params.path_loss_exp)
+        return params.path_loss_const * path_loss
+
+
 def draw_gains(params: SystemParams, distances_m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Sample unsorted channel power gains for users at the given distances.
 
     The gain of a user at distance d is exponentially distributed with mean
     L_c * d**(-e) (Rayleigh fading over a distance-based path loss).
     """
-    # an overflow gives inf gains, which sample_channels rejects
     with np.errstate(over="ignore"):
-        path_loss = np.asarray(distances_m, dtype=float) ** (-params.path_loss_exp)
-        mean = params.path_loss_const * path_loss
-        return mean * rng.exponential(1.0, size=len(distances_m))
+        return _mean_gains(params, distances_m) * rng.exponential(1.0, size=len(distances_m))
+
+
+def _collide(gains: np.ndarray) -> np.ndarray:
+    """Per row of gains [..., n], whether two of its values are equal."""
+    ascending = np.sort(gains, axis=-1)
+    return (ascending[..., 1:] == ascending[..., :-1]).any(axis=-1)
+
+
+def _sample_block(params: SystemParams, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and gains [T, n] of one channel draw per seed: row t is
+    what ``sample_channels(params, seeds[t])`` holds.
+
+    Each draw takes its positions and then its fades from its own
+    ``default_rng(seed)``; distance, path loss, the tie check and the sort
+    run over the whole block.
+    """
+    n = params.n_users
+    half = params.field_len_m / 2.0
+    xy = np.empty((len(seeds), n, 2))
+    fades = np.empty((len(seeds), n))
+    rngs = []
+    for t, seed in enumerate(seeds):
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        rngs.append(np.random.default_rng(seed))
+        xy[t] = rngs[t].uniform(-half, half, size=(n, 2))
+        fades[t] = rngs[t].exponential(1.0, size=n)
+    dist = np.maximum(np.hypot(xy[..., 0], xy[..., 1]), params.min_dist_m)
+    with np.errstate(over="ignore"):
+        gains = _mean_gains(params, dist) * fades
+    # exact ties have probability zero; a draw whose float values collide is
+    # re-drawn from its own generator, which gains that all underflow to 0
+    # (or overflow) would do forever
+    for t in np.flatnonzero(_collide(gains)):
+        while _collide(gains[t]) and (np.isfinite(gains[t]) & (gains[t] > 0.0)).all():
+            gains[t] = draw_gains(params, dist[t], rngs[t])
+    if not (np.isfinite(gains) & (gains > 0.0)).all():
+        raise ValueError(
+            "channel gains underflow to 0 or overflow; check field_len_m, "
+            "min_dist_m and the path-loss constant and exponent"
+        )
+    idx = np.argsort(-gains, axis=1, kind="stable")
+    return np.take_along_axis(dist, idx, axis=1), np.take_along_axis(gains, idx, axis=1)
 
 
 def sample_channels(params: SystemParams, seed: int) -> ChannelRealization:
@@ -155,27 +203,8 @@ def sample_channels(params: SystemParams, seed: int) -> ChannelRealization:
     its center, distances are clamped to at least ``min_dist_m``, and users
     are relabeled so gains sort strictly descending.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng(seed)
-    half = params.field_len_m / 2.0
-    xy = rng.uniform(-half, half, size=(params.n_users, 2))
-    dist = np.maximum(np.hypot(xy[:, 0], xy[:, 1]), params.min_dist_m)
-    gains = draw_gains(params, dist, rng)
-    # exact ties have probability zero; re-draw if the float values collide,
-    # which gains that all underflow to 0 (or overflow) would do forever
-    while len(np.unique(gains)) < params.n_users:
-        if not (np.isfinite(gains) & (gains > 0.0)).all():
-            raise ValueError(
-                "channel gains underflow to 0 or overflow; check field_len_m, "
-                "min_dist_m and the path-loss constant and exponent"
-            )
-        gains = draw_gains(params, dist, rng)
-    idx = np.argsort(-gains, kind="stable")
-    return ChannelRealization(
-        distances_m=tuple(float(d) for d in dist[idx]),
-        gains=tuple(float(g) for g in gains[idx]),
-    )
+    dist, gains = _sample_block(params, [seed])
+    return ChannelRealization(distances_m=tuple(dist[0].tolist()), gains=tuple(gains[0].tolist()))
 
 
 def _alpha_grid(gains: np.ndarray, beta_grid: Sequence[float]) -> np.ndarray:

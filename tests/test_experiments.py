@@ -218,7 +218,7 @@ class TestTrialBlocks:
         assert 2 * per_block < cfg.trials
         assert run_experiment(cfg) == self.one_trial_records(cfg)
 
-    @pytest.mark.parametrize("n, trials", [(1, 140), (2, 140), (3, 30), (4, 3)])
+    @pytest.mark.parametrize("n, trials", [(1, 140), (2, 140), (3, 30), (4, 7)])
     @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
     def test_all_schemes(self, n, trials, zeta):
         self.assert_rows_match(

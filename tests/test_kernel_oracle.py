@@ -44,7 +44,7 @@ def test_all_schemes_full_grid(n, zeta):
     # more trials than one block holds at n <= 3, scored in one call;
     # test_experiments.TestTrialBlocks crosses the block boundaries
     channels = [sample_channels(params, 100 * n + seed) for seed in range(3 if n == 4 else 70)]
-    got = _score_block(SCHEMES, DEFAULT_BETA_GRID, channels, params)
+    got = _score_block(SCHEMES, DEFAULT_BETA_GRID, np.array([ch.gains for ch in channels]), params)
     assert_blocks_equal(got, oracle.score_block(SCHEMES, DEFAULT_BETA_GRID, channels, params))
     if n <= 2:
         # optimal-O searches no order below three users
@@ -57,7 +57,7 @@ def test_all_schemes_full_grid(n, zeta):
 def test_scheme_subsets_and_order(n, schemes):
     params = SystemParams(n_users=n, zeta=0.1)
     channels = [sample_channels(params, seed) for seed in range(2)]
-    got = _score_block(schemes, DEFAULT_BETA_GRID, channels, params)
+    got = _score_block(schemes, DEFAULT_BETA_GRID, np.array([ch.gains for ch in channels]), params)
     assert_blocks_equal(got, oracle.score_block(schemes, DEFAULT_BETA_GRID, channels, params))
 
 
@@ -65,7 +65,7 @@ def test_scheme_subsets_and_order(n, schemes):
 def test_policies_beyond_the_cap(n):
     params = SystemParams(n_users=n, zeta=0.1)
     channels = [sample_channels(params, seed) for seed in range(3)]
-    got = _score_block(POLICIES, DEFAULT_BETA_GRID, channels, params)
+    got = _score_block(POLICIES, DEFAULT_BETA_GRID, np.array([ch.gains for ch in channels]), params)
     assert_blocks_equal(got, oracle.score_block(POLICIES, DEFAULT_BETA_GRID, channels, params))
 
 

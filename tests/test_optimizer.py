@@ -44,6 +44,7 @@ from untrusted_noma.optimizer import (
     _score_orders,
     _scored_set,
     _secure_bundle,
+    _trials_per_block,
 )
 from untrusted_noma.orders import _column_permutations
 from untrusted_noma.system import _alpha_grid
@@ -329,7 +330,8 @@ class TestBenchmarkSummation:
     def test_per_user_mean_is_a_left_to_right_sum(self, n, trials, grid):
         params = SystemParams(n_users=n)
         channels = [sample_channels(params, 40 + t) for t in range(trials)]
-        users = _score_block(["benchmark"], grid, channels, params)["benchmark"][2]
+        gains = np.array([ch.gains for ch in channels])
+        users = _score_block(["benchmark"], grid, gains, params)["benchmark"][2]
         sec = list(secure_orders(n))
         for t, ch in enumerate(channels):
             for b, beta in enumerate(grid):
@@ -344,7 +346,8 @@ class TestBenchmarkSummation:
         # every cell of one trial's grid, each summed order by order from
         # the secure orders' re-read rates
         params = SystemParams(n_users=4)
-        users = _score_block(["benchmark"], DEFAULT_BETA_GRID, [sample_channels(params, 5)], params)
+        gains = np.array([sample_channels(params, 5).gains])
+        users = _score_block(["benchmark"], DEFAULT_BETA_GRID, gains, params)
         rates = self.cell_rates(4, DEFAULT_BETA_GRID, params, seed=5)[2]
         total = rates[0].copy()
         for row in rates[1:]:
@@ -357,15 +360,84 @@ def test_four_user_trial_memory_is_bounded():
     # kernel call; the leaf orders are walked in chunks, so the call's
     # traced peak stays near the [cells, K] minima it must hold
     params = SystemParams(n_users=4)
-    channels = [sample_channels(params, 3)]
-    _score_block(SCHEMES, DEFAULT_BETA_GRID, channels, params)  # build the cached order set
+    gains = np.array([sample_channels(params, 3).gains])
+    _score_block(SCHEMES, DEFAULT_BETA_GRID, gains, params)  # build the cached order set
     tracemalloc.start()
     try:
-        _score_block(SCHEMES, DEFAULT_BETA_GRID, channels, params)
+        _score_block(SCHEMES, DEFAULT_BETA_GRID, gains, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * 2**20
+
+
+def test_four_user_block_memory_is_bounded():
+    # a full block at N = 4 scores several trials' grids in one call; only
+    # its [cells, K] minima grow with the block: the rate table, the leaf
+    # chunks, the window of the leaves' parents and the optimal schemes'
+    # row slices stay within 1 MiB of them
+    params = SystemParams(n_users=4)
+    trials = _trials_per_block(SCHEMES, 4, len(DEFAULT_BETA_GRID))
+    assert trials > 1
+    gains = np.array([sample_channels(params, 3 + t).gains for t in range(trials)])
+    _score_block(SCHEMES, DEFAULT_BETA_GRID, gains, params)  # build the cached order set
+    minima = trials * len(DEFAULT_BETA_GRID) * len(_scored_set(4, True)[0].index) * 8
+    tracemalloc.start()
+    try:
+        _score_block(SCHEMES, DEFAULT_BETA_GRID, gains, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < minima + 2**20
+
+
+class TestBlockSize:
+    """A kernel call over T trials must give what T one-trial calls give,
+    bit for bit, at and across the block size ``_trials_per_block``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
+    def test_block_equals_one_trial_calls(self, n, zeta):
+        params = SystemParams(n_users=n, zeta=zeta)
+        per_block = _trials_per_block(SCHEMES, n, len(DEFAULT_BETA_GRID))
+        gains = np.array([sample_channels(params, 60 + t).gains for t in range(per_block + 1)])
+        ones = [_score_block(SCHEMES, DEFAULT_BETA_GRID, row[None], params) for row in gains]
+        for trials in (per_block, per_block + 1):
+            block = _score_block(SCHEMES, DEFAULT_BETA_GRID, gains[:trials], params)
+            for scheme in SCHEMES:
+                values, ids, users = (
+                    np.concatenate([one[scheme][i] for one in ones[:trials]]) for i in range(3)
+                )
+                assert block[scheme][0].tobytes() == values.tobytes(), scheme
+                assert block[scheme][1].tolist() == ids.tolist(), scheme
+                assert np.ascontiguousarray(block[scheme][2]).tobytes() == users.tobytes(), scheme
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
+    def test_values_only_equals_the_full_scores(self, n, zeta):
+        params = SystemParams(n_users=n, zeta=zeta)
+        gains = np.array([sample_channels(params, 80 + t).gains for t in range(2)])
+        full = _score_block(SCHEMES, DEFAULT_BETA_GRID, gains, params)
+        values = _score_block(SCHEMES, DEFAULT_BETA_GRID, gains, params, values_only=True)
+        assert list(values) == list(SCHEMES)
+        for scheme in SCHEMES:
+            assert values[scheme].tobytes() == full[scheme][0].tobytes(), scheme
+
+    def test_leaves_in_any_order(self):
+        # the leaves' parents are built a window at a time for leaves that
+        # ascend by parent and one chunk at a time for leaves that do not;
+        # a shuffled secure set must score as the sorted one, order by order
+        params = SystemParams(n_users=4)
+        ranks = _secure_bundle(4)[0]
+        shuffled = np.random.default_rng(4).permutation(len(ranks))
+        gains = np.array([sample_channels(params, 9).gains] * len(DEFAULT_BETA_GRID))
+        alphas = _alpha_grid(gains[0], DEFAULT_BETA_GRID)
+        scored = []
+        for rows in (ranks, ranks[shuffled]):
+            columns = _column_index(rows)
+            table = _rate_table(columns, gains, alphas, params.zeta, 1.0 / params.rho_t)
+            scored.append(_score_orders(columns, *table)[0])
+        assert scored[1].tobytes() == scored[0][:, shuffled].tobytes()
 
 
 class TestBetaSweep:

@@ -18,6 +18,7 @@ from untrusted_noma import (
     secrecy_rates,
     sinr,
 )
+from untrusted_noma import system
 
 # Worked 2-user instance, frozen from a hand-evaluated scalar oracle
 # (gains (4,1), alpha (0.2,0.8), zeta 0.1, rho_t 10):
@@ -109,6 +110,44 @@ class TestSampling:
         assert all(a > b for a, b in zip(ch.gains, ch.gains[1:]))
         half_diag = params.field_len_m * math.sqrt(2.0) / 2.0
         assert all(params.min_dist_m <= d <= half_diag for d in ch.distances_m)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_block_rows_are_the_one_seed_draws(self, n):
+        params = SystemParams(n_users=n)
+        seeds = [0, 3, 2**63, 2**64 - 1, 17]
+        dist, gains = system._sample_block(params, seeds)
+        for t, seed in enumerate(seeds):
+            ch = sample_channels(params, seed)
+            assert (tuple(dist[t].tolist()), tuple(gains[t].tolist())) == (ch.distances_m, ch.gains)
+
+    def test_block_redraws_a_collision_from_its_own_seed(self, monkeypatch):
+        # gains a few hundred subnormal steps wide collide now and then;
+        # each colliding draw is re-drawn from its own generator
+        params = SystemParams(n_users=4, path_loss_const=1e-321, path_loss_exp=1e-9)
+        seeds = []
+        for seed in range(300):
+            try:
+                sample_channels(params, seed)
+            except ValueError:
+                continue
+            seeds.append(seed)
+        redraws = []
+        draw = system.draw_gains
+
+        def counting(*args):
+            redraws.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(system, "draw_gains", counting)
+        gains = system._sample_block(params, seeds)[1]
+        assert redraws
+        assert [tuple(row) for row in gains.tolist()] == [
+            sample_channels(params, seed).gains for seed in seeds
+        ]
+
+    def test_block_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="got -1"):
+            system._sample_block(SystemParams(n_users=2), [4, -1])
 
     def test_pinned_distance_mean_gain_matches_path_loss(self):
         # user fixed at 100 m: mean gain must be L_c * 100^-3 = 1e-6
