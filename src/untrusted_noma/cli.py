@@ -171,7 +171,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_filter_secure(args: argparse.Namespace) -> int:
     for ranks in _secure_rank_blocks(args.users, bool(args.allow_large_n)):  # checks n first
-        sys.stdout.write("\n".join(map(str, _order_ids(ranks).tolist())) + "\n")
+        ids = _order_ids(ranks).tolist()
+        sys.stdout.write("%d\n" * len(ids) % tuple(ids))
     return 0
 
 

@@ -75,11 +75,25 @@ def total_orders(n: int) -> int:
     return math.factorial(n) ** n
 
 
-def _check_cap(n: int, allow_large_n: bool | None) -> None:
-    """Refuse n < 1, and n > ENUMERATION_CAP unless ``allow_large_n``; None
+# Most users the override admits, per path. A listing first builds all N!
+# columns: at N = 9 its first line comes in about 1.2 s at 234 MB peak RSS,
+# and N = 10 holds ten times the columns. The count's work grows 3-4x per
+# user: 2 s at N = 11, 8 s at N = 12 and 25 s at N = 13 (250 MB).
+_LIST_CEILING = 9
+_COUNT_CEILING = 12
+
+
+def _check_cap(n: int, allow_large_n: bool | None, ceiling: int = _LIST_CEILING) -> None:
+    """Refuse n < 1, n > ``ceiling`` (past which the path would not finish,
+    override or not), and n > ENUMERATION_CAP unless ``allow_large_n``; None
     marks a caller without the override, which the error then leaves out."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > ceiling and allow_large_n is not None:
+        raise ValueError(
+            f"{n} users is past the {ceiling}-user ceiling of this path, "
+            "even with allow_large_n (--allow-large-n): it would not finish"
+        )
     if n > ENUMERATION_CAP and not allow_large_n:
         override = "; pass allow_large_n=True (--allow-large-n) to override"
         raise ValueError(
@@ -93,7 +107,7 @@ def enumerate_orders(n: int, allow_large_n: bool = False) -> Iterator[DecodingOr
 
     Column 1 is the most significant digit of the mixed-radix id, so the
     stream advances the last column fastest. Refuses n > ENUMERATION_CAP
-    unless explicitly overridden.
+    unless explicitly overridden, and n > _LIST_CEILING always.
     """
     _check_cap(n, allow_large_n)
     perms = tuple(permutations(range(1, n + 1)))
@@ -133,9 +147,10 @@ def count_secure(n: int, allow_large_n: bool = False) -> int:
     b - i - [s_m < b] places left, so column m's count is a product. Users
     are added from N down to 1, and the sum is kept per sorted stage tuple
     of the users added so far, on which the next column's count depends.
-    Refuses n > ENUMERATION_CAP unless explicitly overridden.
+    Refuses n > ENUMERATION_CAP unless explicitly overridden, and
+    n > _COUNT_CEILING always.
     """
-    _check_cap(n, allow_large_n)
+    _check_cap(n, allow_large_n, _COUNT_CEILING)
     later: dict[tuple[int, ...], int] = {(): 1}
     for m in range(n, 0, -1):
         added: dict[tuple[int, ...], int] = defaultdict(int)
@@ -286,23 +301,25 @@ def _secure_rank_blocks(n: int, allow_large_n: bool = False) -> Iterator[np.ndar
     stays flat and the first block comes at once. Every prefix the walk
     keeps can still be completed (no user was decoded last by a stronger
     receiver), so it meets no dead ends. Refuses n > ENUMERATION_CAP
-    unless explicitly overridden.
+    unless explicitly overridden, and n > _LIST_CEILING always.
     """
     _check_cap(n, allow_large_n)
     choices = _column_choices(n)
 
     def expand(m: int, ranks: np.ndarray, bound: np.ndarray) -> Iterator[np.ndarray]:
         col_ranks, stages = choices[m]
+        last = m + 1 == n
         step = max(1, _BLOCK_ROWS // len(col_ranks))
         for start in range(0, len(ranks), step):
             p, c = np.nonzero(stages[:, 0] > bound[start : start + step, :1])
             p += start
             kept = np.concatenate([ranks[p], col_ranks[c, None]], axis=1)
-            later = np.maximum(bound[p, 1:], stages[c, 1:])
+            # the last level has no later users to bound
+            later = None if last else np.maximum(bound[p, 1:], stages[c, 1:])
             # one prefix has more than _BLOCK_ROWS columns only when N! does
             for first in range(0, len(kept), _BLOCK_ROWS):
                 rows = slice(first, first + _BLOCK_ROWS)
-                if m + 1 == n:
+                if last:
                     yield kept[rows]
                 else:
                     yield from expand(m + 1, kept[rows], later[rows])
@@ -327,7 +344,7 @@ def secure_orders(n: int, allow_large_n: bool = False) -> Iterator[DecodingOrder
     """Stream every secure order for n users, ascending by order id, built
     column by column (see ``_secure_rank_blocks``) rather than filtered out
     of all (N!)^N orders. Refuses n > ENUMERATION_CAP unless explicitly
-    overridden."""
+    overridden, and n > _LIST_CEILING always."""
     blocks = _secure_rank_blocks(n, allow_large_n)
     perms = _column_permutations(n)
     return (

@@ -3,9 +3,12 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
+from itertools import islice
 
 import pytest
 
@@ -23,6 +26,7 @@ from untrusted_noma import (
 )
 from untrusted_noma.cli import CONFIG_ENV_VAR, main
 from untrusted_noma.experiments import write_csv
+from walk_oracle import secure_column_ranks
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +102,70 @@ class TestFilterSecure:
         assert proc.wait(timeout=60) == 0
         assert first == b"6858475320\n"
         assert err == b""
+
+
+def _oracle_listing(n, lines=None):
+    """The ``filter-secure`` bytes for the oracle walk's first ``lines``
+    orders: each rank tuple folded into its id in plain Python (mixed
+    radix, base n!, column 1 most significant), one id per line."""
+    base = math.factorial(n)
+    out = []
+    for ranks in islice(secure_column_ranks(n, allow_large_n=True), lines):
+        oid = 0
+        for r in ranks:
+            oid = oid * base + r
+        out.append(f"{oid}\n")
+    return "".join(out)
+
+
+class TestListingBytes:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_whole_listing_matches_oracle_walk(self, capsys, n):
+        code, out, _ = run_cli(capsys, "filter-secure", "--users", str(n))
+        assert code == 0
+        assert out == _oracle_listing(n)
+
+    # N = 5: the first block; N = 7: ids past int64
+    @pytest.mark.parametrize("n, lines", [(5, 65_536), (7, 1_000)])
+    def test_listing_head_matches_oracle_walk(self, n, lines):
+        src = os.path.dirname(os.path.dirname(untrusted_noma.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["filter-secure", "--users", str(n), "--allow-large-n"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "untrusted_noma.cli", *argv], stdout=subprocess.PIPE, env=env
+        )
+        head = b"".join(proc.stdout.readline() for _ in range(lines))
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert head.decode() == _oracle_listing(n, lines)
+
+
+class TestCeilings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "filter-secure --users 10 --allow-large-n",
+            "filter-secure --users 21 --allow-large-n",
+            "filter-secure --users 21",
+            "count --users 13 --allow-large-n",
+            "count --users 21 --allow-large-n",
+            "count --users 21",
+        ],
+    )
+    def test_refused_with_one_error_line_before_any_work(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        # the column table of a listing and the count's DP
+        for name in ("_column_permutations", "_column_choices", "defaultdict"):
+            monkeypatch.setattr(orders, name, refuse)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv.split())
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "ceiling" in err and "would not finish" in err
 
 
 class TestNoExhaustiveWalk:

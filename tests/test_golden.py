@@ -103,3 +103,22 @@ def test_filter_secure_head_digest(users, lines, first, digest):
     assert head.split(b"\n", 1)[0].decode() == first
     assert head.count(b"\n") == lines
     assert _sha256(head) == digest
+
+
+@pytest.mark.slow
+def test_full_five_user_listing_digest():
+    """All 29,638,368 lines of ``filter-secure --users 5``, hashed as they
+    arrive from a child process (about 10 s)."""
+    src = os.path.dirname(os.path.dirname(untrusted_noma.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["filter-secure", "--users", "5", "--allow-large-n"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "untrusted_noma.cli", *argv], stdout=subprocess.PIPE, env=env
+    )
+    digest, lines = hashlib.sha256(), 0
+    for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+        digest.update(chunk)
+        lines += chunk.count(b"\n")
+    assert proc.wait(timeout=60) == 0
+    assert lines == 29_638_368
+    assert digest.hexdigest() == "b38be8d0b4a2d221c6f12b66dda6cf6ceb1bbcb34ebb479fef51eaeff277f40e"

@@ -174,6 +174,47 @@ class TestSecureWalk:
             favourable_orders(5)
 
 
+def _refuse_work(monkeypatch):
+    """Make building a column table or the count's DP raise, so that a
+    refused call is seen to start no work."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("permutations", "_column_permutations", "_column_choices", "defaultdict"):
+        monkeypatch.setattr(orders, name, refuse)
+
+
+class TestCeilings:
+    @pytest.mark.parametrize("n", [10, 21])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n, allow: next(enumerate_orders(n, allow)),
+            lambda n, allow: secure_orders(n, allow),
+            lambda n, allow: orders._secure_rank_blocks(n, allow),
+        ],
+        ids=["enumerate_orders", "secure_orders", "_secure_rank_blocks"],
+    )
+    @pytest.mark.parametrize("allow", [True, False])
+    def test_listings_refused_past_their_ceiling(self, monkeypatch, call, n, allow):
+        _refuse_work(monkeypatch)
+        with pytest.raises(ValueError, match=r"past the 9-user ceiling .*would not finish"):
+            call(n, allow)
+
+    @pytest.mark.parametrize("n", [13, 21])
+    @pytest.mark.parametrize("allow", [True, False])
+    def test_count_refused_past_its_ceiling(self, monkeypatch, n, allow):
+        _refuse_work(monkeypatch)
+        with pytest.raises(ValueError, match=r"past the 12-user ceiling .*would not finish"):
+            count_secure(n, allow)
+
+    def test_ceilings_admit_the_documented_inputs(self):
+        # the pinned listing heads go up to N = 8 and the count up to N = 12
+        orders._check_cap(orders._LIST_CEILING, True)
+        orders._check_cap(orders._COUNT_CEILING, True, orders._COUNT_CEILING)
+        assert orders._LIST_CEILING >= 8 and orders._COUNT_CEILING >= 12
+
+
 class TestBlockWalk:
     @pytest.mark.parametrize("n, rows", [(5, 300_000), (6, 20_000)])
     def test_head_matches_recursive_walk(self, n, rows):
