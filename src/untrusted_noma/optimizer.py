@@ -11,7 +11,10 @@ SINR of every user at that column's receiver. The secure set at N = 4 has
 the package's only SINR formula, and ``_rate_table`` with ``_score_orders``
 its only rate kernel: ``sinr`` and ``secrecy_rates`` score a single order
 as a set of one, and ``_order_rates`` re-reads chosen orders' per-user
-rates from the same table.
+rates from the same table. The kernel scores a set whose orders ascend by
+id, repeats allowed: ``max_min_order`` sorts its source, and a sweep
+scores the secure set, which holds both policy matrices, or else the
+policy matrices alone (``_scored_set``).
 
 Rates are order-major, [K, N, c]: orders, then users, then the (trial,
 beta) cells, contiguous last, so every gather copies whole rows of N * c
@@ -20,17 +23,19 @@ is exact, so the taps are folded down the prefix tree of the set's columns
 (``_Columns.levels``): at N = 4 the secure set's levels hold 6 / 48 / 392 /
 3036 nodes, and the leaves take two gathers whatever N is. The leaf level is
 walked in chunks of ``_SCORE_BUDGET // c`` orders, and the level above it is
-not held whole but built a window of that many nodes at a time, so a call's
-working set is the [c, K] minima plus a few chunks, and the per-order
-minimum is a fold over the user rows of each chunk. The optimal schemes
-copy their orders' minima out a slice of rows at a time (``_best_rows``).
+not held whole but built a window of that many nodes at a time, from a
+chunk's first parent on: leaves that ascend by id step through their
+parents one at a time, so no chunk outruns its window. A call's working set
+is the [c, K] minima plus a few chunks, and the per-order minimum is a fold
+over the user rows of each chunk. The optimal schemes copy their orders'
+minima out a slice of rows at a time (``_best_rows``).
 
 ``_score_block`` flattens the (trial, beta) pairs of the block of trials it
 is handed into one cell axis and scores them in one kernel call. Its
 callers size a block with ``_trials_per_block``: as many trials as keep
 cells x max(K, C) within ``_SCORE_BUDGET``, or as many as fit in
-``_MIN_CELLS`` cells where that is more, and at least one: 13 to 65 trials
-x 21 betas at N <= 3 (K <= 14) and three trials' beta grids at N = 4.
+``_MIN_CELLS`` cells where that is more, and at least one: 16 to 195 trials
+x 21 betas at N <= 3 (K <= 12) and three trials' beta grids at N = 4.
 They also check the request (``_check_request``) before the call. A caller
 that reads only values asks for them alone, which skips the benchmark's
 per-user sum and the re-read of the picked orders' rates.
@@ -53,7 +58,7 @@ import numpy as np
 from . import orders as ord_mod
 from .orders import (
     DecodingOrder,
-    _column_permutations,
+    _column_table,
     _order_ids,
     _perm_rank,
     _perm_unrank,
@@ -256,9 +261,13 @@ def _score_orders(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-order minimum secrecy rate [c, K] of each order of the set in
     each cell, from a ``_rate_table``, and the per-user sum [n, c] of the
-    first ``summed`` orders' rates, added left to right."""
+    first ``summed`` orders' rates, added left to right. The orders must
+    ascend by id, repeats allowed; a set whose leaves' parents descend
+    raises ValueError."""
     n, c = rate.shape[1:]
     *inner, (parent, row) = columns.levels
+    if (np.diff(parent) < 0).any():
+        raise ValueError("the orders of a scored set must ascend by id")
     # the leaves' parents (the root when the leaves are the only level) are
     # not held as a whole level but built a window of nodes at a time
     top = inner.pop() if inner else None
@@ -273,31 +282,18 @@ def _score_orders(
 
     mins = np.empty((c, len(row)))
     step = max(1, _SCORE_BUDGET // c)
-    starts = range(0, len(row), step)
-    lows = np.minimum.reduceat(parent, starts).tolist()
-    highs = np.maximum.reduceat(parent, starts).tolist()
-    # taps holds the parent nodes first .. last - 1, a window that a chunk
-    # out of parent order empties
-    first, last, taps = (0, 1, tap) if top is None else (0, 0, None)
+    # taps holds the parent nodes first .. first + step - 1
+    first, taps = 0, tap if top is None else None
     # the chunk's rates follow a leading row that carries the running sum
     # into it: a reduce over the leading axis adds row after row
     buf = np.zeros((1 + min(step, len(row)), n, c))
-    for start, low, high in zip(starts, lows, highs):
+    for start in range(0, len(row), step):
         part = slice(start, start + step)
         rates = buf[1 : 1 + len(row[part])]
-        if high - low >= step:
-            # leaves far out of parent order, as the policy orders after the
-            # secure set: build only the parents they name
-            nodes, near = np.unique(parent[part], return_inverse=True)
-            first = last = 0
-            taps = top_taps(nodes)
-        else:
-            # leaves ascending by parent: a window of ``step`` parents serves
-            # the chunks that follow
-            if low < first or high >= last:
-                first, last = low, low + step
-                taps = top_taps(slice(first, last))
-            near = parent[part] - first
+        if taps is None or parent[part][-1] >= first + step:
+            first = parent[start]
+            taps = top_taps(slice(first, first + step))
+        near = parent[part] - first
         # mode "clip" lets take write to ``out`` without a buffer
         rate.take(row[part], axis=0, out=rates, mode="clip")
         np.maximum(rates, taps.take(near, axis=0), out=rates)
@@ -327,8 +323,7 @@ def _secure_bundle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ascending by id. The arrays are read-only."""
     ranks = np.concatenate(list(_secure_rank_blocks(n)))
     ids = _order_ids(ranks)
-    last = np.array([col[-1] for col in _column_permutations(n)])
-    fav = (last[ranks] == np.arange(1, n + 1)).all(axis=1)
+    fav = (_column_table(n)[ranks, -1] == np.arange(1, n + 1)).all(axis=1)
     bundle = (ranks, ids, fav)
     for array in bundle:
         array.flags.writeable = False
@@ -342,16 +337,6 @@ def _as_arrays(channels: ChannelRealization, alpha: PowerAllocation, params: Sys
     if len(alphas) != len(gains) or params.n_users != len(gains):
         raise ValueError("channels, alpha and params disagree on the user count")
     return gains[None], alphas[None], params.zeta, 1.0 / params.rho_t
-
-
-def _one_cell(
-    ranks: np.ndarray, channels: ChannelRealization, alpha: PowerAllocation, params: SystemParams
-) -> tuple[_Columns, tuple[np.ndarray, np.ndarray]]:
-    """The ``_column_index`` of the order set ``ranks`` and its one-cell
-    ``_rate_table``."""
-    gains, alphas, zeta, inv_rho = _as_arrays(channels, alpha, params)
-    columns = _column_index(ranks)
-    return columns, _rate_table(columns, gains, alphas, zeta, inv_rho)
 
 
 def sinr(
@@ -385,35 +370,26 @@ def secrecy_rates(
     Exact zeros are meaningful: they mark users whose data the decoding
     order fails to protect. A single user keeps its own rate.
     """
-    columns, table = _one_cell(_ranks([order], channels.n_users), channels, alpha, params)
+    columns = _column_index(_ranks([order], channels.n_users))
+    table = _rate_table(columns, *_as_arrays(channels, alpha, params))
     return tuple(_order_rates(columns, *table, np.zeros((1, 1), dtype=np.intp))[0, :, 0].tolist())
 
 
 def _best_rows(mins: np.ndarray, subset: np.ndarray) -> np.ndarray:
-    """Per row of ``mins`` [..., K], the per-order minima (0 for infeasible
+    """Per row of ``mins`` [c, K], the per-order minima (0 for infeasible
     orders) with the orders ascending by id: index of the max-min order
     among the ascending order indices ``subset``, the first (smallest id) of
     a tie, or -1 when none of them is feasible. The subset's columns are
     copied a slice of rows at a time."""
-    flat = mins.reshape(-1, mins.shape[-1])
-    best = np.full(len(flat), -1, dtype=np.intp)
+    best = np.full(len(mins), -1, dtype=np.intp)
     if len(subset):
         step = max(1, _ROW_SLICE // len(subset))
-        for start in range(0, len(flat), step):
-            vals = flat[start : start + step].take(subset, axis=-1)
+        for start in range(0, len(mins), step):
+            vals = mins[start : start + step].take(subset, axis=-1)
             k = vals.argmax(axis=-1)
             feasible = vals[np.arange(len(k)), k] > 0.0
             best[start : start + step] = np.where(feasible, subset[k], -1)
-    return best.reshape(mins.shape[:-1])
-
-
-def _best_of(mask: np.ndarray, mins: np.ndarray, ids: np.ndarray) -> int | None:
-    """Index of the max-min feasible order within ``mask``; id breaks ties."""
-    if len(mins) == 0:
-        return None
-    by_id = np.argsort(ids, kind="stable")
-    k = int(_best_rows(mins[by_id], np.flatnonzero(mask[by_id])))
-    return None if k < 0 else int(by_id[k])
+    return best
 
 
 def max_min_order(
@@ -429,15 +405,18 @@ def max_min_order(
     outcome carries no order id and a zero value.
     """
     ranks = _ranks(order_source, channels.n_users)
-    columns, table = _one_cell(ranks, channels, alpha, params)
-    mins = _score_orders(columns, *table)[0][0]
     ids = _order_ids(ranks)
-    k = _best_of(np.ones(len(mins), dtype=bool), mins, ids)
+    by_id = np.argsort(ids, kind="stable")
+    ids = ids[by_id]
+    columns = _column_index(ranks[by_id])
+    table = _rate_table(columns, *_as_arrays(channels, alpha, params))
+    mins = _score_orders(columns, *table)[0]
+    k = int(_best_rows(mins, np.arange(len(ids)))[0])
     return SearchOutcome(
-        best_order_id=None if k is None else int(ids[k]),
-        best_value=0.0 if k is None else float(mins[k]),
+        best_order_id=None if k < 0 else int(ids[k]),
+        best_value=0.0 if k < 0 else float(mins[0, k]),
         feasible_count=int((mins > 0.0).sum()),
-        evaluated_count=len(mins),
+        evaluated_count=len(ids),
     )
 
 
@@ -450,29 +429,32 @@ def benchmark_average(
     orders where some user ends up at exactly zero contribute that zero.
     Refuses more than ENUMERATION_CAP users."""
     _check_scheme_cap([SCHEME_BENCHMARK], channels.n_users)
-    columns, table = _one_cell(_secure_bundle(channels.n_users)[0], channels, alpha, params)
+    columns = _scored_set(channels.n_users, True)[0]
+    table = _rate_table(columns, *_as_arrays(channels, alpha, params))
     return float(_score_orders(columns, *table)[0][0].mean())
 
 
 @lru_cache(maxsize=16)
-def _scored_set(
-    n: int, secure: bool
-) -> tuple[_Columns, np.ndarray, dict[str, np.ndarray], tuple[int, int]]:
-    """What a sweep at n users scores: the secure orders (when ``secure``)
-    followed by the LPWU and LPSU matrices. Returns (their
-    ``_column_index``, secure ids, the ascending indices of the secure
-    orders each optimal scheme searches, the two policy ids); the arrays
-    are read-only."""
+def _scored_set(n: int, secure: bool) -> tuple[_Columns, np.ndarray, dict[str, np.ndarray]]:
+    """What a sweep at n users scores: the secure set S (when ``secure``)
+    or else the distinct LPWU and LPSU matrices, ascending by id. Both
+    matrices decode each user last, so they lie in S. Returns (their
+    ``_column_index``, their ids, and per scheme that picks an order the
+    ascending indices of the orders it may pick: the favourable orders of S
+    for optimal-L, the rest of S for optimal-O, the one matrix for each
+    policy); the arrays are read-only."""
     ranks = _ranks([policy_order_lpwu(n), policy_order_lpsu(n)], n)
-    pol_ids = tuple(_order_ids(ranks).tolist())
-    ids, searched = np.empty(0), {}
+    policy_ids = _order_ids(ranks)
     if secure:
-        sec_ranks, ids, fav = _secure_bundle(n)
-        ranks = np.concatenate([sec_ranks, ranks])
-        searched = {SCHEME_OPTIMAL_L: np.flatnonzero(fav), SCHEME_OPTIMAL_O: np.flatnonzero(~fav)}
-    for array in (ids, *searched.values()):
+        ranks, ids, fav = _secure_bundle(n)
+        picks = {SCHEME_OPTIMAL_L: np.flatnonzero(fav), SCHEME_OPTIMAL_O: np.flatnonzero(~fav)}
+    else:
+        ids, first = np.unique(policy_ids, return_index=True)
+        ranks, picks = ranks[first], {}
+    picks[SCHEME_POLICY_LPWU], picks[SCHEME_POLICY_LPSU] = np.searchsorted(ids, policy_ids)[:, None]
+    for array in (ids, *picks.values()):
         array.flags.writeable = False
-    return _column_index(ranks), ids, searched, pol_ids
+    return _column_index(ranks), ids, picks
 
 
 def _trials_per_block(schemes: Sequence[str], n_users: int, n_betas: int) -> int:
@@ -502,11 +484,11 @@ def _score_block(
     optimal-* schemes search their order subset (order id None where no
     order is feasible), the policy schemes score their single matrix, and
     the benchmark averages the secure set (order id None). The secure set
-    (when a scheme needs it) and the two policy matrices are scored
-    together, and each scheme's reduction runs once.
+    (when a scheme needs it), or else the policy matrices, is scored once,
+    and each scheme's reduction runs once.
     """
     n = params.n_users
-    columns, ids, searched, pol_ids = _scored_set(n, bool(_ENUM_SCHEMES & set(schemes)))
+    columns, ids, picks = _scored_set(n, bool(_ENUM_SCHEMES & set(schemes)))
     gains = np.asarray(gains, dtype=float)
     alphas = _alpha_grid(gains, beta_grid)  # [T, B, n]
     shape = alphas.shape[:-1]
@@ -517,37 +499,31 @@ def _score_block(
     mins, total = _score_orders(columns, *table, summed)
     cells = len(mins)
 
-    def block(values, order_ids, users):  # per-cell arrays as [T, B] ([T, B, n])
-        return values.reshape(shape), order_ids.reshape(shape), users.T.reshape(*shape, n)
-
-    # the schemes that pick one order per cell; the policy matrices are the
-    # last two orders scored
+    # the order each scheme that picks one takes per cell, -1 for none: the
+    # optimal schemes search their subset, the policies take their matrix
     picked = [s for s in schemes if s != SCHEME_BENCHMARK]
-    policy = {
-        SCHEME_POLICY_LPWU: (len(columns.index) - 2, pol_ids[0]),
-        SCHEME_POLICY_LPSU: (len(columns.index) - 1, pol_ids[1]),
-    }
-    k = np.empty((len(picked), cells), dtype=np.intp)  # the order picked per cell, -1 for none
+    k = np.empty((len(picked), cells), dtype=np.intp)
     for i, scheme in enumerate(picked):
-        k[i] = _best_rows(mins, searched[scheme]) if scheme in searched else policy[scheme][0]
-    if values_only:
-        # the picked order's minimum, 0 where none is picked
-        result = dict(zip(picked, np.where(k >= 0, mins[np.arange(cells), k], 0.0)))
-        if SCHEME_BENCHMARK in schemes:
-            result[SCHEME_BENCHMARK] = mins[:, :-2].mean(axis=1)
-        return {scheme: result[scheme].reshape(shape) for scheme in schemes}
-    rates = np.where(k[:, None] >= 0, _order_rates(columns, *table, k), 0.0)  # [S, n, c]
+        if scheme in (SCHEME_OPTIMAL_L, SCHEME_OPTIMAL_O):
+            k[i] = _best_rows(mins, picks[scheme])
+        else:
+            k[i] = picks[scheme]
     # the picked order's minimum, 0 where none is picked
-    values = reduce(np.minimum, rates.swapaxes(0, 1))
+    values = dict(zip(picked, np.where(k >= 0, mins[np.arange(cells), k], 0.0)))
+    if SCHEME_BENCHMARK in schemes:
+        values[SCHEME_BENCHMARK] = mins.mean(axis=1)
+    if values_only:
+        return {scheme: values[scheme].reshape(shape) for scheme in schemes}
+
+    def block(value, order_ids, users):  # per-cell arrays as [T, B] ([T, B, n])
+        return value.reshape(shape), order_ids.reshape(shape), users.T.reshape(*shape, n)
+
+    rates = np.where(k[:, None] >= 0, _order_rates(columns, *table, k), 0.0)  # [S, n, c]
     result = {}
     for i, scheme in enumerate(picked):
-        if scheme in searched:
-            order_ids = np.where(k[i] >= 0, ids[k[i]], None)
-        else:
-            order_ids = np.full(cells, policy[scheme][1], dtype=object)
-        result[scheme] = block(values[i], order_ids, rates[i])
+        result[scheme] = block(values[scheme], np.where(k[i] >= 0, ids[k[i]], None), rates[i])
     if summed:
         # the benchmark averages orders, so it has no order id
         none = np.full(cells, None, dtype=object)
-        result[SCHEME_BENCHMARK] = block(mins[:, :-2].mean(axis=1), none, total / len(ids))
+        result[SCHEME_BENCHMARK] = block(values[SCHEME_BENCHMARK], none, total / len(ids))
     return {scheme: result[scheme] for scheme in schemes}

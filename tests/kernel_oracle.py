@@ -24,8 +24,6 @@ from untrusted_noma.optimizer import (
     SCHEME_BENCHMARK,
     SCHEME_OPTIMAL_L,
     SCHEME_OPTIMAL_O,
-    SCHEME_POLICY_LPWU,
-    SCHEME_POLICY_LPSU,
     _ENUM_SCHEMES,
     _check_request,
     _column_index,
@@ -139,7 +137,7 @@ def score_block(
     [T, B, n]), as ``untrusted_noma.optimizer._score_block`` returns them."""
     n = params.n_users
     _check_request(schemes, beta_grid, n)
-    columns, ids, searched, pol_ids = _scored_set(n, bool(_ENUM_SCHEMES & set(schemes)))
+    columns, ids, picks = _scored_set(n, bool(_ENUM_SCHEMES & set(schemes)))
     gains = np.array([ch.gains for ch in channels], dtype=float)
     alphas = _alpha_grid(gains, beta_grid)  # [T, B, n]
     shape = alphas.shape[:-1]
@@ -164,30 +162,31 @@ def score_block(
         feasible = np.where(mins > 0.0, mins, 0.0) if best else None
         for scheme in schemes:
             if scheme == SCHEME_BENCHMARK:
-                values[scheme][part] = mins[:, :-2].mean(axis=1)
+                values[scheme][part] = mins.mean(axis=1)
                 # a left-to-right sum over the orders, whose last bits the
                 # exported per-user rates carry
-                total = np.add.accumulate(rates[..., :-2], axis=-1)[..., -1]
+                total = np.add.accumulate(rates, axis=-1)[..., -1]
                 users[scheme][part] = total / len(ids)
             elif scheme in optimal:
-                k = best_rows(feasible, searched[scheme])
+                k = best_rows(feasible, picks[scheme])
                 rows, found = np.arange(len(k)), k >= 0
                 values[scheme][part] = np.where(found, mins[rows, k], 0.0)
                 users[scheme][part] = np.where(found[:, None], rates[rows, :, k], 0.0)
                 best[scheme][part] = k
             else:
-                k = -2 if scheme == SCHEME_POLICY_LPWU else -1
+                (k,) = picks[scheme]
                 values[scheme][part] = mins[:, k]
                 users[scheme][part] = rates[..., k]
 
-    # the benchmark averages orders, so it has no order id
-    fixed_id = {SCHEME_POLICY_LPWU: pol_ids[0], SCHEME_POLICY_LPSU: pol_ids[1]}
     result = {}
     for scheme in schemes:
         if scheme in best:
             order_ids = np.where(best[scheme] >= 0, ids[best[scheme]], None)
+        elif scheme == SCHEME_BENCHMARK:
+            # the benchmark averages orders, so it has no order id
+            order_ids = np.full(cells, None, dtype=object)
         else:
-            order_ids = np.full(cells, fixed_id.get(scheme), dtype=object)
+            order_ids = np.full(cells, int(ids[picks[scheme][0]]), dtype=object)
         result[scheme] = (
             values[scheme].reshape(shape),
             order_ids.reshape(shape),

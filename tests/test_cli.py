@@ -157,7 +157,7 @@ class TestCeilings:
             raise AssertionError("work started")
 
         # the column table of a listing and the count's DP
-        for name in ("_column_permutations", "_column_choices", "defaultdict"):
+        for name in ("_column_table", "_column_permutations", "_column_choices", "defaultdict"):
             monkeypatch.setattr(orders, name, refuse)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv.split())

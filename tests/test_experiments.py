@@ -212,19 +212,19 @@ class TestTrialBlocks:
             records += [r._replace(trial=t) for rows in sweeps.values() for r in rows]
         return records
 
-    def assert_rows_match(self, cfg):
-        # the trial count must cross several block boundaries
+    def assert_rows_match(self, cfg, trials):
+        # at least ``trials`` trials, and always enough to cross two block
+        # boundaries, whatever the block size
         per_block = _trials_per_block(cfg.schemes, cfg.params.n_users, len(cfg.beta_grid))
-        assert 2 * per_block < cfg.trials
+        cfg = replace(cfg, trials=max(trials, 2 * per_block + 1))
         assert run_experiment(cfg) == self.one_trial_records(cfg)
 
     @pytest.mark.parametrize("n, trials", [(1, 140), (2, 140), (3, 30), (4, 7)])
     @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
     def test_all_schemes(self, n, trials, zeta):
         self.assert_rows_match(
-            ExperimentConfig(
-                params=SystemParams(n_users=n, zeta=zeta), trials=trials, master_seed=n + 31
-            )
+            ExperimentConfig(params=SystemParams(n_users=n, zeta=zeta), master_seed=n + 31),
+            trials,
         )
 
     @pytest.mark.parametrize("n", [5, 12, 21])
@@ -232,11 +232,25 @@ class TestTrialBlocks:
         self.assert_rows_match(
             ExperimentConfig(
                 params=SystemParams(n_users=n),
-                trials=45,
                 master_seed=n,
                 schemes=("policy-LPWU", "policy-LPSU"),
-            )
+            ),
+            45,
         )
+
+
+class TestOrderIds:
+    """Order ids reach the records as Python ints (or None), never numpy
+    scalars, whether they come from int64 or exact object arrays."""
+
+    @pytest.mark.parametrize("n, schemes", [(3, SCHEMES), (9, ("policy-LPWU", "policy-LPSU"))])
+    def test_ids_are_python_ints_or_none(self, n, schemes):
+        params = SystemParams(n_users=n)
+        cfg = ExperimentConfig(params=params, trials=2, master_seed=n, schemes=schemes)
+        sweeps = sweep_all(schemes, DEFAULT_BETA_GRID, sample_channels(params, n), params)
+        records = run_experiment(cfg) + [r for rows in sweeps.values() for r in rows]
+        assert {type(r.order_id) for r in records} <= {int, type(None)}
+        assert any(r.order_id is not None for r in records)
 
 
 class TestSweepAll:

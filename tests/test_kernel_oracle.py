@@ -20,7 +20,7 @@ from untrusted_noma import (
     SystemParams,
     total_orders,
 )
-from untrusted_noma.optimizer import _score_block
+from untrusted_noma.optimizer import _score_block, _trials_per_block
 
 import kernel_oracle as oracle
 
@@ -41,9 +41,10 @@ def assert_blocks_equal(got, want):
 @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
 def test_all_schemes_full_grid(n, zeta):
     params = SystemParams(n_users=n, zeta=zeta)
-    # more trials than one block holds at n <= 3, scored in one call;
+    # more trials than one block holds, scored in one call;
     # test_experiments.TestTrialBlocks crosses the block boundaries
-    channels = [sample_channels(params, 100 * n + seed) for seed in range(3 if n == 4 else 70)]
+    trials = _trials_per_block(SCHEMES, n, len(DEFAULT_BETA_GRID)) + 1
+    channels = [sample_channels(params, 100 * n + seed) for seed in range(trials)]
     got = _score_block(SCHEMES, DEFAULT_BETA_GRID, np.array([ch.gains for ch in channels]), params)
     assert_blocks_equal(got, oracle.score_block(SCHEMES, DEFAULT_BETA_GRID, channels, params))
     if n <= 2:

@@ -35,7 +35,6 @@ from untrusted_noma import (
 )
 from untrusted_noma import optimizer
 from untrusted_noma.optimizer import (
-    _best_of,
     _column_index,
     _order_rates,
     _ranks,
@@ -46,7 +45,7 @@ from untrusted_noma.optimizer import (
     _secure_bundle,
     _trials_per_block,
 )
-from untrusted_noma.orders import _column_permutations
+from untrusted_noma.orders import _column_permutations, _order_ids, _perm_rank
 from untrusted_noma.system import _alpha_grid
 from scalar_oracle import secrecy_rates as oracle_secrecy_rates
 from scalar_oracle import sinr as oracle_sinr
@@ -61,11 +60,14 @@ ORACLE_MIN_RATE = 0.7509724521600853  # log2(69/41), hand-derived
 def kernel_rates(ranks, gains, alphas, zeta, inv_rho):
     """Per-user rates [n, K] of each order of the rank rows ``ranks`` in one
     cell, re-read from the rate table, and the per-order minima [K] of the
-    kernel's walk of the prefix tree."""
-    columns = _column_index(ranks)
+    kernel's walk of the prefix tree. The kernel scores the rows sorted by
+    id; the results come back in the rows' own order."""
+    by_id = np.argsort(_order_ids(ranks), kind="stable")
+    columns = _column_index(ranks[by_id])
     table = _rate_table(columns, np.array([gains]), np.array([alphas]), zeta, inv_rho)
     rates = _order_rates(columns, *table, np.arange(len(ranks))[:, None])[:, :, 0]
-    return rates.T, _score_orders(columns, *table)[0][0]
+    back = np.argsort(by_id)
+    return rates.T[:, back], _score_orders(columns, *table)[0][0][back]
 
 
 class TestMaxMinOrder:
@@ -134,12 +136,20 @@ class TestMaxMinOrder:
                 assert out.evaluated_count == len(sec)
 
     def test_tie_break_prefers_smallest_id(self):
-        mins = np.array([0.5, 0.7, 0.7, 0.1])
-        ids = np.array([40, 30, 20, 10])
-        mask = np.ones(4, dtype=bool)
-        assert _best_of(mask, mins, ids) == 2  # value 0.7 at the smaller id 20
-        assert _best_of(np.array([True, False, False, True]), mins, ids) == 0
-        assert _best_of(mask, np.zeros(4), ids) is None
+        # without SIC residue (zeta = 0) distinct secure orders can give
+        # bit-equal minima; fed in descending id order, the smaller id wins
+        params = SystemParams(n_users=3, zeta=0.0)
+        ch = sample_channels(params, 0)
+        pa = power_allocation(ch, 0.0)
+        by_min = {}
+        for order in secure_orders(3):
+            by_min.setdefault(min(secrecy_rates(order, ch, pa, params)), []).append(order)
+        value, tied = max((v, o) for v, o in by_min.items() if len(o) > 1 and v > 0.0)
+        pair = sorted(tied[:2], key=order_id, reverse=True)
+        weaker = [o for v, orders in by_min.items() if 0.0 < v < value for o in orders][:1]
+        out = max_min_order(iter([*weaker, *pair]), ch, pa, params)
+        assert (out.best_order_id, out.best_value) == (order_id(pair[1]), value)
+        assert out.feasible_count == out.evaluated_count == 3
 
 
 class TestBatchEvaluator:
@@ -253,6 +263,35 @@ class TestSecureBundle:
             ranks[0, 0] = 1
 
 
+class TestScoredSet:
+    """A sweep scores S, or the distinct policy matrices alone, ascending by
+    id; each policy picks the row of its own matrix."""
+
+    @staticmethod
+    def rank_rows(columns, k):
+        """Rank rows of orders ``k`` of a scored set, from its column table."""
+        perms = np.argsort(columns.stage, axis=1) + 1  # [C, n]: each column's SIC sequence
+        return [[_perm_rank(tuple(perms[r].tolist())) for r in columns.index[i]] for i in k]
+
+    @pytest.mark.parametrize(
+        "n, secure", [(1, True), (2, True), (3, True), (4, True), (5, False), (12, False), (21, False)]
+    )
+    def test_ids_ascend_and_policies_pick_their_rows(self, n, secure):
+        columns, ids, picks = _scored_set(n, secure)
+        assert len(ids) == len(columns.index)
+        assert all(a < b for a, b in zip(ids[:-1].tolist(), ids[1:].tolist()))
+        policies = [policy_order_lpwu(n), policy_order_lpsu(n)]
+        k = [int(picks[s][0]) for s in ("policy-LPWU", "policy-LPSU")]
+        assert self.rank_rows(columns, k) == _ranks(policies, n).tolist()
+        assert ids[k].tolist() == [order_id(o) for o in policies]
+        if secure:
+            assert np.array_equal(ids, _secure_bundle(n)[1])
+            searched = np.concatenate([picks["optimal-L"], picks["optimal-O"]])
+            assert sorted(searched.tolist()) == list(range(len(ids)))
+        else:
+            assert len(ids) == (1 if n <= 2 else 2) and set(picks) == {"policy-LPWU", "policy-LPSU"}
+
+
 class TestBenchmarkAverage:
     def test_two_users_equals_the_single_secure_order(self):
         got = benchmark_average(WORKED_CH, WORKED_ALPHA, WORKED_PARAMS)
@@ -356,7 +395,7 @@ class TestBenchmarkSummation:
 
 
 def test_four_user_trial_memory_is_bounded():
-    # one trial's full grid at N = 4 scores 21 cells x 3038 orders in one
+    # one trial's full grid at N = 4 scores 21 cells x 3036 orders in one
     # kernel call; the leaf orders are walked in chunks, so the call's
     # traced peak stays near the [cells, K] minima it must hold
     params = SystemParams(n_users=4)
@@ -423,21 +462,23 @@ class TestBlockSize:
         for scheme in SCHEMES:
             assert values[scheme].tobytes() == full[scheme][0].tobytes(), scheme
 
-    def test_leaves_in_any_order(self):
-        # the leaves' parents are built a window at a time for leaves that
-        # ascend by parent and one chunk at a time for leaves that do not;
-        # a shuffled secure set must score as the sorted one, order by order
+    def test_unsorted_set_is_refused(self):
+        # the leaves' parents are built a window at a time, which only leaves
+        # that ascend by id keep in step; a shuffled set would gather the
+        # wrong parents, so it is refused before any chunk is scored
         params = SystemParams(n_users=4)
         ranks = _secure_bundle(4)[0]
-        shuffled = np.random.default_rng(4).permutation(len(ranks))
+        shuffled = ranks[np.random.default_rng(4).permutation(len(ranks))]
         gains = np.array([sample_channels(params, 9).gains] * len(DEFAULT_BETA_GRID))
         alphas = _alpha_grid(gains[0], DEFAULT_BETA_GRID)
-        scored = []
-        for rows in (ranks, ranks[shuffled]):
+        for rows, refused in ((ranks, False), (ranks[[0, 0, 1]], False), (shuffled, True)):
             columns = _column_index(rows)
             table = _rate_table(columns, gains, alphas, params.zeta, 1.0 / params.rho_t)
-            scored.append(_score_orders(columns, *table)[0])
-        assert scored[1].tobytes() == scored[0][:, shuffled].tobytes()
+            if refused:
+                with pytest.raises(ValueError, match="ascend by id"):
+                    _score_orders(columns, *table)
+            else:
+                assert _score_orders(columns, *table)[0].shape == (len(gains), len(rows))
 
 
 class TestBetaSweep:

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from itertools import islice
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -180,7 +180,7 @@ def _refuse_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("permutations", "_column_permutations", "_column_choices", "defaultdict"):
+    for name in ("permutations", "_column_table", "_column_permutations", "_column_choices", "defaultdict"):
         monkeypatch.setattr(orders, name, refuse)
 
 
@@ -213,6 +213,16 @@ class TestCeilings:
         orders._check_cap(orders._LIST_CEILING, True)
         orders._check_cap(orders._COUNT_CEILING, True, orders._COUNT_CEILING)
         assert orders._LIST_CEILING >= 8 and orders._COUNT_CEILING >= 12
+
+
+class TestColumnTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_rows_are_the_permutations_in_rank_order(self, n):
+        table = orders._column_table(n)
+        want = list(permutations(range(1, n + 1)))
+        assert table.tolist() == [list(p) for p in want]
+        assert orders._column_permutations(n) == tuple(want)
+        assert table.dtype == np.int64 and not table.flags.writeable
 
 
 class TestBlockWalk:
