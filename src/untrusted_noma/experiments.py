@@ -11,11 +11,17 @@ It also carries the frozen dataclass field table it had as a dataclass, so
 ``dataclasses.fields``, ``replace`` and ``asdict`` still work on it. It is
 the one row type from the kernel to the writers: ``run_experiment`` and
 ``sweep_all`` both build records from the block scorer's arrays with one
-helper, ``_block_records``, with no Python frame per record. The public
+helper, ``_block_records``, with no Python frame per record and no list
+per record: each field is one column of the block (``tolist`` once), and
+the per-user tuples are zipped from the per-user columns. The public
 entries check a request once, before any kernel call: ``ExperimentConfig``
 for ``run_experiment``, ``gain_vs_users`` and ``sweep_all`` themselves.
-The CSV and JSON writers take the records ``_WRITE_BATCH`` at a time and
-format each run of equal-width records with one ``%`` template.
+The CSV and JSON writers take the records ``_WRITE_BATCH`` at a time,
+transpose each batch into its field columns once with ``zip(*batch)``
+(split into runs of one per-user width only where a batch mixes widths),
+and format each run with one ``%`` template. Each distinct beta is spelled
+once per write call; zeros are spelled by sign, since 0.0 and -0.0 are one
+dict key.
 """
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import chain, cycle, groupby, islice, repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -155,7 +161,8 @@ def _block_records(
             cycle([scheme for scheme in scores for _ in grid]),
             order_ids.ravel().tolist(),
             values.ravel().tolist(),
-            map(tuple, users.reshape(-1, users.shape[-1]).tolist()),
+            # each record's rates as one tuple of the per-user columns
+            zip(*users.reshape(-1, users.shape[-1]).T.tolist()),
         ),
     )
 
@@ -246,14 +253,41 @@ def _header(records: Sequence[ResultRecord]) -> list[str]:
 
 
 def _runs(records: Sequence[ResultRecord]) -> Iterator[tuple[int, tuple[tuple, ...]]]:
-    """The records a batch of ``_WRITE_BATCH`` at a time, each batch split
-    into runs of one per-user width, as (width, the run's six field
-    columns)."""
+    """The records a batch of ``_WRITE_BATCH`` at a time, as (per-user
+    width, the six field columns) per run of one width. A batch is
+    transposed once, and split into runs only where its widths differ."""
     for start in range(0, len(records), _WRITE_BATCH):
         batch = records[start:start + _WRITE_BATCH]
-        keyed = zip(map(len, map(attrgetter("per_user_rates"), batch)), batch)
+        columns = tuple(zip(*batch))
+        widths = set(map(len, columns[-1]))
+        if len(widths) == 1:
+            yield widths.pop(), columns
+            continue
+        keyed = zip(map(len, columns[-1]), batch)
         for width, run in groupby(keyed, key=itemgetter(0)):
             yield width, tuple(zip(*map(itemgetter(1), run)))
+
+
+def _numbers(column: tuple[float, ...]) -> list[str]:
+    """``format_number`` text of each value of the column, all formatted by
+    one ``%`` pass."""
+    texts = ("%.12g\n" * len(column) % column).split("\n")
+    texts.pop()
+    return texts
+
+
+def _spelled_once(column: tuple[float, ...], spell, texts: dict) -> list[str]:
+    """``spell(column)``, with each distinct value spelled once while the
+    cache ``texts``, which a writer keeps for one call, holds it; a column
+    of distinct values clears the cache rather than grow it past a batch.
+    0.0 and -0.0 are one dict key but two texts, so zeros are not cached
+    but spelled by sign."""
+    if len(texts) > _WRITE_BATCH:
+        texts.clear()
+    new = tuple(x for x in dict.fromkeys(column) if x and x not in texts)
+    texts.update(zip(new, spell(new)))
+    zeros = dict(zip((1.0, -1.0), spell((0.0, -0.0))))
+    return [texts[x] if x else zeros[math.copysign(1.0, x)] for x in column]
 
 
 @lru_cache(maxsize=64)
@@ -276,11 +310,12 @@ def write_csv(records: Sequence[ResultRecord], stream) -> None:
     ``format_number`` text, formatted one run of equal-width records at a
     time by a single ``%`` template."""
     csv.writer(stream, lineterminator="\n").writerow(_header(records))
+    spelled: dict = {}  # the betas' texts
     for width, (trials, betas, schemes, order_ids, mins, users) in _runs(records):
-        row = "%s,%.12g,%s,%s,%.12g" + ",%.12g" * width + "\n"
+        row = "%s,%s,%s,%s,%.12g" + ",%.12g" * width + "\n"
         fields = zip(
             trials,
-            betas,
+            _spelled_once(betas, _numbers, spelled),
             map(_csv_text, schemes),
             map(_CSV_ID.get, order_ids, order_ids),
             mins,
@@ -305,9 +340,7 @@ def _json_numbers(column: tuple[float, ...]) -> list[str]:
     an exponent is kept, with ``.0`` appended to an integer; repr spells some
     exponent forms anew (``5e-324``, ``1e12`` as ``1000000000000.0``), so
     those are parsed back."""
-    texts = ("%.12g\n" * len(column) % column).split("\n")
-    texts.pop()
-    return [t if "." in t and "e" not in t else _json_spelling(t) for t in texts]
+    return [t if "." in t and "e" not in t else _json_spelling(t) for t in _numbers(column)]
 
 
 def _json_spelling(text: str) -> str:
@@ -327,11 +360,12 @@ def write_json(records: Sequence[ResultRecord], stream) -> None:
         return
     stream.write("[")
     skip = 1  # the first record's separator is "\n", after the "["
+    spelled: dict = {}  # the betas' texts
     for width, (trials, betas, schemes, order_ids, mins, users) in _runs(records):
         rates = "[\n      " + ",\n      ".join(["%s"] * width) + "\n    ]" if width else "[]"
         fields = zip(
             trials,
-            _json_numbers(betas),
+            _spelled_once(betas, _json_numbers, spelled),
             map(_json_string, schemes),
             map(_JSON_ID.get, order_ids, order_ids),
             _json_numbers(mins),

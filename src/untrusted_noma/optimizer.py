@@ -32,13 +32,18 @@ minima out a slice of rows at a time (``_best_rows``).
 
 ``_score_block`` flattens the (trial, beta) pairs of the block of trials it
 is handed into one cell axis and scores them in one kernel call. Its
-callers size a block with ``_trials_per_block``: as many trials as keep
-cells x max(K, C) within ``_SCORE_BUDGET``, or as many as fit in
-``_MIN_CELLS`` cells where that is more, and at least one: 16 to 195 trials
-x 21 betas at N <= 3 (K <= 12) and three trials' beta grids at N = 4.
-They also check the request (``_check_request``) before the call. A caller
-that reads only values asks for them alone, which skips the benchmark's
-per-user sum and the re-read of the picked orders' rates.
+callers size a block with ``_trials_per_block`` by one bound,
+``_BLOCK_FLOATS``, on the floats the call holds over all the block's
+cells, and at least one trial. A cell holds (``_cell_floats``) its K
+per-order minima, its entries of the SINR and the rate table, C x n each,
+and the picked orders' rate gathers. With every scheme at the 21-point
+grid a block takes 122 (N = 3) to 832 (N = 1) trials, so a 120-trial run
+at N <= 3 is one call, and three trials at N = 4 (K = 3036), where the
+minima are nearly all of it; ``_SCORE_BUDGET`` bounds only the leaf
+chunks. The callers also check the request (``_check_request``) before
+the call. A caller that reads only values asks for them alone, which
+skips the benchmark's per-user sum and the re-read of the picked orders'
+rates.
 
 The benchmark's per-user mean adds the K orders' rates one after another,
 the order the pinned outputs were made in: numpy sums a contiguous axis
@@ -91,14 +96,12 @@ SCHEMES = (
 )
 # schemes that need the exhaustive secure set (vs the two policy matrices)
 _ENUM_SCHEMES = frozenset({SCHEME_OPTIMAL_L, SCHEME_OPTIMAL_O, SCHEME_BENCHMARK})
-# (order, cell) pairs scored at once: a kernel call takes as many trials'
-# beta grids as fit, at least one, and walks the leaf orders in chunks of
-# this many pairs
+# (order, cell) pairs the leaf walk scores at once: it takes the leaf orders
+# in chunks of this many pairs, at least one order
 _SCORE_BUDGET = 4096
-# (trial, beta) cells a kernel call takes at the least, in whole trials,
-# where the budget gives fewer: the leaf walk's inner loops run over the
-# cells, and shorter ones are dominated by per-call work
-_MIN_CELLS = 64
+# floats a kernel call holds for all its (trial, beta) cells together: a call
+# takes as many trials' beta grids as fit, at least one (``_trials_per_block``)
+_BLOCK_FLOATS = 1 << 18
 # values ``_best_rows`` copies out of the per-order minima at a time
 _ROW_SLICE = 1 << 14
 
@@ -307,14 +310,21 @@ def _score_orders(
 
 def _order_rates(columns: _Columns, rate: np.ndarray, own: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Per-user secrecy rates [S, n, c] of order k[s, j] of the set in cell
-    j, for picks k [S, c], read from a ``_rate_table``."""
+    j, for picks k [S, c], read from a ``_rate_table``. The wiretap rates
+    are a max over the receivers, each one gather of the picks' rows of
+    its column, so the call holds three [S, n, c] arrays at a time: the
+    rates, one receiver's rows and their positions."""
     n, c = rate.shape[1:]
-    rows = columns.index.T.take(k, axis=1)  # [n, S, c]: the table row of each pick's column m
-    # taps[m, t, s, j] = rate[rows[m, s, j], t, j], gathered with the cells innermost
-    at = (rows * (n * c) + np.arange(c))[:, None] + np.arange(0, n * c, c)[:, None, None]
-    taps = rate.take(at)
-    rates = np.maximum(own.take(rows * c + np.arange(c)) - reduce(np.maximum, taps), 0.0)
-    return rates.swapaxes(0, 1)
+    cells = np.arange(c)
+    offsets = np.arange(0, n * c, c)[:, None] + cells  # [n, c]: user t's rate in cell j
+    rates = np.zeros((len(k), n, c))
+    for m in range(n):
+        at = columns.index[:, m].take(k) * (n * c)  # [S, c]: where the pick's column m starts
+        np.maximum(rates, rate.take(at[:, None] + offsets), out=rates)
+    for m in range(n):
+        own_m = own.take(columns.index[:, m].take(k) * c + cells)
+        np.subtract(own_m, rates[:, m], out=rates[:, m])
+    return np.maximum(rates, 0.0, out=rates)
 
 
 @lru_cache(maxsize=8)
@@ -457,14 +467,21 @@ def _scored_set(n: int, secure: bool) -> tuple[_Columns, np.ndarray, dict[str, n
     return _column_index(ranks), ids, picks
 
 
-def _trials_per_block(schemes: Sequence[str], n_users: int, n_betas: int) -> int:
-    """Trials whose (trial, beta) cells one kernel call scores: each cell
-    takes K rate rows and C table rows, and the larger of the two is held
-    to ``_SCORE_BUDGET`` rows in total; but a call takes as many trials as
-    fit in ``_MIN_CELLS`` cells where that is more, and at least one."""
+def _cell_floats(schemes: Sequence[str], n_users: int) -> int:
+    """Floats a kernel call holds per (trial, beta) cell: its K per-order
+    minima, its C x n entries of the SINR table and of the rate table, and,
+    for each scheme that picks an order, the 3 x n of ``_order_rates``."""
     columns = _scored_set(n_users, bool(_ENUM_SCHEMES & set(schemes)))[0]
-    rows = max(len(columns.index), len(columns.receiver))
-    return max(1, _SCORE_BUDGET // (rows * n_betas), _MIN_CELLS // n_betas)
+    picked = sum(scheme != SCHEME_BENCHMARK for scheme in schemes)
+    return len(columns.index) + (2 * len(columns.receiver) + 3 * picked) * n_users
+
+
+def _trials_per_block(schemes: Sequence[str], n_users: int, n_betas: int) -> int:
+    """Trials whose (trial, beta) cells one kernel call scores: as many as
+    keep their ``_cell_floats`` within ``_BLOCK_FLOATS``, and at least one.
+    With every scheme and the 21-point grid that is 122 (N = 3) to 832
+    (N = 1) trials at N <= 3 and three trials at N = 4."""
+    return max(1, _BLOCK_FLOATS // (_cell_floats(schemes, n_users) * n_betas))
 
 
 def _score_block(
@@ -490,11 +507,15 @@ def _score_block(
     n = params.n_users
     columns, ids, picks = _scored_set(n, bool(_ENUM_SCHEMES & set(schemes)))
     gains = np.asarray(gains, dtype=float)
-    alphas = _alpha_grid(gains, beta_grid)  # [T, B, n]
-    shape = alphas.shape[:-1]
-    cell_gains = np.repeat(gains, shape[1], axis=0)
-    inv_rho = 1.0 / params.rho_t
-    table = _rate_table(columns, cell_gains, alphas.reshape(-1, n), params.zeta, inv_rho)
+    shape = (len(gains), len(beta_grid))
+    # the cells' gains and alphas [c, n] live only until the table is built
+    table = _rate_table(
+        columns,
+        np.repeat(gains, shape[1], axis=0),
+        _alpha_grid(gains, beta_grid).reshape(-1, n),
+        params.zeta,
+        1.0 / params.rho_t,
+    )
     summed = len(ids) if SCHEME_BENCHMARK in schemes and not values_only else 0
     mins, total = _score_orders(columns, *table, summed)
     cells = len(mins)
@@ -518,7 +539,8 @@ def _score_block(
     def block(value, order_ids, users):  # per-cell arrays as [T, B] ([T, B, n])
         return value.reshape(shape), order_ids.reshape(shape), users.T.reshape(*shape, n)
 
-    rates = np.where(k[:, None] >= 0, _order_rates(columns, *table, k), 0.0)  # [S, n, c]
+    rates = _order_rates(columns, *table, k)  # [S, n, c]
+    np.copyto(rates, 0.0, where=(k < 0)[:, None])
     result = {}
     for i, scheme in enumerate(picked):
         result[scheme] = block(values[scheme], np.where(k[i] >= 0, ids[k[i]], None), rates[i])

@@ -75,6 +75,24 @@ def uniform_then_mixed_widths() -> list[ResultRecord]:
     return uniform + mixed
 
 
+# beta columns the writers spell each distinct value of once per call: zeros
+# of both signs (one dict key, two texts) in either order, NaNs, and values
+# that are all distinct, each over several write batches
+BETA_COLUMNS = {
+    "zero-first": [0.0, -0.0, 0, 0.5] * _WRITE_BATCH,
+    "negative-zero-first": [-0.0, 0.0, 0.5, 0] * _WRITE_BATCH,
+    "nans": [math.nan, float("nan"), -math.nan, 0.25, -0.0] * _WRITE_BATCH,
+    "distinct": [(t - 300) / 7 for t in range(3 * _WRITE_BATCH)],
+}
+
+
+def beta_records(betas) -> list[ResultRecord]:
+    return [
+        ResultRecord(t, beta, "optimal-O", None if t % 3 else t, t / 9, (t / 5, 1e-7))
+        for t, beta in enumerate(betas)
+    ]
+
+
 class TestResultRecord:
     """Records are NamedTuples that keep the frozen dataclass's interface:
     keyword construction, repr text, immutability, hashing, and the
@@ -212,23 +230,25 @@ class TestTrialBlocks:
             records += [r._replace(trial=t) for rows in sweeps.values() for r in rows]
         return records
 
-    def assert_rows_match(self, cfg, trials):
-        # at least ``trials`` trials, and always enough to cross two block
-        # boundaries, whatever the block size
+    def assert_rows_match(self, cfg, trials, blocks_of):
+        # blocks of three trials, and at least ``trials`` trials, always
+        # enough to cross two block boundaries
+        blocks_of(3, cfg.schemes, cfg.params.n_users, len(cfg.beta_grid))
         per_block = _trials_per_block(cfg.schemes, cfg.params.n_users, len(cfg.beta_grid))
         cfg = replace(cfg, trials=max(trials, 2 * per_block + 1))
         assert run_experiment(cfg) == self.one_trial_records(cfg)
 
     @pytest.mark.parametrize("n, trials", [(1, 140), (2, 140), (3, 30), (4, 7)])
     @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
-    def test_all_schemes(self, n, trials, zeta):
+    def test_all_schemes(self, blocks_of, n, trials, zeta):
         self.assert_rows_match(
             ExperimentConfig(params=SystemParams(n_users=n, zeta=zeta), master_seed=n + 31),
             trials,
+            blocks_of,
         )
 
     @pytest.mark.parametrize("n", [5, 12, 21])
-    def test_policies_beyond_the_cap(self, n):
+    def test_policies_beyond_the_cap(self, blocks_of, n):
         self.assert_rows_match(
             ExperimentConfig(
                 params=SystemParams(n_users=n),
@@ -236,6 +256,7 @@ class TestTrialBlocks:
                 schemes=("policy-LPWU", "policy-LPSU"),
             ),
             45,
+            blocks_of,
         )
 
 
@@ -286,17 +307,18 @@ class TestKernelCalls:
         return counted
 
     @pytest.mark.parametrize("n, trials", [(3, 120), (4, 25)])
-    def test_run_experiment(self, calls, n, trials):
+    def test_run_experiment(self, calls, blocks_of, n, trials):
         cfg = ExperimentConfig(params=SystemParams(n_users=n), trials=trials, master_seed=n)
+        blocks_of(3, cfg.schemes, n, len(cfg.beta_grid))
         run_experiment(cfg)
-        per_block = _trials_per_block(cfg.schemes, n, len(cfg.beta_grid))
-        assert len(calls) == math.ceil(trials / per_block)
+        assert len(calls) == math.ceil(trials / 3)
         assert sum(calls) == trials * len(cfg.beta_grid)
 
-    def test_gain_vs_users(self, calls):
+    def test_gain_vs_users(self, calls, blocks_of):
         cfg = small_config(trials=120, beta_grid=DEFAULT_BETA_GRID)
-        gain_vs_users(cfg, (2, 3))
         schemes = ("policy-LPWU", "policy-LPSU", "benchmark")
+        blocks_of(3, schemes, 3, len(DEFAULT_BETA_GRID))
+        gain_vs_users(cfg, (2, 3))
         assert len(calls) == sum(
             math.ceil(120 / _trials_per_block(schemes, n, len(DEFAULT_BETA_GRID))) for n in (2, 3)
         )
@@ -497,6 +519,11 @@ class TestCsvWriter:
         records = uniform_then_mixed_widths()
         assert self.written_bytes(records) == self.csv_writer_bytes(records)
 
+    @pytest.mark.parametrize("betas", BETA_COLUMNS.values(), ids=list(BETA_COLUMNS))
+    def test_beta_spellings_match_csv_writer(self, betas):
+        records = beta_records(betas)
+        assert self.written_bytes(records) == self.csv_writer_bytes(records)
+
 
 class TestJsonWriter:
     """The batch writer must give the bytes of json.dump over one dict per
@@ -556,6 +583,11 @@ class TestJsonWriter:
 
     def test_uniform_batch_then_mixed_widths(self):
         records = uniform_then_mixed_widths()
+        assert self.written_bytes(records) == self.json_dump_bytes(records)
+
+    @pytest.mark.parametrize("betas", BETA_COLUMNS.values(), ids=list(BETA_COLUMNS))
+    def test_beta_spellings_match_json_dump(self, betas):
+        records = beta_records(betas)
         assert self.written_bytes(records) == self.json_dump_bytes(records)
 
     def test_number_text_matches_repr_of_parsed_text(self):

@@ -39,11 +39,12 @@ def assert_blocks_equal(got, want):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
-def test_all_schemes_full_grid(n, zeta):
+def test_all_schemes_full_grid(blocks_of, n, zeta):
     params = SystemParams(n_users=n, zeta=zeta)
-    # more trials than one block holds, scored in one call;
-    # test_experiments.TestTrialBlocks crosses the block boundaries
-    trials = _trials_per_block(SCHEMES, n, len(DEFAULT_BETA_GRID)) + 1
+    # blocks of three trials, and the trials of two and a bit blocks scored
+    # in one call; test_experiments.TestTrialBlocks crosses the boundaries
+    blocks_of(3, SCHEMES, n, len(DEFAULT_BETA_GRID))
+    trials = 2 * _trials_per_block(SCHEMES, n, len(DEFAULT_BETA_GRID)) + 1
     channels = [sample_channels(params, 100 * n + seed) for seed in range(trials)]
     got = _score_block(SCHEMES, DEFAULT_BETA_GRID, np.array([ch.gains for ch in channels]), params)
     assert_blocks_equal(got, oracle.score_block(SCHEMES, DEFAULT_BETA_GRID, channels, params))

@@ -430,18 +430,57 @@ def test_four_user_block_memory_is_bounded():
     assert peak < minima + 2**20
 
 
+GAIN_SCHEMES = ("policy-LPWU", "policy-LPSU", "benchmark")  # gain_vs_users' values-only calls
+
+
+class TestBlockRule:
+    """One bound on the floats a kernel call holds per cell sizes a block:
+    three trials at N = 4, and at N <= 3 a whole 120-trial run."""
+
+    @pytest.mark.parametrize("schemes", [SCHEMES, GAIN_SCHEMES])
+    def test_four_users_keep_three_trials(self, schemes):
+        assert _trials_per_block(schemes, 4, len(DEFAULT_BETA_GRID)) == 3
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("schemes", [SCHEMES, GAIN_SCHEMES, ("policy-LPWU", "policy-LPSU")])
+    def test_small_n_blocks_hold_a_whole_run(self, n, schemes):
+        # at least what the former rule gave: cells x max(K, C) within 4096,
+        # or 64 cells where that is more
+        columns = _scored_set(n, "benchmark" in schemes)[0]
+        rows = max(len(columns.index), len(columns.receiver))
+        former = max(1, 4096 // (rows * len(DEFAULT_BETA_GRID)), 64 // len(DEFAULT_BETA_GRID))
+        assert _trials_per_block(schemes, n, len(DEFAULT_BETA_GRID)) >= max(former, 120)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_full_block_memory_is_bounded(self, n):
+        # a full block at N = 2 (378 trials) or N = 3 (122 trials): its
+        # traced peak stays within twice the bytes of the bound, which
+        # leaves the per-scheme picks, values and ids it does not count
+        params = SystemParams(n_users=n)
+        trials = _trials_per_block(SCHEMES, n, len(DEFAULT_BETA_GRID))
+        gains = np.array([sample_channels(params, 3 + t).gains for t in range(trials)])
+        _score_block(SCHEMES, DEFAULT_BETA_GRID, gains, params)  # build the cached order set
+        tracemalloc.start()
+        try:
+            _score_block(SCHEMES, DEFAULT_BETA_GRID, gains, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * optimizer._BLOCK_FLOATS
+
+
 class TestBlockSize:
     """A kernel call over T trials must give what T one-trial calls give,
-    bit for bit, at and across the block size ``_trials_per_block``."""
+    bit for bit, at the block size ``_trials_per_block`` and across two
+    blocks' worth."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
-    def test_block_equals_one_trial_calls(self, n, zeta):
-        params = SystemParams(n_users=n, zeta=zeta)
-        per_block = _trials_per_block(SCHEMES, n, len(DEFAULT_BETA_GRID))
-        gains = np.array([sample_channels(params, 60 + t).gains for t in range(per_block + 1)])
+    @staticmethod
+    def assert_calls_match(params, trials_of):
+        """Calls over the first T trials, for each T of ``trials_of``,
+        against one-trial calls."""
+        gains = np.array([sample_channels(params, 60 + t).gains for t in range(trials_of[-1])])
         ones = [_score_block(SCHEMES, DEFAULT_BETA_GRID, row[None], params) for row in gains]
-        for trials in (per_block, per_block + 1):
+        for trials in trials_of:
             block = _score_block(SCHEMES, DEFAULT_BETA_GRID, gains[:trials], params)
             for scheme in SCHEMES:
                 values, ids, users = (
@@ -450,6 +489,21 @@ class TestBlockSize:
                 assert block[scheme][0].tobytes() == values.tobytes(), scheme
                 assert block[scheme][1].tolist() == ids.tolist(), scheme
                 assert np.ascontiguousarray(block[scheme][2]).tobytes() == users.tobytes(), scheme
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
+    def test_block_equals_one_trial_calls(self, blocks_of, n, zeta):
+        blocks_of(3, SCHEMES, n, len(DEFAULT_BETA_GRID))
+        per_block = _trials_per_block(SCHEMES, n, len(DEFAULT_BETA_GRID))
+        self.assert_calls_match(SystemParams(n_users=n, zeta=zeta), (per_block, 2 * per_block + 1))
+
+    def test_full_block_equals_one_trial_calls(self):
+        # a full N = 3 block's 2562 cells leave the leaf walk's budget room
+        # for one order per chunk, where the three-trial blocks above score
+        # all 12 in one
+        per_block = _trials_per_block(SCHEMES, 3, len(DEFAULT_BETA_GRID))
+        assert per_block * len(DEFAULT_BETA_GRID) > optimizer._SCORE_BUDGET // 2
+        self.assert_calls_match(SystemParams(n_users=3, zeta=0.1), (per_block,))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
