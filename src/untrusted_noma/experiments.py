@@ -13,9 +13,10 @@ the one row type from the kernel to the writers: ``run_experiment`` and
 ``sweep_all`` both build records from the block scorer's arrays with one
 helper, ``_block_records``, with no Python frame per record and no list
 per record: each field is one column of the block (``tolist`` once), and
-the per-user tuples are zipped from the per-user columns. The public
-entries check a request once, before any kernel call: ``ExperimentConfig``
-for ``run_experiment``, ``gain_vs_users`` and ``sweep_all`` themselves.
+the per-user tuples are zipped from the per-user columns. A request is
+checked once, by ``_check_request``, before any kernel call: a run's by its
+``ExperimentConfig``, which ``gain_vs_users`` builds for every user count
+before the first trial, and a sweep's by ``sweep_all``.
 The CSV and JSON writers take the records ``_WRITE_BATCH`` at a time,
 transpose each batch into its field columns once with ``zip(*batch)``
 (split into runs of one per-user width only where a batch mixes widths),
@@ -124,22 +125,18 @@ class GainRow:
     gain_percent: float
 
 
-def _trial_blocks(
-    config: ExperimentConfig,
-    params: SystemParams,
-    schemes: Sequence[str],
-    values_only: bool = False,
-) -> Iterator[tuple[range, dict]]:
-    """``_score_block`` over the config's beta grid, a block of trials at a
-    time, as (the block's trials, their scores, or their values alone when
-    ``values_only``). Trial t's channels are drawn from
+def _trial_blocks(config: ExperimentConfig, values_only: bool = False) -> Iterator[tuple[range, dict]]:
+    """``_score_block`` of the config's schemes over its beta grid, a block
+    of trials at a time, as (the block's trials, their scores, or their
+    values alone when ``values_only``). Trial t's channels are drawn from
     ``derive_trial_seed(config.master_seed, t)``, a block's as one array."""
-    size = _trials_per_block(schemes, params.n_users, len(config.beta_grid))
+    params, schemes, grid = config.params, config.schemes, config.beta_grid
+    size = _trials_per_block(schemes, params.n_users, len(grid))
     for start in range(0, config.trials, size):
         trials = range(start, min(start + size, config.trials))
         seeds = [derive_trial_seed(config.master_seed, t) for t in trials]
         gains = _sample_block(params, seeds)[1]
-        yield trials, _score_block(schemes, config.beta_grid, gains, params, values_only)
+        yield trials, _score_block(schemes, grid, gains, params, values_only)
 
 
 def _block_records(
@@ -175,7 +172,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
     be reproduced from (master_seed, trial) alone.
     """
     records: list[ResultRecord] = []
-    for trials, scores in _trial_blocks(config, config.params, config.schemes):
+    for trials, scores in _trial_blocks(config):
         records += _block_records(trials, config.beta_grid, scores)
     return records
 
@@ -188,7 +185,7 @@ def sweep_all(
 ) -> dict[str, list[ResultRecord]]:
     """Evaluate several schemes over a beta grid on one channel draw: per
     scheme, in request order, its records of trial 0, one per beta. The
-    request is checked first, as ``ExperimentConfig`` checks a run's."""
+    request is checked first, with the check ``ExperimentConfig`` runs."""
     if channels.n_users != params.n_users:
         raise ValueError("channels and params disagree on the user count")
     _check_request(schemes, beta_grid, params.n_users)
@@ -205,19 +202,18 @@ def gain_vs_users(config: ExperimentConfig, user_counts: Sequence[int]) -> list[
 
     When the mean benchmark value is 0 (no secure order gives every user
     positive secrecy, e.g. zeta = 1), the relative gain is undefined and
-    ``gain_percent`` is ``math.nan``. Every user count is checked against
-    the enumeration cap before any trial runs.
+    ``gain_percent`` is ``math.nan``. Every user count's request is built,
+    and so checked, before any trial runs.
     """
     pol_schemes = (SCHEME_POLICY_LPWU, SCHEME_POLICY_LPSU)
     schemes = pol_schemes + (SCHEME_BENCHMARK,)
     cells = [replace(config.params, n_users=n) for n in user_counts]
-    for params in cells:
-        _check_request(schemes, config.beta_grid, params.n_users)
+    requests = [replace(config, params=params, schemes=schemes) for params in cells]
     rows: list[GainRow] = []
-    for params in cells:
+    for request in requests:
         policy_vals: list[float] = []
         bench_vals: list[float] = []
-        for _, values in _trial_blocks(config, params, schemes, values_only=True):
+        for _, values in _trial_blocks(request, values_only=True):
             policy = np.maximum(*(values[s] for s in pol_schemes))  # [T, B]
             policy_vals += policy.max(axis=1).tolist()
             bench_vals += values[SCHEME_BENCHMARK].mean(axis=1).tolist()
@@ -225,7 +221,7 @@ def gain_vs_users(config: ExperimentConfig, user_counts: Sequence[int]) -> list[
         mean_bench = float(np.mean(bench_vals))
         rows.append(
             GainRow(
-                n_users=params.n_users,
+                n_users=request.params.n_users,
                 mean_policy_value=mean_policy,
                 mean_benchmark_value=mean_bench,
                 gain_percent=(

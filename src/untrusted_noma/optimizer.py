@@ -33,17 +33,17 @@ minima out a slice of rows at a time (``_best_rows``).
 ``_score_block`` flattens the (trial, beta) pairs of the block of trials it
 is handed into one cell axis and scores them in one kernel call. Its
 callers size a block with ``_trials_per_block`` by one bound,
-``_BLOCK_FLOATS``, on the floats the call holds over all the block's
-cells, and at least one trial. A cell holds (``_cell_floats``) its K
-per-order minima, its entries of the SINR and the rate table, C x n each,
-and the picked orders' rate gathers. With every scheme at the 21-point
-grid a block takes 122 (N = 3) to 832 (N = 1) trials, so a 120-trial run
-at N <= 3 is one call, and three trials at N = 4 (K = 3036), where the
-minima are nearly all of it; ``_SCORE_BUDGET`` bounds only the leaf
-chunks. The callers also check the request (``_check_request``) before
-the call. A caller that reads only values asks for them alone, which
-skips the benchmark's per-user sum and the re-read of the picked orders'
-rates.
+``_BLOCK_FLOATS``, on the floats the call holds in its per-cell arrays
+over all the block's cells, and at least one trial. A cell counts
+(``_cell_floats``) its K per-order minima, its entries of the SINR and the
+rate table, C x n each, and the picked orders' rate gathers. With every
+scheme at the 21-point grid a block takes 122 (N = 3) to 832 (N = 1)
+trials, so a 120-trial run at N <= 3 is one call, and three trials at
+N = 4 (K = 3036), where the minima are nearly all of it; ``_SCORE_BUDGET``
+bounds only the leaf chunks. A request is checked once
+(``_check_request``) before its first call. A caller that reads only
+values asks for them alone, which skips the benchmark's per-user sum and
+the re-read of the picked orders' rates.
 
 The benchmark's per-user mean adds the K orders' rates one after another,
 the order the pinned outputs were made in: numpy sums a contiguous axis
@@ -133,12 +133,6 @@ def _check_request(schemes: Sequence[str], beta_grid: Sequence[float], n_users: 
     for b in beta_grid:
         if not -1.0 <= b <= 1.0:
             raise ValueError(f"beta grid values must lie in [-1, 1], got {b}")
-    _check_scheme_cap(schemes, n_users)
-
-
-def _check_scheme_cap(schemes: Sequence[str], n_users: int) -> None:
-    """Raise ValueError if a scheme that needs the secure set asks for more
-    than ENUMERATION_CAP users."""
     if n_users > ord_mod.ENUMERATION_CAP and _ENUM_SCHEMES & set(schemes):
         raise ValueError(
             f"schemes {sorted(_ENUM_SCHEMES & set(schemes))} need exhaustive "
@@ -260,13 +254,13 @@ def _rate_table(
 
 
 def _score_orders(
-    columns: _Columns, rate: np.ndarray, own: np.ndarray, summed: int = 0
+    columns: _Columns, rate: np.ndarray, own: np.ndarray, summed: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-order minimum secrecy rate [c, K] of each order of the set in
-    each cell, from a ``_rate_table``, and the per-user sum [n, c] of the
-    first ``summed`` orders' rates, added left to right. The orders must
-    ascend by id, repeats allowed; a set whose leaves' parents descend
-    raises ValueError."""
+    each cell, from a ``_rate_table``, and the per-user sum [n, c] of all
+    the orders' rates, added left to right, when ``summed`` (else zeros).
+    The orders must ascend by id, repeats allowed; a set whose leaves'
+    parents descend raises ValueError."""
     n, c = rate.shape[1:]
     *inner, (parent, row) = columns.levels
     if (np.diff(parent) < 0).any():
@@ -303,8 +297,8 @@ def _score_orders(
         np.subtract(own.take(columns.index[part], axis=0), rates, out=rates)
         np.maximum(rates, 0.0, out=rates)
         mins[:, part] = reduce(np.minimum, rates.swapaxes(0, 1)).T
-        if start < summed:
-            buf[0] = np.add.reduce(buf[: 1 + min(len(rates), summed - start)], axis=0)
+        if summed:
+            buf[0] = np.add.reduce(buf[: 1 + len(rates)], axis=0)
     return mins, buf[0]
 
 
@@ -325,19 +319,6 @@ def _order_rates(columns: _Columns, rate: np.ndarray, own: np.ndarray, k: np.nda
         own_m = own.take(columns.index[:, m].take(k) * c + cells)
         np.subtract(own_m, rates[:, m], out=rates[:, m])
     return np.maximum(rates, 0.0, out=rates)
-
-
-@lru_cache(maxsize=8)
-def _secure_bundle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-column ranks, ids and favourable mask of the secure orders,
-    ascending by id. The arrays are read-only."""
-    ranks = np.concatenate(list(_secure_rank_blocks(n)))
-    ids = _order_ids(ranks)
-    fav = (_column_table(n)[ranks, -1] == np.arange(1, n + 1)).all(axis=1)
-    bundle = (ranks, ids, fav)
-    for array in bundle:
-        array.flags.writeable = False
-    return bundle
 
 
 def _as_arrays(channels: ChannelRealization, alpha: PowerAllocation, params: SystemParams):
@@ -438,7 +419,7 @@ def benchmark_average(
     """Mean over all secure orders of the per-order minimum secrecy rate;
     orders where some user ends up at exactly zero contribute that zero.
     Refuses more than ENUMERATION_CAP users."""
-    _check_scheme_cap([SCHEME_BENCHMARK], channels.n_users)
+    _check_request([SCHEME_BENCHMARK], [alpha.beta], channels.n_users)
     columns = _scored_set(channels.n_users, True)[0]
     table = _rate_table(columns, *_as_arrays(channels, alpha, params))
     return float(_score_orders(columns, *table)[0][0].mean())
@@ -446,17 +427,20 @@ def benchmark_average(
 
 @lru_cache(maxsize=16)
 def _scored_set(n: int, secure: bool) -> tuple[_Columns, np.ndarray, dict[str, np.ndarray]]:
-    """What a sweep at n users scores: the secure set S (when ``secure``)
-    or else the distinct LPWU and LPSU matrices, ascending by id. Both
-    matrices decode each user last, so they lie in S. Returns (their
-    ``_column_index``, their ids, and per scheme that picks an order the
-    ascending indices of the orders it may pick: the favourable orders of S
-    for optimal-L, the rest of S for optimal-O, the one matrix for each
-    policy); the arrays are read-only."""
+    """What a sweep at n users scores: the secure set S (when ``secure``),
+    as the secure walk lists it, or else the distinct LPWU and LPSU
+    matrices, ascending by id. Both matrices decode each user last, so they
+    lie in S. Returns (their ``_column_index``, their ids, and per scheme
+    that picks an order the ascending indices of the orders it may pick:
+    the favourable orders of S for optimal-L, the rest of S for optimal-O,
+    the one matrix for each policy); the arrays are read-only. This is the
+    package's only cache of S."""
     ranks = _ranks([policy_order_lpwu(n), policy_order_lpsu(n)], n)
     policy_ids = _order_ids(ranks)
     if secure:
-        ranks, ids, fav = _secure_bundle(n)
+        ranks = np.concatenate(list(_secure_rank_blocks(n)))
+        ids = _order_ids(ranks)
+        fav = (_column_table(n)[ranks, -1] == np.arange(1, n + 1)).all(axis=1)
         picks = {SCHEME_OPTIMAL_L: np.flatnonzero(fav), SCHEME_OPTIMAL_O: np.flatnonzero(~fav)}
     else:
         ids, first = np.unique(policy_ids, return_index=True)
@@ -468,9 +452,13 @@ def _scored_set(n: int, secure: bool) -> tuple[_Columns, np.ndarray, dict[str, n
 
 
 def _cell_floats(schemes: Sequence[str], n_users: int) -> int:
-    """Floats a kernel call holds per (trial, beta) cell: its K per-order
-    minima, its C x n entries of the SINR table and of the rate table, and,
-    for each scheme that picks an order, the 3 x n of ``_order_rates``."""
+    """Floats a kernel call holds per (trial, beta) cell in the arrays that
+    grow with it: its K per-order minima, its C x n entries of the SINR
+    table and of the rate table, and, for each scheme that picks an order,
+    the 3 x n of ``_order_rates``. Only these arrays stay within
+    ``_BLOCK_FLOATS``: a full block's peak also holds the picks, values,
+    gather rows and order-id arrays, and with every scheme it reaches about
+    2.1x the bound at N = 1, 1.5x at N = 2 and 1.1x at N = 3 and 4."""
     columns = _scored_set(n_users, bool(_ENUM_SCHEMES & set(schemes)))[0]
     picked = sum(scheme != SCHEME_BENCHMARK for scheme in schemes)
     return len(columns.index) + (2 * len(columns.receiver) + 3 * picked) * n_users
@@ -516,7 +504,7 @@ def _score_block(
         params.zeta,
         1.0 / params.rho_t,
     )
-    summed = len(ids) if SCHEME_BENCHMARK in schemes and not values_only else 0
+    summed = SCHEME_BENCHMARK in schemes and not values_only
     mins, total = _score_orders(columns, *table, summed)
     cells = len(mins)
 

@@ -29,10 +29,9 @@ from untrusted_noma.optimizer import (
     _column_index,
     _ranks,
     _scored_set,
-    _secure_bundle,
     _sinr_table,
 )
-from untrusted_noma.orders import _order_ids
+from untrusted_noma.orders import _order_ids, _secure_rank_blocks
 from untrusted_noma.system import _alpha_grid
 
 # rate rows (orders x (trial, beta) cells) scored per kernel call
@@ -122,7 +121,7 @@ def max_min_order(order_source: Iterable[DecodingOrder], channels, alpha, params
 
 def benchmark_average(channels, alpha, params) -> float:
     gains, alphas, zeta, inv_rho = _as_arrays(channels, alpha, params)
-    columns = _column_index(_secure_bundle(len(gains))[0])
+    columns = _column_index(np.concatenate(list(_secure_rank_blocks(len(gains)))))
     rates = user_major_rates(columns, gains, alphas, zeta, inv_rho)
     return float(np.minimum.reduce(rates, axis=-2).mean())
 

@@ -323,6 +323,12 @@ class TestKernelCalls:
             math.ceil(120 / _trials_per_block(schemes, n, len(DEFAULT_BETA_GRID))) for n in (2, 3)
         )
 
+    def test_gain_vs_users_refuses_before_scoring(self, calls):
+        # N = 2 comes first, but the N = 5 request is refused before it runs
+        with pytest.raises(ValueError, match="capped at 4 users"):
+            gain_vs_users(small_config(), (2, 5))
+        assert calls == []
+
     def test_sweep_all(self, calls):
         params = SystemParams(n_users=4)
         sweep_all(SCHEMES, DEFAULT_BETA_GRID, sample_channels(params, 2), params)

@@ -42,7 +42,6 @@ from untrusted_noma.optimizer import (
     _score_block,
     _score_orders,
     _scored_set,
-    _secure_bundle,
     _trials_per_block,
 )
 from untrusted_noma.orders import _column_permutations, _order_ids, _perm_rank
@@ -68,6 +67,17 @@ def kernel_rates(ranks, gains, alphas, zeta, inv_rho):
     rates = _order_rates(columns, *table, np.arange(len(ranks))[:, None])[:, :, 0]
     back = np.argsort(by_id)
     return rates.T[:, back], _score_orders(columns, *table)[0][0][back]
+
+
+def walk_ranks(n):
+    """Rank rows [K, n] of S, ascending by id, from the recursive walk."""
+    return np.array(list(secure_column_ranks(n)), dtype=np.int64).reshape(-1, n)
+
+
+def rank_rows(columns, k):
+    """Rank rows of orders ``k`` of a scored set, from its column table."""
+    perms = np.argsort(columns.stage, axis=1) + 1  # [C, n]: each column's SIC sequence
+    return [[_perm_rank(tuple(perms[r].tolist())) for r in columns.index[i]] for i in k]
 
 
 class TestMaxMinOrder:
@@ -236,42 +246,42 @@ class TestOrderLists:
 
 
 class TestSecureBundle:
+    """The bundle ``_scored_set(n, True)`` caches for S (column index, ids,
+    picks) holds S ascending by id: optimal-L may pick its favourable
+    orders and optimal-O the rest."""
+
+    @staticmethod
+    def assert_scores(n, sec):
+        """The scored secure set holds the orders ``sec``, in that order."""
+        columns, ids, picks = _scored_set(n, True)
+        assert rank_rows(columns, range(len(ids))) == _ranks(sec, n).tolist()
+        assert ids.tolist() == [order_id(o) for o in sec]
+        fav = np.array([is_favourable(o) for o in sec])
+        assert picks["optimal-L"].tolist() == np.flatnonzero(fav).tolist()
+        assert picks["optimal-O"].tolist() == np.flatnonzero(~fav).tolist()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_per_order_construction(self, n):
-        sec = [o for o in enumerate_orders(n) if is_secure(o)]
-        ranks, ids, fav = _secure_bundle(n)
-        assert np.array_equal(ranks, _ranks(sec, n))
-        assert ids.tolist() == [order_id(o) for o in sec]
-        assert np.array_equal(fav, np.array([is_favourable(o) for o in sec]))
-        assert (ranks.dtype, fav.dtype) == (np.int64, bool)
+        self.assert_scores(n, [o for o in enumerate_orders(n) if is_secure(o)])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_recursive_walk(self, n):
-        ranks = np.array(list(secure_column_ranks(n)), dtype=np.int64).reshape(-1, n)
         perms = _column_permutations(n)
-        sec = [DecodingOrder(tuple(perms[r] for r in row)) for row in ranks.tolist()]
-        want = (ranks, np.array([order_id(o) for o in sec]), np.array([is_favourable(o) for o in sec]))
-        got = _secure_bundle(n)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        assert not any(a.flags.writeable for a in got)
+        sec = [DecodingOrder(tuple(perms[r] for r in row)) for row in walk_ranks(n).tolist()]
+        self.assert_scores(n, sec)
 
     def test_cached_arrays_are_read_only(self):
-        ranks, ids, fav = _secure_bundle(3)
-        assert _secure_bundle(3)[0] is ranks
-        assert not any(a.flags.writeable for a in (ranks, ids, fav))
+        columns, ids, picks = _scored_set(3, True)
+        assert _scored_set(3, True)[1] is ids
+        arrays = (ids, *picks.values(), *columns[:3])
+        assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
-            ranks[0, 0] = 1
+            ids[0] = 1
 
 
 class TestScoredSet:
     """A sweep scores S, or the distinct policy matrices alone, ascending by
     id; each policy picks the row of its own matrix."""
-
-    @staticmethod
-    def rank_rows(columns, k):
-        """Rank rows of orders ``k`` of a scored set, from its column table."""
-        perms = np.argsort(columns.stage, axis=1) + 1  # [C, n]: each column's SIC sequence
-        return [[_perm_rank(tuple(perms[r].tolist())) for r in columns.index[i]] for i in k]
 
     @pytest.mark.parametrize(
         "n, secure", [(1, True), (2, True), (3, True), (4, True), (5, False), (12, False), (21, False)]
@@ -282,10 +292,10 @@ class TestScoredSet:
         assert all(a < b for a, b in zip(ids[:-1].tolist(), ids[1:].tolist()))
         policies = [policy_order_lpwu(n), policy_order_lpsu(n)]
         k = [int(picks[s][0]) for s in ("policy-LPWU", "policy-LPSU")]
-        assert self.rank_rows(columns, k) == _ranks(policies, n).tolist()
+        assert rank_rows(columns, k) == _ranks(policies, n).tolist()
         assert ids[k].tolist() == [order_id(o) for o in policies]
         if secure:
-            assert np.array_equal(ids, _secure_bundle(n)[1])
+            assert np.array_equal(ids, _order_ids(walk_ranks(n)))
             searched = np.concatenate([picks["optimal-L"], picks["optimal-O"]])
             assert sorted(searched.tolist()) == list(range(len(ids)))
         else:
@@ -360,8 +370,10 @@ class TestBenchmarkSummation:
         params = SystemParams(n_users=n)
         columns, table, rates = self.cell_rates(n, grid, params, seed=5)
         assert len(rates) % max(1, budget // len(grid)) != 0
-        total = _score_orders(columns, *table, len(rates))[1]
+        total = _score_orders(columns, *table, True)[1]
         assert total.tobytes() == np.add.accumulate(rates, axis=0)[-1].tobytes()
+        unsummed = _score_orders(columns, *table, False)[1]
+        assert unsummed.shape == total.shape and not unsummed.any()
 
     @pytest.mark.parametrize(
         "n, trials, grid", [(3, 14, DEFAULT_BETA_GRID), (4, 1, (0.3,)), (2, 70, DEFAULT_BETA_GRID)]
@@ -521,7 +533,7 @@ class TestBlockSize:
         # that ascend by id keep in step; a shuffled set would gather the
         # wrong parents, so it is refused before any chunk is scored
         params = SystemParams(n_users=4)
-        ranks = _secure_bundle(4)[0]
+        ranks = walk_ranks(4)
         shuffled = ranks[np.random.default_rng(4).permutation(len(ranks))]
         gains = np.array([sample_channels(params, 9).gains] * len(DEFAULT_BETA_GRID))
         alphas = _alpha_grid(gains[0], DEFAULT_BETA_GRID)
