@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import math
 import os
 import sys
@@ -128,8 +129,9 @@ def read_config_file(path: str) -> dict:
 def _settings(args: argparse.Namespace) -> dict:
     """The config file's values overlaid with the flags that were given.
     Warns about config keys the subcommand does not use. Rejects --format
-    when no output path is given, before any work: the format would
-    otherwise go unused."""
+    when no output path is given, and an output path in a missing
+    directory, before any work: the format would otherwise go unused, and
+    the write would fail only after every trial ran."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     settings = read_config_file(path) if path else {}
     # a subcommand uses the system parameters and the settings it has flags for
@@ -142,6 +144,9 @@ def _settings(args: argparse.Namespace) -> dict:
         raise _CliError("--format needs --output (or output_path in the config file)")
     if "n_users" not in settings:
         raise _CliError("--users is required (or n_users in the config file)")
+    output = settings.get("output_path")
+    if output and not os.path.isdir(os.path.dirname(output) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), output)
     return settings
 
 

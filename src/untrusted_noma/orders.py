@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import permutations, product
-from typing import Iterable, Iterator
+from functools import lru_cache, partial, reduce
+from itertools import product
+from typing import Iterator
 
 import numpy as np
 
@@ -110,9 +110,8 @@ def enumerate_orders(n: int, allow_large_n: bool = False) -> Iterator[DecodingOr
     unless explicitly overridden, and n > _LIST_CEILING always.
     """
     _check_cap(n, allow_large_n)
-    perms = tuple(permutations(range(1, n + 1)))
-    for cols in product(perms, repeat=n):
-        yield DecodingOrder(columns=cols)
+    columns = list(map(tuple, _column_table(n).tolist()))
+    return (DecodingOrder(columns=cols) for cols in product(columns, repeat=n))
 
 
 def conventional_order(n: int) -> DecodingOrder:
@@ -240,12 +239,8 @@ def order_id(order: DecodingOrder) -> int:
     """Mixed-radix rank of an order: base N! per column, column 1 most
     significant, each column ranked lexicographically. Bijective with the
     set of decoding orders for fixed N."""
-    return _rank_id(map(_perm_rank, order.columns), math.factorial(order.n_users))
-
-
-def _rank_id(ranks: Iterable[int], base: int) -> int:
-    """``order_id`` of an order given its per-column ranks, base = N!."""
-    return reduce(lambda oid, r: oid * base + r, ranks, 0)
+    base = math.factorial(order.n_users)
+    return reduce(lambda oid, col: oid * base + _perm_rank(col), order.columns, 0)
 
 
 def order_from_id(n: int, oid: int) -> DecodingOrder:
@@ -277,12 +272,6 @@ def _column_table(n: int) -> np.ndarray:
         table = table.reshape(-1, k)
     table.flags.writeable = False
     return table
-
-
-@lru_cache(maxsize=8)
-def _column_permutations(n: int) -> tuple[tuple[int, ...], ...]:
-    """``_column_table`` as tuples, for building ``DecodingOrder`` columns."""
-    return tuple(map(tuple, _column_table(n).tolist()))
 
 
 @lru_cache(maxsize=8)
@@ -349,8 +338,8 @@ def _order_ids(ranks: np.ndarray) -> np.ndarray:
     n = ranks.shape[1]
     base = math.factorial(n)
     if total_orders(n) > np.iinfo(np.int64).max:
-        return np.array([_rank_id(row, base) for row in ranks.tolist()], dtype=object)
-    ids = np.zeros(len(ranks), dtype=np.int64)
+        ranks = ranks.astype(object)
+    ids = np.zeros(len(ranks), dtype=ranks.dtype)
     for column in ranks.T:
         ids = ids * base + column
     return ids
@@ -362,9 +351,10 @@ def secure_orders(n: int, allow_large_n: bool = False) -> Iterator[DecodingOrder
     of all (N!)^N orders. Refuses n > ENUMERATION_CAP unless explicitly
     overridden, and n > _LIST_CEILING always."""
     blocks = _secure_rank_blocks(n, allow_large_n)
-    perms = _column_permutations(n)
+    # the columns of S's rows, each built once per call
+    column = lru_cache(maxsize=None)(partial(_perm_unrank, n))
     return (
-        DecodingOrder(columns=tuple(perms[r] for r in row))
+        DecodingOrder(columns=tuple(map(column, row)))
         for block in blocks
         for row in block.tolist()
     )
@@ -375,6 +365,6 @@ def favourable_orders(n: int) -> Iterator[DecodingOrder]:
     product over receivers of the columns that end with the receiver itself.
     Refuses n > ENUMERATION_CAP."""
     _check_cap(n, None)
-    perms = _column_permutations(n)
-    columns = [[col for col in perms if col[-1] == m] for m in range(1, n + 1)]
+    table = _column_table(n)
+    columns = [list(map(tuple, table[table[:, -1] == m].tolist())) for m in range(1, n + 1)]
     return (DecodingOrder(columns=cols) for cols in product(*columns))

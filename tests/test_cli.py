@@ -19,6 +19,7 @@ from untrusted_noma import (
     ExperimentConfig,
     SystemParams,
     cli,
+    optimizer,
     orders,
     run_experiment,
     sample_channels,
@@ -157,7 +158,7 @@ class TestCeilings:
             raise AssertionError("work started")
 
         # the column table of a listing and the count's DP
-        for name in ("_column_table", "_column_permutations", "_column_choices", "defaultdict"):
+        for name in ("_column_table", "_column_choices", "defaultdict"):
             monkeypatch.setattr(orders, name, refuse)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv.split())
@@ -315,12 +316,27 @@ class TestSweep:
         assert len(rows) == 6
         assert {r["scheme"] for r in rows} == {"policy-LPWU", "benchmark"}
 
-    def test_unwritable_output_gives_exit_2(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, *self.ARGS, "--output", str(tmp_path / "missing" / "sweep.csv")
-        )
-        assert code == 2
-        assert err.startswith("error:")
+    def test_unwritable_output_gives_exit_2(self, capsys, tmp_path, monkeypatch):
+        # refused before any work, not after the records were printed
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(optimizer, "_rate_table", refuse)
+        missing = str(tmp_path / "missing" / "out.csv")
+        for argv in (
+            self.ARGS,
+            ("simulate", "--users", "2", "--trials", "2", "--seed", "1"),
+            ("eval", "--users", "2", "--beta", "0", "--seed", "1"),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--output", missing)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert missing in err
+
+    def test_bad_beta_grid_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--users", "3", "--seed", "5", "--beta-grid=a,b")
+        assert (code, out) == (1, "")
+        assert err == "error: invalid beta grid 'a,b'; expected comma-separated floats\n"
 
     def test_bad_scheme_rejected(self, capsys):
         code, _, err = run_cli(
@@ -461,6 +477,10 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 1
         assert "warp_factor" in err
+        cfg.write_text("n_users 3\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 1
+        assert err == f"error: {cfg}:1: expected 'key = value', got 'n_users 3'\n"
 
     @pytest.mark.parametrize("subcommand", ["simulate", "sweep"])
     def test_bad_output_format_rejected_before_any_work(self, capsys, tmp_path, monkeypatch, subcommand):

@@ -116,9 +116,10 @@ def test_full_five_user_listing_digest():
         [sys.executable, "-m", "untrusted_noma.cli", *argv], stdout=subprocess.PIPE, env=env
     )
     digest, lines = hashlib.sha256(), 0
-    for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
-        digest.update(chunk)
-        lines += chunk.count(b"\n")
+    with proc.stdout:
+        for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+            digest.update(chunk)
+            lines += chunk.count(b"\n")
     assert proc.wait(timeout=60) == 0
     assert lines == 29_638_368
     assert digest.hexdigest() == "b38be8d0b4a2d221c6f12b66dda6cf6ceb1bbcb34ebb479fef51eaeff277f40e"

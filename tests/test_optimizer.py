@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import islice
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -44,7 +44,7 @@ from untrusted_noma.optimizer import (
     _scored_set,
     _trials_per_block,
 )
-from untrusted_noma.orders import _column_permutations, _order_ids, _perm_rank
+from untrusted_noma.orders import _order_ids, _perm_rank
 from untrusted_noma.system import _alpha_grid
 from scalar_oracle import secrecy_rates as oracle_secrecy_rates
 from scalar_oracle import sinr as oracle_sinr
@@ -266,7 +266,7 @@ class TestSecureBundle:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_recursive_walk(self, n):
-        perms = _column_permutations(n)
+        perms = list(permutations(range(1, n + 1)))
         sec = [DecodingOrder(tuple(perms[r] for r in row)) for row in walk_ranks(n).tolist()]
         self.assert_scores(n, sec)
 
@@ -616,6 +616,8 @@ class TestBetaSweep:
             sweep_all(["optimal-X"], [0.0], ch, params)["optimal-X"]
         with pytest.raises(ValueError):
             sweep_all(["benchmark"], [1.5], ch, params)["benchmark"]
+        with pytest.raises(ValueError, match="duplicate"):
+            sweep_all(["benchmark", "benchmark"], [0.0], ch, params)
         big = SystemParams(n_users=5)
         with pytest.raises(ValueError):
             sweep_all(["benchmark"], [0.0], sample_channels(big, 1), big)["benchmark"]

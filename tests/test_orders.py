@@ -83,6 +83,9 @@ class TestEnumeration:
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
             next(enumerate_orders(0))
+        for build in (conventional_order, lambda n: policy_order(n, 0.0), lambda n: order_from_id(n, 0)):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                build(0)
 
 
 class TestConventionalOrder:
@@ -167,8 +170,9 @@ class TestSecureWalk:
         assert proc.stdout.startswith(f"total={total_orders(10)} secure=")
 
     def test_cap_refused_at_the_call(self):
-        with pytest.raises(ValueError, match="allow_large_n"):
-            secure_orders(5)
+        for listing in (enumerate_orders, secure_orders):
+            with pytest.raises(ValueError, match="allow_large_n"):
+                listing(5)
         # favourable_orders has no override, so the error names none
         with pytest.raises(ValueError, match=r"capped at 4 users \(\(N!\)\^N grows too fast\)$"):
             favourable_orders(5)
@@ -180,7 +184,7 @@ def _refuse_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("permutations", "_column_table", "_column_permutations", "_column_choices", "defaultdict"):
+    for name in ("_column_table", "_column_choices", "defaultdict"):
         monkeypatch.setattr(orders, name, refuse)
 
 
@@ -189,7 +193,7 @@ class TestCeilings:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda n, allow: next(enumerate_orders(n, allow)),
+            lambda n, allow: enumerate_orders(n, allow),
             lambda n, allow: secure_orders(n, allow),
             lambda n, allow: orders._secure_rank_blocks(n, allow),
         ],
@@ -221,7 +225,6 @@ class TestColumnTable:
         table = orders._column_table(n)
         want = list(permutations(range(1, n + 1)))
         assert table.tolist() == [list(p) for p in want]
-        assert orders._column_permutations(n) == tuple(want)
         assert table.dtype == np.int64 and not table.flags.writeable
 
 
@@ -257,7 +260,7 @@ class TestBlockWalk:
         # int64 holds (N!)^N only up to N = 6
         ranks = next(orders._secure_rank_blocks(n, allow_large_n=True))[:50]
         ids = orders._order_ids(ranks)
-        perms = orders._column_permutations(n)
+        perms = list(permutations(range(1, n + 1)))
         want = [order_id(DecodingOrder(tuple(perms[r] for r in row))) for row in ranks.tolist()]
         assert ids.dtype == (np.int64 if n <= 6 else object)
         assert ids.tolist() == want

@@ -65,11 +65,25 @@ class TestSystemParams:
             {"n_users": 2, "noise_dbm": 4000.0},
             {"n_users": 2, "pt_dbm": 4000.0},
             {"n_users": 2, "pt_dbm": -4000.0},
+            {"n_users": 2, "pt_dbm": math.inf},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SystemParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "distances, gains, match",
+        [
+            ((1.0,), (4.0, 1.0), "equal length"),
+            ((), (), "at least one user"),
+            ((1.0, 2.0), (4.0, 0.0), "positive and finite"),
+            ((1.0, 0.0), (4.0, 1.0), "distances must be positive"),
+        ],
+    )
+    def test_invalid_realization_rejected(self, distances, gains, match):
+        with pytest.raises(ValueError, match=match):
+            ChannelRealization(distances_m=distances, gains=gains)
 
     def test_unsorted_gains_rejected(self):
         with pytest.raises(ValueError):
@@ -191,6 +205,12 @@ class TestPowerAllocation:
             PowerAllocation(alphas=(0.5, 0.6), beta=0.0)
         with pytest.raises(ValueError):
             PowerAllocation(alphas=(1.2, -0.2), beta=0.0)
+        with pytest.raises(ValueError, match="beta must lie in"):
+            PowerAllocation(alphas=(0.5, 0.5), beta=2.0)
+        # the weaker user's share underflows to zero
+        extreme = ChannelRealization(distances_m=(1.0, 1.0), gains=(1e300, 1e-300))
+        with pytest.raises(ValueError, match="must be positive"):
+            power_allocation(extreme, 1.0)
 
 
 class TestSinr:
@@ -204,6 +224,9 @@ class TestSinr:
         for n, m in [(0, 1), (1, 0), (3, 1), (1, 3)]:
             with pytest.raises(ValueError):
                 sinr(WORKED_ORDER, WORKED_CH, WORKED_ALPHA, WORKED_PARAMS, n, m)
+        three = ChannelRealization(distances_m=(1.0, 2.0, 3.0), gains=(4.0, 2.0, 1.0))
+        with pytest.raises(ValueError, match="order size"):
+            sinr(WORKED_ORDER, three, WORKED_ALPHA, SystemParams(n_users=3), 1, 1)
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=50, deadline=None)
@@ -262,6 +285,12 @@ class TestSecrecyRates:
         rates = secrecy_rates(conventional_order(n), ch, pa, params)
         assert rates[0] > 0.0
         assert all(r == 0.0 for r in rates[1:])
+
+    def test_allocation_of_another_user_count_rejected(self):
+        three = ChannelRealization(distances_m=(1.0, 2.0, 3.0), gains=(4.0, 2.0, 1.0))
+        order = order_from_id(3, 0)
+        with pytest.raises(ValueError, match="disagree on the user count"):
+            secrecy_rates(order, three, WORKED_ALPHA, SystemParams(n_users=3))
 
     def test_single_user_keeps_own_rate(self):
         order = DecodingOrder(columns=((1,),))

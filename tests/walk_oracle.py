@@ -5,9 +5,10 @@ order, ascending by id. It shares no pruning code with the block walk in
 """
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Iterable, Iterator
 
-from untrusted_noma.orders import _check_cap, _column_permutations
+from untrusted_noma.orders import _check_cap
 
 
 def _column_choices(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
@@ -18,7 +19,7 @@ def _column_choices(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ..
     return tuple(
         tuple(
             (r, tuple(col.index(u) for u in range(m, n + 1)))
-            for r, col in enumerate(_column_permutations(n))
+            for r, col in enumerate(permutations(range(1, n + 1)))
             if col[-1] <= m
         )
         for m in range(1, n + 1)
