@@ -38,6 +38,7 @@ from .experiments import (
 )
 from .optimizer import SCHEME_BENCHMARK, SCHEME_POLICY_LPSU, SCHEME_POLICY_LPWU, secrecy_rates
 from .orders import (
+    _id_text,
     _order_ids,
     _secure_rank_blocks,
     count_secure,
@@ -176,8 +177,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_filter_secure(args: argparse.Namespace) -> int:
     for ranks in _secure_rank_blocks(args.users, bool(args.allow_large_n)):  # checks n first
-        ids = _order_ids(ranks).tolist()
-        sys.stdout.write("%d\n" * len(ids) % tuple(ids))
+        sys.stdout.write(_id_text(_order_ids(ranks)))
     return 0
 
 

@@ -76,7 +76,7 @@ def total_orders(n: int) -> int:
 
 
 # Most users the override admits, per path. A listing first builds all N!
-# columns: at N = 9 its first line comes in about 0.6 s at 212 MB peak RSS,
+# columns: at N = 9 its first line comes in about 0.4 s at 140 MB peak RSS,
 # and N = 10 holds ten times the columns. The count's work grows 3-4x per
 # user: 2 s at N = 11, 8 s at N = 12 and 25 s at N = 13 (250 MB).
 _LIST_CEILING = 9
@@ -277,12 +277,13 @@ def _column_table(n: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _column_choices(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per receiver m = 1..n: the ranks [C] (ascending) of the columns that
-    decode no weaker user last, and the 0-based SIC stages [C, n - m + 1]
-    of users m..N in each. A weaker user decoded last by receiver m has no
-    later stage left for that user's own receiver to decode itself at, so
-    no secure order uses such a column. The arrays are read-only."""
+    decode no weaker user last, and the 0-based int8 SIC stages
+    [C, n - m + 1] of users m..N in each. A weaker user decoded last by
+    receiver m has no later stage left for that user's own receiver to
+    decode itself at, so no secure order uses such a column. The arrays are
+    read-only."""
     perms = _column_table(n)
-    stages = np.argsort(perms, axis=1)  # [N!, n]: the stage of each user
+    stages = np.argsort(perms, axis=1).astype(np.int8)  # [N!, n]: the stage of each user
     choices = []
     for m in range(1, n + 1):
         ranks = np.flatnonzero(perms[:, -1] <= m).astype(np.int64)
@@ -316,11 +317,15 @@ def _secure_rank_blocks(n: int, allow_large_n: bool = False) -> Iterator[np.ndar
         last = m + 1 == n
         step = max(1, _BLOCK_ROWS // len(col_ranks))
         for start in range(0, len(ranks), step):
-            p, c = np.nonzero(stages[:, 0] > bound[start : start + step, :1])
+            mask = stages[:, 0] > bound[start : start + step, :1]
+            p, c = np.divmod(np.flatnonzero(mask), len(col_ranks))
             p += start
-            kept = np.concatenate([ranks[p], col_ranks[c, None]], axis=1)
+            kept = np.empty((len(p), m + 1), dtype=np.int64)
+            kept[:, :m] = ranks.take(p, axis=0)
+            kept[:, m] = col_ranks.take(c)
             # the last level has no later users to bound
-            later = None if last else np.maximum(bound[p, 1:], stages[c, 1:])
+            if not last:
+                later = np.maximum(bound.take(p, axis=0)[:, 1:], stages.take(c, axis=0)[:, 1:])
             # one prefix has more than _BLOCK_ROWS columns only when N! does
             for first in range(0, len(kept), _BLOCK_ROWS):
                 rows = slice(first, first + _BLOCK_ROWS)
@@ -329,7 +334,7 @@ def _secure_rank_blocks(n: int, allow_large_n: bool = False) -> Iterator[np.ndar
                 else:
                     yield from expand(m + 1, kept[rows], later[rows])
 
-    return expand(0, np.empty((1, 0), dtype=np.int64), np.full((1, n), -1, dtype=np.int64))
+    return expand(0, np.empty((1, 0), dtype=np.int64), np.full((1, n), -1, dtype=np.int8))
 
 
 def _order_ids(ranks: np.ndarray) -> np.ndarray:
@@ -343,6 +348,31 @@ def _order_ids(ranks: np.ndarray) -> np.ndarray:
     for column in ranks.T:
         ids = ids * base + column
     return ids
+
+
+# ASCII digits of 0..9999, zero-padded, one native uint32 each; int16 keeps import RSS low
+_DIGIT_WORDS = np.arange(10_000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1])
+_DIGIT_WORDS = (_DIGIT_WORDS % 10 + 48).astype(np.uint8).view(np.uint32).ravel()
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _id_text(ids: np.ndarray) -> str:
+    """The text ``"%d\\n" * len(ids) % tuple(ids.tolist())`` of an id block;
+    int64 ids are written as 4-digit byte groups, sliced past leading zeros."""
+    if ids.dtype == object or not len(ids):
+        return "%d\n" * len(ids) % tuple(ids.tolist())
+    digits = np.searchsorted(_POWERS_OF_TEN, ids, side="right") + 1
+    groups = -(-int(digits.max()) // 4)
+    words = np.empty((len(ids), groups + 1), dtype=np.uint32)
+    for g in range(groups - 1, -1, -1):
+        high = ids // 10_000  # with the product below, faster than np.divmod
+        words[:, g] = _DIGIT_WORDS.take(ids - high * 10_000)
+        ids = high
+    text, end = words.view(np.uint8), 4 * groups
+    text[:, end] = ord("\n")
+    runs = [0, *(np.flatnonzero(digits[1:] != digits[:-1]) + 1).tolist(), len(digits)]
+    lines = (text[a:b, end - digits[a] : end + 1].tobytes() for a, b in zip(runs, runs[1:]))
+    return b"".join(lines).decode()
 
 
 def secure_orders(n: int, allow_large_n: bool = False) -> Iterator[DecodingOrder]:

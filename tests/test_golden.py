@@ -80,6 +80,8 @@ def test_every_subcommand_is_pinned():
 FILTER_SECURE_HEADS = [
     (5, 1_000_000, "6858475320",
      "6cc840448ddb483b2f6198a8bc78f7e8aebf5e86fdf0dd10522a3d9264916afb"),
+    (6, 100_000, "29613111502867920",
+     "84eec2fd98adc35d4dc51680cbd1046f3ef0c80f61d354bda40c64105f1d638a"),
     (7, 10_000, "14309108100517354092465840",
      "fb9a67de8f06b4c329417e67ea3cdefa46fb63d6753b910923f101d73a8bb570"),
     (8, 1, "1024361230926444808657938195835739520",
@@ -108,7 +110,7 @@ def test_filter_secure_head_digest(users, lines, first, digest):
 @pytest.mark.slow
 def test_full_five_user_listing_digest():
     """All 29,638,368 lines of ``filter-secure --users 5``, hashed as they
-    arrive from a child process (about 10 s)."""
+    arrive from a child process (about 2.5 s)."""
     src = os.path.dirname(os.path.dirname(untrusted_noma.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     argv = ["filter-secure", "--users", "5", "--allow-large-n"]

@@ -266,6 +266,37 @@ class TestBlockWalk:
         assert ids.tolist() == want
 
 
+def _percent_d(ids: np.ndarray) -> str:
+    return "%d\n" * len(ids) % tuple(ids.tolist())
+
+
+class TestIdText:
+    # 0, each power of ten and its neighbours, and 2^63 - 1: every digit count 1..19
+    EDGES = sorted({0, 2**63 - 1} | {10**k + d for k in range(19) for d in (-1, 0, 1)})
+
+    def test_ascending_block_crosses_every_digit_count(self):
+        ids = np.array(self.EDGES, dtype=np.int64)
+        assert {len(str(v)) for v in self.EDGES} == set(range(1, 20))
+        assert orders._id_text(ids) == _percent_d(ids)
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_unsorted_block(self, values):
+        ids = np.array(values, dtype=np.int64)
+        assert orders._id_text(ids) == _percent_d(ids)
+
+    @pytest.mark.parametrize("values", [[], [0], [7], [2**63 - 1]])
+    def test_empty_and_one_id_blocks(self, values):
+        ids = np.array(values, dtype=np.int64)
+        assert orders._id_text(ids) == _percent_d(ids)
+
+    def test_object_ids_past_int64(self):
+        ranks = next(orders._secure_rank_blocks(7, allow_large_n=True))[:100]
+        ids = orders._order_ids(ranks)
+        assert ids.dtype == object
+        assert orders._id_text(ids) == _percent_d(ids)
+
+
 class TestSelfLastTransform:
     def test_moves_self_to_end(self):
         order = DecodingOrder(columns=((1, 3, 2), (2, 1, 3), (3, 1, 2)))
