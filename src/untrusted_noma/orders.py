@@ -259,14 +259,14 @@ def order_from_id(n: int, oid: int) -> DecodingOrder:
 
 @lru_cache(maxsize=8)
 def _column_table(n: int) -> np.ndarray:
-    """Every column for n users as an int64 array [N!, n] in lexicographic
-    order, so that row r is the permutation of rank r in ``order_id``'s
-    mixed radix. The columns of k users are those of k - 1 users behind
-    each first user f, with the entries >= f moved up by one. The array is
-    read-only."""
-    table = np.zeros((1, 0), dtype=np.int64)
+    """Every column for n users as an int8 array [N!, n] (an entry is at
+    most n <= 9 for any listing) in lexicographic order, so that row r is
+    the permutation of rank r in ``order_id``'s mixed radix. The columns of
+    k users are those of k - 1 users behind each first user f, with the
+    entries >= f moved up by one. The array is read-only."""
+    table = np.zeros((1, 0), dtype=np.int8)
     for k in range(1, n + 1):
-        first = np.arange(1, k + 1)[:, None, None]
+        first = np.arange(1, k + 1, dtype=np.int8)[:, None, None]
         rest = table + (table >= first)  # [k, (k - 1)!, k - 1]
         table = np.concatenate([np.broadcast_to(first, (*rest.shape[:2], 1)), rest], axis=2)
         table = table.reshape(-1, k)
@@ -318,21 +318,20 @@ def _secure_rank_blocks(n: int, allow_large_n: bool = False) -> Iterator[np.ndar
         step = max(1, _BLOCK_ROWS // len(col_ranks))
         for start in range(0, len(ranks), step):
             mask = stages[:, 0] > bound[start : start + step, :1]
-            p, c = np.divmod(np.flatnonzero(mask), len(col_ranks))
-            p += start
-            kept = np.empty((len(p), m + 1), dtype=np.int64)
-            kept[:, :m] = ranks.take(p, axis=0)
-            kept[:, m] = col_ranks.take(c)
-            # the last level has no later users to bound
-            if not last:
-                later = np.maximum(bound.take(p, axis=0)[:, 1:], stages.take(c, axis=0)[:, 1:])
-            # one prefix has more than _BLOCK_ROWS columns only when N! does
-            for first in range(0, len(kept), _BLOCK_ROWS):
-                rows = slice(first, first + _BLOCK_ROWS)
-                if last:
-                    yield kept[rows]
+            pairs = np.flatnonzero(mask)
+            # one prefix has more than _BLOCK_ROWS columns only when N! does;
+            # the pairs are cut before any gather, so none holds more rows
+            for first in range(0, len(pairs), _BLOCK_ROWS):
+                p, c = np.divmod(pairs[first : first + _BLOCK_ROWS], len(col_ranks))
+                p += start
+                kept = np.empty((len(p), m + 1), dtype=np.int64)
+                kept[:, :m] = ranks.take(p, axis=0)
+                kept[:, m] = col_ranks.take(c)
+                if last:  # the last level has no later users to bound
+                    yield kept
                 else:
-                    yield from expand(m + 1, kept[rows], later[rows])
+                    later = np.maximum(bound.take(p, axis=0)[:, 1:], stages.take(c, axis=0)[:, 1:])
+                    yield from expand(m + 1, kept, later)
 
     return expand(0, np.empty((1, 0), dtype=np.int64), np.full((1, n), -1, dtype=np.int8))
 
@@ -350,9 +349,19 @@ def _order_ids(ranks: np.ndarray) -> np.ndarray:
     return ids
 
 
-# ASCII digits of 0..9999, zero-padded, one native uint32 each; int16 keeps import RSS low
+# ASCII digits of 0..9999, one native uint32 each, three ways: zero-padded
+# at [0, 10000), with the leading zeros as NUL bytes at _LEAD + g, and with
+# the trailing zeros as NUL bytes at _TRAIL + g (0 is all NUL in both);
+# int16 and uint8 keep import RSS low
+_LEAD, _TRAIL = 10_000, 20_000
 _DIGIT_WORDS = np.arange(10_000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1])
-_DIGIT_WORDS = (_DIGIT_WORDS % 10 + 48).astype(np.uint8).view(np.uint32).ravel()
+_DIGIT_WORDS = (_DIGIT_WORDS % 10).astype(np.uint8)
+_DIGIT_WORDS = np.concatenate([
+    _DIGIT_WORDS + 48,
+    # a digit is kept where some digit up to it, or from it, is not zero
+    np.where(np.maximum.accumulate(_DIGIT_WORDS, axis=1), _DIGIT_WORDS + 48, 0),
+    np.where(np.maximum.accumulate(_DIGIT_WORDS[:, ::-1], axis=1)[:, ::-1], _DIGIT_WORDS + 48, 0),
+]).view(np.uint32).ravel()
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 

@@ -3,10 +3,14 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from untrusted_noma import (
     DEFAULT_BETA_GRID,
@@ -23,8 +27,9 @@ from untrusted_noma import (
 )
 from untrusted_noma import optimizer
 from untrusted_noma.experiments import (
-    _WRITE_BATCH,
-    _json_numbers,
+    _batch_rows,
+    _number_words,
+    _twelve_digits,
     format_number,
     write_csv,
     write_json,
@@ -46,6 +51,10 @@ def small_config(**kwargs) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
+# records of two rates per write batch
+WRITE_BATCH = _batch_rows(2)
+
+
 def many_records(count: int) -> list[ResultRecord]:
     return [
         ResultRecord(t, 0.1 * t, "policy-LPWU", t, 1.0 / (t + 1), (0.5,)) for t in range(count)
@@ -57,7 +66,7 @@ def uniform_then_mixed_widths() -> list[ResultRecord]:
     every one to four records (0 to 3 rates)."""
     uniform = [
         ResultRecord(t, -1.0 + t / 128, "optimal-L", None if t % 5 else t, t / 7, (t / 3, 0.0))
-        for t in range(_WRITE_BATCH)
+        for t in range(WRITE_BATCH)
     ]
     widths = (0, 0, 1, 3, 3, 3, 2, 1, 1, 1, 1)
     mixed = [
@@ -69,7 +78,7 @@ def uniform_then_mixed_widths() -> list[ResultRecord]:
             1.0 / t,
             tuple(t / (k + 1) for k in range(widths[t % len(widths)])),
         )
-        for t in range(_WRITE_BATCH, 2 * _WRITE_BATCH + 40)
+        for t in range(WRITE_BATCH, 2 * WRITE_BATCH + 40)
     ]
     assert len({len(r.per_user_rates) for r in mixed}) == 4
     return uniform + mixed
@@ -79,11 +88,23 @@ def uniform_then_mixed_widths() -> list[ResultRecord]:
 # of both signs (one dict key, two texts) in either order, NaNs, and values
 # that are all distinct, each over several write batches
 BETA_COLUMNS = {
-    "zero-first": [0.0, -0.0, 0, 0.5] * _WRITE_BATCH,
-    "negative-zero-first": [-0.0, 0.0, 0.5, 0] * _WRITE_BATCH,
-    "nans": [math.nan, float("nan"), -math.nan, 0.25, -0.0] * _WRITE_BATCH,
-    "distinct": [(t - 300) / 7 for t in range(3 * _WRITE_BATCH)],
+    "zero-first": [0.0, -0.0, 0, 0.5] * WRITE_BATCH,
+    "negative-zero-first": [-0.0, 0.0, 0.5, 0] * WRITE_BATCH,
+    "nans": [math.nan, float("nan"), -math.nan, 0.25, -0.0] * WRITE_BATCH,
+    "distinct": [(t - 300) / 7 for t in range(3 * WRITE_BATCH)],
 }
+
+
+def spelled(values, json: bool) -> list[str]:
+    """Each value's text from the writers' vectorised speller."""
+    pieces = _number_words(np.array([values], dtype=np.float64), (b"",), json)
+    return [row.tobytes().translate(None, b"\0").decode() for row in np.hstack(pieces)]
+
+
+def json_two_pass(x: float) -> str:
+    """The JSON text json.dumps gives the float format_number(x) parses to."""
+    text = repr(float(format_number(x)))
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
 
 
 def beta_records(betas) -> list[ResultRecord]:
@@ -514,6 +535,7 @@ class TestCsvWriter:
             ResultRecord(8, 1, "a,b", 0, 5, (2,)),
             ResultRecord(9, 0.5, "", None, 0.25, (0.5, 1e22)),
             ResultRecord(10, 0.5, "line\nbreak\r", 3, 0.25, ()),
+            ResultRecord(11, 0.5, "nul\0byte \u00ff\u20ac", 4, 0.25, ()),
         ]
         assert self.written_bytes(records) == self.csv_writer_bytes(records)
 
@@ -578,6 +600,7 @@ class TestJsonWriter:
         records = [
             ResultRecord(0, -0.0, "benchmark", None, float("nan"), (inf, -inf, 1e-300)),
             ResultRecord(7, 0.1, 'quote"d', 2**70, 123456789012345.0, ()),
+            ResultRecord(11, 0.5, "nul\0byte \u00ff\u20ac", 4, 0.25, ()),
         ]
         path = tmp_path / "edge.json"
         export(records, path, "json")
@@ -597,12 +620,8 @@ class TestJsonWriter:
         assert self.written_bytes(records) == self.json_dump_bytes(records)
 
     def test_number_text_matches_repr_of_parsed_text(self):
-        # the writer's one formatting pass against the two-pass spelling
-        # json.dumps gives: repr of the float that the 12-digit text parses to
-        def two_pass(x):
-            text = repr(float(format_number(x)))
-            return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
-
+        # the writer's speller against the two-pass spelling json.dumps
+        # gives: repr of the float that the 12-digit text parses to
         rng = np.random.default_rng(20)
         edges = [
             0.0, -0.0, 1.0, -3.0, 0.5, 1e-4, 9.99999999999e-5, 1e-5, 5e-324, -5e-324,
@@ -616,4 +635,118 @@ class TestJsonWriter:
             10.0 ** rng.uniform(-20.0, 20.0, size=20000) * rng.choice([-1.0, 1.0], size=20000),
         ])
         values = tuple(values.tolist())
-        assert _json_numbers(values) == [two_pass(x) for x in values]
+        assert spelled(values, json=True) == [json_two_pass(x) for x in values]
+
+
+def exact_ties(e: int) -> list[float]:
+    """Doubles exactly half-way between two 12-digit decimals of exponent
+    e: m / 2^(j + 1) with j = 11 - e and m odd, which scales to the
+    half-integer m * 5^j / 2; the first, last and a spread of the rest."""
+    j = 11 - e
+    low = Fraction(10) ** e * 2 ** (j + 1)
+    low, high = math.ceil(low), math.ceil(10 * low)
+    odd = range(low | 1, high, 2)
+    picks = [*odd[:20], *odd[-20:], *odd[:: max(1, len(odd) // 200)]]
+    return [m / 2 ** (j + 1) for m in picks]
+
+
+def neighbours(values) -> np.ndarray:
+    """Each value and its float neighbours on both sides."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        return np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+
+
+class TestNumberSpeller:
+    """The writers' vectorised speller must give format_number's text, and
+    json.dumps' text of its parsed float, for every double."""
+
+    @staticmethod
+    def check(values) -> None:
+        values = np.concatenate([values, -np.asarray(values)]).tolist()
+        assert spelled(values, json=False) == [format_number(x) for x in values]
+        assert spelled(values, json=True) == [json_two_pass(x) for x in values]
+
+    @pytest.mark.parametrize("e", range(-4, 12))
+    def test_exact_ties_and_neighbours(self, e):
+        ties = exact_ties(e)
+        assert all(
+            (abs(x) * 10 ** (11 - e)) % 1 == 0.5 and 10**e <= x < 10 ** (e + 1) for x in ties
+        )
+        self.check(neighbours(ties))
+
+    @pytest.mark.parametrize("e", range(-4, 12))
+    def test_nearest_doubles_to_ties(self, e):
+        rng = np.random.default_rng(e + 100)
+        mantissas = rng.integers(10**11, 10**12, size=400).tolist()
+        self.check(neighbours([float(f"{k}5e{e - 12}") for k in mantissas]))
+
+    def test_powers_of_ten_and_carries(self):
+        powers = [10.0**k for k in range(-30, 31)]
+        carries = [float(f"999999999999.5e{e - 11}") for e in range(-6, 14)]
+        below = [float(f"999999999999.4999e{e - 11}") for e in range(-6, 14)]
+        self.check(neighbours(powers + carries + below))
+
+    def test_zeros_subnormals_and_non_finite(self):
+        tiny = [5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308]
+        self.check(np.array([0.0, math.inf, math.nan, *neighbours(tiny)]))
+        assert spelled([-0.0, 0.0], json=False) == ["-0", "0"]
+        assert spelled([-0.0, 0.0], json=True) == ["-0.0", "0.0"]
+
+    def test_exponent_forms(self):
+        rng = np.random.default_rng(7)
+        small = 10.0 ** rng.uniform(-320.0, -4.0, size=2000)
+        large = 10.0 ** rng.uniform(12.0, 308.0, size=2000)
+        self.check(neighbours([*small, *large, 1e-4, 1e12, 1e16, 1.7976931348623157e308]))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(23)
+        self.check(rng.integers(0, 2**64, size=50_000, dtype=np.uint64).view(np.float64))
+
+    @given(st.lists(st.floats(), min_size=1, max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_every_float(self, values):
+        self.check(values)
+
+    def test_fast_path_covers_ordinary_rates(self):
+        # all but a sliver near a rounding half is proven, so the fast path
+        # cannot quietly fall back to spelling each number on its own
+        rates = np.random.default_rng(5).uniform(0.0, 40.0, size=10**5)
+        exact = _twelve_digits(rates)[2]
+        assert np.count_nonzero(~exact) < 0.01 * len(rates)
+
+
+class _Sink:
+    """A text stream that keeps nothing."""
+
+    def write(self, text: str) -> None:
+        pass
+
+
+class TestWriterMemory:
+    """The writers hold one batch's row matrix at a time: their traced peak
+    is bounded, and flat in the record count."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        # one N = 3 run: 120 trials, 5 schemes, 21 betas
+        return run_experiment(
+            ExperimentConfig(params=SystemParams(n_users=3), trials=120, master_seed=5)
+        )
+
+    @staticmethod
+    def traced_peak(write, records) -> int:
+        write(records[:10], _Sink())  # the writers' small caches
+        tracemalloc.start()
+        try:
+            write(records, _Sink())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("write", [write_csv, write_json])
+    def test_peak_is_bounded_and_flat(self, records, write):
+        assert len(records) == 12_600
+        peak = self.traced_peak(write, records)
+        assert peak < 2 * 2**20
+        assert self.traced_peak(write, records * 4) < 1.1 * peak + 2**16

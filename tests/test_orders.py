@@ -225,7 +225,7 @@ class TestColumnTable:
         table = orders._column_table(n)
         want = list(permutations(range(1, n + 1)))
         assert table.tolist() == [list(p) for p in want]
-        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.dtype == np.int8 and not table.flags.writeable
 
 
 class TestBlockWalk:
@@ -249,6 +249,27 @@ class TestBlockWalk:
         blocks = list(orders._secure_rank_blocks(4))
         assert all(0 < len(b) <= block_rows for b in blocks)
         assert np.array_equal(np.concatenate(blocks), np.array(list(secure_column_ranks(4))))
+
+    def test_gathers_hold_at_most_the_row_constant(self, monkeypatch):
+        # at N = 5 a prefix keeps up to 48 of its 24 to 120 columns, more
+        # than 20 rows; every (prefix, column) index array the walk gathers
+        # by is cut first
+        sizes = []
+
+        class SpyNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def divmod(self, pairs, base):
+                sizes.append(len(pairs))
+                return np.divmod(pairs, base)
+
+        monkeypatch.setattr(orders, "_BLOCK_ROWS", 20)
+        monkeypatch.setattr(orders, "np", SpyNumpy())
+        head = np.concatenate(list(islice(orders._secure_rank_blocks(5, allow_large_n=True), 1000)))
+        want = list(islice(secure_column_ranks(5, allow_large_n=True), len(head)))
+        assert len(head) >= 10_000 and max(sizes) == 20
+        assert np.array_equal(head, np.array(want))
 
     @pytest.mark.parametrize("n", [1, 4, 5, 6, 7, 8])
     def test_default_blocks_hold_at_most_the_row_constant(self, n):
