@@ -10,27 +10,42 @@ the plain tuple of its six fields, and ``ResultRecord._fields`` names them.
 It also carries the frozen dataclass field table it had as a dataclass, so
 ``dataclasses.fields``, ``replace`` and ``asdict`` still work on it. It is
 the one row type from the kernel to the writers: ``run_experiment`` and
-``sweep_all`` both build records from the block scorer's arrays with one
-helper, ``_block_records``, with no Python frame per record and no list
-per record: each field is one column of the block (``tolist`` once), and
-the per-user tuples are zipped from the per-user columns. A request is
-checked once, by ``_check_request``, before any kernel call: a run's by its
-``ExperimentConfig``, which ``gain_vs_users`` builds for every user count
-before the first trial, and a sweep's by ``sweep_all``.
-The CSV and JSON writers are columnar. Records are taken a batch at a
-time, sized by a bound on the batch's row matrix (``_WRITE_BYTES``), and
-each batch is transposed once into its field columns (split into runs of
-one per-user width only where a batch mixes widths). A run becomes one
-matrix of native uint32 words, one row per record, whose padding bytes
-are NUL; ``bytes.translate`` deletes them and the rest is the text.
-Trials, schemes, order ids and betas (keyed by their float bits, so -0.0
-and NaN payloads keep their own texts) are spelled once per distinct
-value and gathered by code. The minimum and the per-user rates are
-spelled by one vectorised, exactly rounded ``%.12g``: with e the decimal
-exponent, y = |x| * 10^(11 - e) is a single rounding, as 10^k is an exact
-double for k <= 22, so y is within 2^-53 * 1e12 ~ 1.1e-4 of the exact
-product and its nearest integer gives the 12 digits unless y is near a
-half. Digits are looked up 4 at a time in ``orders._DIGIT_WORDS``; zeros
+``sweep_all`` both build records from a ``_Block`` of the block scorer's
+arrays with one helper, ``_block_records``, with no Python frame per record
+and no list per record: each field is one column of the block (``tolist``
+once), and the per-user tuples are zipped from the per-user columns. A
+request is checked once, by ``_check_request``, before any kernel call: a
+run's by its ``ExperimentConfig``, which ``gain_vs_users`` builds for every
+user count before the first trial, and a sweep's by ``sweep_all``.
+
+``run_experiment`` returns a ``list`` subclass that holds the records and
+also keeps, per block, the arrays they were built from (values and picks
+[T, S, B], rates [T, S, B, n], and the trial range, grid, scheme names and
+scored ids they share), plus a tuple of the records themselves: 24 + 8n
+bytes per record at n users over the records' own, 48 at N = 3. Equality,
+``+``, iteration, copying and pickling are a list's. The CSV and JSON
+writers check the list against that tuple in one identity pass; while it
+holds exactly those records, one for one, they write from the kept
+columns, and any other sequence, or a changed list, is first turned into
+the same columns from its records. ``+`` and slices give plain lists.
+
+The writers are columnar, with one body over two sources of columns. A
+run's blocks, or records taken a batch at a time (transposed once into
+field columns, split by per-user width only where a batch mixes widths),
+become batches sized by a bound on the batch's row matrix
+(``_WRITE_BYTES``). A batch becomes a matrix of native uint32 words, one
+row per record, whose padding bytes are NUL, built and turned into text a
+slice of rows at a time; ``bytes.translate`` deletes the padding and the
+rest is the text. Trials, schemes, order ids and betas (keyed by their
+float bits, so -0.0 and NaN payloads keep their own texts) are spelled
+once per distinct value (a block's order ids once per distinct pick,
+never cast to int64, which ids past N = 6 overflow) and gathered by code.
+The minimum and the per-user rates are spelled by one vectorised, exactly
+rounded ``%.12g``: with e the decimal exponent, y = |x| * 10^(11 - e) is
+a single rounding, as 10^k is an exact double for k <= 22, so y is within
+2^-53 * 1e12 ~ 1.1e-4 of the exact product and its nearest integer gives
+the 12 digits unless y is near a half. Its temporaries are computed in
+place, about three floats per number at most. Digits are looked up 4 at a time in ``orders._DIGIT_WORDS``; zeros
 and signs are spelled on this path too. A value the fast path cannot
 prove (y within 2.5e-4 of a half, e outside [-4, 11], y within 1 of the
 carry to 1e12, NaN or +-inf) is spelled by ``format_number`` (or its JSON
@@ -43,6 +58,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import chain, cycle, islice, repeat
@@ -57,6 +73,7 @@ from .optimizer import (
     SCHEME_POLICY_LPWU,
     SCHEMES,
     _check_request,
+    _request_set,
     _score_block,
     _trials_per_block,
 )
@@ -152,29 +169,61 @@ def _trial_blocks(config: ExperimentConfig, values_only: bool = False) -> Iterat
         yield trials, _score_block(schemes, grid, gains, params, values_only)
 
 
-def _block_records(
-    trials: range,
-    grid: Sequence[float],
-    scores: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> Iterator[ResultRecord]:
-    """The records of a ``_score_block`` result for ``trials``, by trial,
-    then scheme, then beta, built with no Python frame per record."""
-    # [T, S, B] arrays (users [T, S, B, n]): flat in (trial, scheme, beta) order
-    values, order_ids, users = (
+class _Block(NamedTuple):
+    """A block of trials' scores, as ``_block_records`` reads them: the
+    trials, the beta grid, the scheme names, and per (trial, scheme, beta)
+    cell its value [T, S, B], its pick [T, S, B] (the index of its order in
+    ``ids``, -1 for none) and its per-user rates [T, S, B, n]."""
+
+    trials: range
+    grid: tuple[float, ...]
+    schemes: tuple[str, ...]
+    values: np.ndarray
+    picks: np.ndarray
+    rates: np.ndarray
+    ids: np.ndarray
+
+
+def _stacked(trials: range, grid: Sequence[float], scores: dict, ids: np.ndarray) -> _Block:
+    """The ``_Block`` of a ``_score_block`` result for ``trials``."""
+    values, picks, rates = (
         np.stack([score[i] for score in scores.values()], axis=1) for i in range(3)
     )
+    # a tuple of the grid, which a caller's list could change after the run
+    return _Block(trials, tuple(grid), tuple(scores), values, picks, rates, ids)
+
+
+def _block_records(block: _Block) -> Iterator[ResultRecord]:
+    """The records of a block, by trial, then scheme, then beta, built with
+    no Python frame per record."""
+    trials, grid, schemes, values, picks, rates, ids = block
     return map(
         _new_record,
         zip(
-            chain.from_iterable(map(repeat, trials, repeat(len(scores) * len(grid)))),
+            chain.from_iterable(map(repeat, trials, repeat(len(schemes) * len(grid)))),
             cycle(grid),
-            cycle([scheme for scheme in scores for _ in grid]),
-            order_ids.ravel().tolist(),
+            cycle([scheme for scheme in schemes for _ in grid]),
+            np.where(picks >= 0, ids.take(picks), None).ravel().tolist(),
             values.ravel().tolist(),
             # each record's rates as one tuple of the per-user columns
-            zip(*users.reshape(-1, users.shape[-1]).T.tolist()),
+            zip(*rates.reshape(-1, rates.shape[-1]).T.tolist()),
         ),
     )
+
+
+class _RunRecords(list):
+    """``run_experiment``'s records: a list, which also keeps the blocks the
+    records were built from (``_blocks``) and a tuple of the records
+    themselves (``_records``), so the writers can read the blocks' columns
+    while the list still holds exactly those records."""
+
+    def _kept_blocks(self) -> list[_Block] | None:
+        """The blocks, if the list holds the records built from them, one
+        for one and in order; else None."""
+        kept = self._records
+        if len(self) == len(kept) and all(map(operator.is_, self, kept)):
+            return self._blocks
+        return None
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
@@ -182,11 +231,16 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
 
     Trial t draws its channels from ``derive_trial_seed(master_seed, t)``,
     so results are independent of how trials are scheduled and any row can
-    be reproduced from (master_seed, trial) alone.
+    be reproduced from (master_seed, trial) alone. The list also keeps the
+    block columns its records were built from, which ``export`` writes from
+    while the list is unchanged.
     """
-    records: list[ResultRecord] = []
-    for trials, scores in _trial_blocks(config):
-        records += _block_records(trials, config.beta_grid, scores)
+    ids = _request_set(config.schemes, config.params.n_users)[1]
+    blocks = [
+        _stacked(trials, config.beta_grid, scores, ids) for trials, scores in _trial_blocks(config)
+    ]
+    records = _RunRecords(chain.from_iterable(map(_block_records, blocks)))
+    records._blocks, records._records = blocks, tuple(records)
     return records
 
 
@@ -203,8 +257,9 @@ def sweep_all(
         raise ValueError("channels and params disagree on the user count")
     _check_request(schemes, beta_grid, params.n_users)
     scores = _score_block(schemes, beta_grid, np.array([channels.gains]), params)
+    ids = _request_set(schemes, params.n_users)[1]
     # one trial's records run scheme by scheme, a grid's worth each
-    records = _block_records(range(1), beta_grid, scores)
+    records = _block_records(_stacked(range(1), beta_grid, scores, ids))
     return {scheme: list(islice(records, len(beta_grid))) for scheme in scores}
 
 
@@ -277,25 +332,6 @@ def _batch_rows(width: int) -> int:
     return max(1, _WRITE_BYTES // (_SLOT_BYTES * (width + 4)))
 
 
-def _runs(records: Sequence[ResultRecord]) -> Iterator[tuple[int, list[list]]]:
-    """The records a batch of ``_batch_rows`` at a time, as (per-user
-    width, the six field columns as lists) per run of one width. A batch
-    is flattened into one list and its columns are sliced out of it, which
-    makes no Python object per record, and it is split into runs only
-    where its widths differ."""
-    start = 0
-    while start < len(records):
-        batch = records[start:start + _batch_rows(len(records[start].per_user_rates))]
-        start += len(batch)
-        fields = list(chain.from_iterable(batch))
-        widths = list(map(len, fields[5::6]))
-        cuts = [0, len(batch)]
-        if widths.count(widths[0]) < len(widths):
-            cuts[1:1] = (np.flatnonzero(np.diff(widths)) + 1).tolist()
-        for first, end in zip(cuts, cuts[1:]):
-            yield widths[first], [fields[6 * first + i:6 * end:6] for i in range(6)]
-
-
 # 10^0..10^16, each an exact double
 _POW10 = 10.0 ** np.arange(17)
 # 10^(11 - e), an exact double, at e + 5 for e in [-5, 11], and 1 for the
@@ -324,14 +360,19 @@ def _twelve_digits(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     carry to 1e12."""
     # 78913 / 2^18 gives floor((k - 1) log10 2) exactly for every double's k
     e = (np.frexp(magnitudes)[1] - 1) * 78913 >> 18
+    # y is scaled in place, so a number's floats live in two arrays at most
     with np.errstate(invalid="ignore"):  # signalling NaNs, and inf - inf
-        y = magnitudes * _SCALES.take(e + 5, mode="wrap")
+        y = _SCALES.take(e + 5, mode="wrap")
+        y *= magnitudes
         e += y >= 1e12
-        y = magnitudes * _CORRECTED_SCALES.take(e + 5, mode="wrap")
+        _CORRECTED_SCALES.take(e + 5, mode="wrap", out=y)
+        y *= magnitudes
         digits = np.rint(y)
-        exact = np.abs(y - digits) <= 0.5 - _HALF_MARGIN
-    exact &= (y >= 1e11) & (y < 1e12 - 1)
-    return np.where(exact, digits, 0.0), (11 - e) * exact, exact
+        exact = (y >= 1e11) & (y < 1e12 - 1)
+        y -= digits
+        exact &= np.abs(y, out=y) <= 0.5 - _HALF_MARGIN
+    digits[~exact] = 0.0
+    return digits, (11 - e) * exact, exact
 
 
 def _group_words(values: np.ndarray, count: int, trailing: bool, out: np.ndarray) -> None:
@@ -345,13 +386,17 @@ def _group_words(values: np.ndarray, count: int, trailing: bool, out: np.ndarray
         unit = 10.0 ** (4 * (count - 1 - g))
         group = rest
         if unit > 1:
-            group = np.floor(rest / unit)
-            rest = rest - group * unit
+            group = rest / unit
+            np.floor(group, out=group)
+            lower = group * unit
+            rest = np.subtract(rest, lower, out=lower)
+        index = group.astype(np.intp)
+        del group
         if trailing:
-            blank = _TRAIL * (rest == 0) if unit > 1 else _TRAIL
+            np.add(index, _TRAIL, out=index, where=True if unit == 1 else rest == 0)
         else:
-            blank = _LEAD * (values < 1e4 * unit) if g else _LEAD
-        out[g] = _DIGIT_WORDS.take((group + blank).astype(np.intp))
+            np.add(index, _LEAD, out=index, where=values < 1e4 * unit if g else True)
+        _DIGIT_WORDS.take(index, out=out[g])
 
 
 def _words(text: bytes, count: int = 0) -> np.ndarray:
@@ -391,31 +436,42 @@ def _number_words(columns: np.ndarray, leads: Sequence[bytes], json: bool) -> li
     magnitudes = np.abs(flat)
     digits, places, exact = _twelve_digits(magnitudes)
     zero = magnitudes == 0
-    scale = _POW10[places]
-    whole = np.floor(digits / scale)
+    del magnitudes
+    # the whole part and the fraction, left-aligned in its groups, computed
+    # in place, so no more than three floats per number are held
+    scale = _POW10.take(places)
+    whole = digits / scale
+    np.floor(whole, out=whole)
     top = whole.max()
     whole_groups = 1 + int(top >= 1e4) + int(top >= 1e8)
     fraction_groups = -(-int(places.max()) // 4)
-    # the fraction, left-aligned in its groups
-    fraction = (digits - whole * scale) * _POW10[4 * fraction_groups - places]
-    del magnitudes, digits, scale  # a batch's peak memory is here
+    fraction = np.subtract(digits, np.multiply(whole, scale, out=scale), out=digits)
+    fraction *= _POW10.take(4 * fraction_groups - places, out=scale)
+    del digits, scale
     done = exact | zero
     slow = np.flatnonzero(~done)
-    # 8 words hold the longest text of a number spelled one at a time
+    spell = _json_number if json else format_number
+    texts = [spell(x).encode() for x in flat[slow].tolist()]
+    # the fixed-point words, or as many as the longest text spelled alone
     count = whole_groups + 1 + fraction_groups
-    words = np.zeros((max(count, 8 if len(slow) else 0), len(flat)), dtype=np.uint32)
+    rows = max([count, *(-(-len(text) // 4) for text in texts)])
+    words = np.zeros((rows, len(flat)), dtype=np.uint32)
     _group_words(whole, whole_groups, False, words[:whole_groups])
-    point = (fraction != 0).astype(np.intp) + (places > 11) + 3 * zero
-    words[whole_groups] = _POINT_WORDS[json].take(point)
+    del whole
+    point = (fraction != 0).astype(np.intp)
+    point += places > 11
+    np.add(point, 3, out=point, where=zero)
+    _POINT_WORDS[json].take(point, out=words[whole_groups])
+    del point
     _group_words(fraction, fraction_groups, True, words[whole_groups + 1:count])
-    if len(slow):
-        spell = _json_number if json else format_number
-        text = b"".join(spell(x).encode().ljust(32, b"\0") for x in flat[slow].tolist())
-        words[:8, slow] = np.frombuffer(text, dtype=np.uint32).reshape(-1, 8).T
+    del fraction
+    if texts:
+        text = b"".join(text.ljust(4 * rows, b"\0") for text in texts)
+        words[:, slow] = np.frombuffer(text, dtype=np.uint32).reshape(-1, rows).T
     used = words.any(axis=1)
     words = (words if used.all() else words[used]).reshape(-1, *columns.shape)
     # a slow number's text carries its own sign
-    signs = (np.signbit(flat) & done).astype(np.intp).reshape(columns.shape)
+    signs = (np.signbit(flat) & done).reshape(columns.shape)
     pieces = []
     for lead, sign, number in zip(leads, signs, words.transpose(1, 2, 0)):
         pieces += [_lead_words(lead).take(sign, axis=0), number]
@@ -432,35 +488,108 @@ def _text_words(texts: Sequence[str]) -> np.ndarray:
     return np.frombuffer(padded, dtype=np.uint32).reshape(len(data), count)
 
 
-def _gathered(column: Sequence, spell) -> np.ndarray:
-    """The words [R, k] of ``spell(v)`` for each entry v of the column, each
-    distinct value spelled once and gathered by its code."""
+def _coded(column: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct values of the column, in first-seen order, and each
+    entry's index among them."""
     distinct = dict.fromkeys(column)
-    table = _text_words([spell(v) for v in distinct])
     codes = dict(zip(distinct, range(len(distinct))))
-    return table.take(np.fromiter(map(codes.__getitem__, column), np.intp, len(column)), axis=0)
+    return list(distinct), np.fromiter(map(codes.__getitem__, column), np.intp, len(column))
 
 
-def _gathered_numbers(column: list, spell) -> np.ndarray:
-    """The words [R, k] of ``spell(x)`` for each number x of the column,
-    each distinct value spelled once and gathered by its code. Values are
-    told apart by their float bits, so -0.0 and 0.0, and NaNs of other
-    payloads, keep their own texts."""
-    values = np.array(column, dtype=np.float64)
-    _, first, codes = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
-    return _text_words(list(map(spell, values[first].tolist()))).take(codes, axis=0)
+def _record_runs(records: Sequence[ResultRecord]) -> Iterator[tuple]:
+    """The records' runs, as ``_block_run`` gives a block's, taken a batch
+    of ``_batch_rows`` at a time and split by per-user width."""
+    start = 0
+    while start < len(records):
+        size = _batch_rows(len(records[start].per_user_rates))
+        yield from _batch_runs(records[start:start + size])
+        start += size
 
 
-def _number_columns(mins: list, rates: list, width: int) -> np.ndarray:
-    """The [1 + width, R] floats of a run's minima and per-user rates."""
-    columns = np.empty((1 + width, len(mins)))
-    columns[0] = mins
-    flat = np.fromiter(chain.from_iterable(rates), np.float64, width * len(rates))
-    columns[1:] = flat.reshape(len(rates), width).T
-    return columns
+def _batch_runs(batch: Sequence[ResultRecord]) -> list[tuple]:
+    """A batch's runs, one per stretch of one per-user width, each with one
+    batch of rows. The batch is flattened into one list and its columns are
+    sliced out of it, which makes no Python object per record, and it is
+    split only where its widths differ. Betas are told apart by their float
+    bits, so -0.0 and 0.0, and NaNs of other payloads, keep their own texts.
+    The lists are freed on return, before any text is built."""
+    fields = list(chain.from_iterable(batch))
+    widths = list(map(len, fields[5::6]))
+    cuts = [0, len(batch)]
+    if widths.count(widths[0]) < len(widths):
+        cuts[1:1] = (np.flatnonzero(np.diff(widths)) + 1).tolist()
+    runs = []
+    for first, end in zip(cuts, cuts[1:]):
+        trials, betas, schemes, order_ids, mins, rates = (
+            fields[6 * first + i:6 * end:6] for i in range(6)
+        )
+        width = widths[first]
+        betas = np.array(betas, dtype=np.float64)
+        _, distinct, beta_codes = np.unique(
+            betas.view(np.int64), return_index=True, return_inverse=True
+        )
+        (trials, trial_codes), (schemes, scheme_codes), (order_ids, id_codes) = map(
+            _coded, (trials, schemes, order_ids)
+        )
+        numbers = np.empty((1 + width, len(mins)))
+        numbers[0] = mins
+        flat = np.fromiter(chain.from_iterable(rates), np.float64, width * len(rates))
+        numbers[1:] = flat.reshape(len(rates), width).T
+        rows = [trial_codes, beta_codes, scheme_codes, id_codes], numbers
+        runs.append((width, [trials, betas[distinct].tolist(), schemes, order_ids], [rows]))
+    return runs
 
 
-_TEXT_ROWS = 512  # matrix rows turned into text at once
+def _block_run(block: _Block) -> tuple:
+    """A block's records as one run: (the per-user width; the distinct
+    trials, betas, schemes and order ids; its batches of ``_batch_rows``
+    rows, each as (each row's index among each field's distinct values,
+    the [1 + width, R] floats of its minima and rates)). An order id is
+    taken once per distinct pick, from the ids as they are, int64 or exact
+    objects, and the rows are indexed by position in the block."""
+    trials, grid, schemes, values, picks, rates, ids = block
+    width = rates.shape[-1]
+    # the distinct picks, and each pick's index among them, by pick + 1
+    present = np.bincount(picks.ravel() + 1, minlength=len(ids) + 1) > 0
+    distinct = np.flatnonzero(present) - 1
+    order_ids = np.where(distinct >= 0, ids.take(distinct), None).tolist()
+    codes = np.cumsum(present) - 1
+    per_trial = len(schemes) * len(grid)
+    values, picks, rates = values.ravel(), picks.ravel(), rates.reshape(-1, width)
+    size = _batch_rows(width)
+
+    def batches():
+        for start in range(0, len(values), size):
+            rows = slice(start, start + size)
+            index = np.arange(start, min(start + size, len(values)))
+            yield [
+                index // per_trial,
+                index % len(grid),
+                index // len(grid) % len(schemes),
+                codes.take(picks[rows] + 1),
+            ], np.vstack([values[rows], rates[rows].T])
+
+    return width, [trials, grid, schemes, order_ids], batches()
+
+
+def _runs(records: Sequence[ResultRecord]) -> Iterator[tuple]:
+    """The records as runs of one per-user width, each with the distinct
+    values of its trials, betas, schemes and order ids and its batches of
+    rows: from the blocks of a ``run_experiment`` list that still holds its
+    own records, else from the records themselves."""
+    blocks = records._kept_blocks() if isinstance(records, _RunRecords) else None
+    if blocks is None:
+        return _record_runs(records)
+    return map(_block_run, blocks)
+
+
+def _tables(distinct: Sequence[Sequence], spells: Sequence) -> list[np.ndarray]:
+    """Per field, the words [D, k] of each of its distinct values, spelled
+    by that field's function."""
+    return [_text_words(list(map(spell, values))) for spell, values in zip(spells, distinct)]
+
+
+_TEXT_ROWS = 256  # matrix rows turned into text at once
 # deletes the padding, then turns 0xFF back into the NUL it stands for
 _UNPAD = bytes(range(255)) + b"\0"
 
@@ -469,15 +598,13 @@ def _write_rows(stream, pieces: list[np.ndarray], skip: int = 0) -> None:
     """Write the row matrix of ``pieces`` (word arrays [R, k], or [1, k]
     for text every row shares) to the text stream, with its padding
     deleted by ``bytes.translate`` and its first ``skip`` bytes left out.
-    The list is emptied once the matrix is built, which frees the pieces."""
+    The matrix is built and turned into text a slice of rows at a time, so
+    neither it nor the text's copies are ever held whole."""
     count = max(map(len, pieces))
-    rows = np.concatenate(
-        [p if len(p) == count else np.broadcast_to(p, (count, p.shape[1])) for p in pieces], axis=1
-    )
-    pieces.clear()
-    # turned into text a slice at a time, so the text's copies stay small
+    pieces = [p if len(p) == count else np.broadcast_to(p, (count, p.shape[1])) for p in pieces]
     for first in range(0, count, _TEXT_ROWS):
-        text = rows[first:first + _TEXT_ROWS].tobytes().translate(_UNPAD, b"\0")
+        rows = np.concatenate([p[first:first + _TEXT_ROWS] for p in pieces], axis=1)
+        text = rows.tobytes().translate(_UNPAD, b"\0")
         stream.write(text[skip:].decode("utf-8", "surrogatepass"))
         skip = 0
 
@@ -490,23 +617,29 @@ def _csv_text(field: str) -> str:
 
 
 _CSV_END = _words(b"\n")[None]
+# the CSV text of a trial, and of a beta, scheme and order id after their comma
+_CSV_SPELLS = (
+    str,
+    lambda beta: "," + format_number(beta),
+    lambda scheme: "," + _csv_text(scheme),
+    lambda oid: "," if oid is None else f",{oid}",
+)
 
 
 def write_csv(records: Sequence[ResultRecord], stream) -> None:
     """Write records as CSV (LF line endings) to an open text stream: the
     bytes of ``csv.writer`` over one row per record, numbers as
-    ``format_number`` text, built one run of equal-width records at a
+    ``format_number`` text, built a batch of equal-width records at a
     time as one row matrix of words."""
     csv.writer(stream, lineterminator="\n").writerow(_header(records))
-    for width, (trials, betas, schemes, order_ids, mins, rates) in _runs(records):
-        _write_rows(stream, [
-            _gathered(trials, str),
-            _gathered_numbers(betas, lambda beta: "," + format_number(beta)),
-            _gathered(schemes, lambda scheme: "," + _csv_text(scheme)),
-            _gathered(order_ids, lambda oid: "," if oid is None else f",{oid}"),
-            *_number_words(_number_columns(mins, rates, width), (b",",) * (width + 1), False),
-            _CSV_END,
-        ])
+    for width, distinct, batches in _runs(records):
+        tables = _tables(distinct, _CSV_SPELLS)
+        for codes, numbers in batches:
+            _write_rows(stream, [
+                *[table.take(code, axis=0) for table, code in zip(tables, codes)],
+                *_number_words(numbers, (b",",) * (width + 1), False),
+                _CSV_END,
+            ])
 
 
 # the text of a JSON record after its numbers, with rates and without
@@ -517,31 +650,35 @@ _JSON_ENDS = (
 # what leads each number of a JSON record: the minimum and the rates
 _JSON_LEADS = (b',\n    "min_secrecy_rate": ', b',\n    "per_user_rates": [\n      ')
 _JSON_RATE_LEAD = b",\n      "
+# the JSON text of a record's trial, beta, scheme and order id, with what leads each
+_JSON_SPELLS = (
+    ',\n  {{\n    "trial": {}'.format,
+    lambda beta: ',\n    "beta": ' + _json_number(beta),
+    lambda scheme: ',\n    "scheme": ' + json.dumps(scheme),
+    lambda oid: ',\n    "order_id": %s' % ("null" if oid is None else oid),
+)
 
 
 def write_json(records: Sequence[ResultRecord], stream) -> None:
     """Write records as a JSON array to an open text stream: the bytes of
     ``json.dump(..., indent=2)`` over one object per record, then a newline.
-    Numbers are parsed back from ``format_number``. Each run of equal-width
-    records is built as one row matrix of words."""
+    Numbers are parsed back from ``format_number``. Each batch of
+    equal-width records is built as one row matrix of words."""
     if not records:
         stream.write("[]\n")
         return
     stream.write("[")
     skip = 1  # the first record's separator is "\n", after the "["
-    for width, (trials, betas, schemes, order_ids, mins, rates) in _runs(records):
+    for width, distinct, batches in _runs(records):
+        tables = _tables(distinct, _JSON_SPELLS)
         leads = (*_JSON_LEADS, *(_JSON_RATE_LEAD,) * (width - 1))[:width + 1]
-        _write_rows(stream, [
-            _gathered(trials, ',\n  {{\n    "trial": {}'.format),
-            _gathered_numbers(betas, lambda beta: ',\n    "beta": ' + _json_number(beta)),
-            _gathered(schemes, lambda scheme: ',\n    "scheme": ' + json.dumps(scheme)),
-            _gathered(
-                order_ids, lambda oid: ',\n    "order_id": %s' % ("null" if oid is None else oid)
-            ),
-            *_number_words(_number_columns(mins, rates, width), leads, True),
-            _JSON_ENDS[width > 0],
-        ], skip)
-        skip = 0
+        for codes, numbers in batches:
+            _write_rows(stream, [
+                *[table.take(code, axis=0) for table, code in zip(tables, codes)],
+                *_number_words(numbers, leads, True),
+                _JSON_ENDS[width > 0],
+            ], skip)
+            skip = 0
     stream.write("\n]\n")
 
 

@@ -451,15 +451,21 @@ def _scored_set(n: int, secure: bool) -> tuple[_Columns, np.ndarray, dict[str, n
     return _column_index(ranks), ids, picks
 
 
+def _request_set(schemes: Sequence[str], n_users: int) -> tuple[_Columns, np.ndarray, dict]:
+    """The ``_scored_set`` a request for ``schemes`` scores: S when one of
+    them needs it, else the policy matrices."""
+    return _scored_set(n_users, bool(_ENUM_SCHEMES & set(schemes)))
+
+
 def _cell_floats(schemes: Sequence[str], n_users: int) -> int:
     """Floats a kernel call holds per (trial, beta) cell in the arrays that
     grow with it: its K per-order minima, its C x n entries of the SINR
     table and of the rate table, and, for each scheme that picks an order,
     the 3 x n of ``_order_rates``. Only these arrays stay within
-    ``_BLOCK_FLOATS``: a full block's peak also holds the picks, values,
-    gather rows and order-id arrays, and with every scheme it reaches about
+    ``_BLOCK_FLOATS``: a full block's peak also holds the picks, values
+    and gather rows, and with every scheme it reaches about
     2.1x the bound at N = 1, 1.5x at N = 2 and 1.1x at N = 3 and 4."""
-    columns = _scored_set(n_users, bool(_ENUM_SCHEMES & set(schemes)))[0]
+    columns = _request_set(schemes, n_users)[0]
     picked = sum(scheme != SCHEME_BENCHMARK for scheme in schemes)
     return len(columns.index) + (2 * len(columns.receiver) + 3 * picked) * n_users
 
@@ -483,17 +489,18 @@ def _score_block(
     given as their descending gains [T, n], in one kernel call. The caller
     checks the request and sizes the block (``_trials_per_block``).
 
-    Returns, per scheme, (values [T, B], order ids [T, B] as an object array,
-    per-user rates [T, B, n]), or the values alone when ``values_only``. For
-    each beta the power allocation follows the fractional rule; the
-    optimal-* schemes search their order subset (order id None where no
-    order is feasible), the policy schemes score their single matrix, and
-    the benchmark averages the secure set (order id None). The secure set
+    Returns, per scheme, (values [T, B], picks [T, B], per-user rates
+    [T, B, n]), or the values alone when ``values_only``. A pick is the
+    index of the scored order in the ids of ``_request_set(schemes, n)``,
+    or -1 for none. For each beta the power allocation follows the
+    fractional rule; the optimal-* schemes search their order subset (-1
+    where no order is feasible), the policy schemes score their single
+    matrix, and the benchmark averages the secure set (-1). The secure set
     (when a scheme needs it), or else the policy matrices, is scored once,
     and each scheme's reduction runs once.
     """
     n = params.n_users
-    columns, ids, picks = _scored_set(n, bool(_ENUM_SCHEMES & set(schemes)))
+    columns, ids, picks = _request_set(schemes, n)
     gains = np.asarray(gains, dtype=float)
     shape = (len(gains), len(beta_grid))
     # the cells' gains and alphas [c, n] live only until the table is built
@@ -524,16 +531,16 @@ def _score_block(
     if values_only:
         return {scheme: values[scheme].reshape(shape) for scheme in schemes}
 
-    def block(value, order_ids, users):  # per-cell arrays as [T, B] ([T, B, n])
-        return value.reshape(shape), order_ids.reshape(shape), users.T.reshape(*shape, n)
+    def block(value, pick, users):  # per-cell arrays as [T, B] ([T, B, n])
+        return value.reshape(shape), pick.reshape(shape), users.T.reshape(*shape, n)
 
     rates = _order_rates(columns, *table, k)  # [S, n, c]
     np.copyto(rates, 0.0, where=(k < 0)[:, None])
     result = {}
     for i, scheme in enumerate(picked):
-        result[scheme] = block(values[scheme], np.where(k[i] >= 0, ids[k[i]], None), rates[i])
+        result[scheme] = block(values[scheme], k[i], rates[i])
     if summed:
-        # the benchmark averages orders, so it has no order id
-        none = np.full(cells, None, dtype=object)
+        # the benchmark averages orders, so it picks none
+        none = np.full(cells, -1, dtype=np.intp)
         result[SCHEME_BENCHMARK] = block(values[SCHEME_BENCHMARK], none, total / len(ids))
     return {scheme: result[scheme] for scheme in schemes}

@@ -132,8 +132,9 @@ def score_block(
     channels: Sequence[ChannelRealization],
     params: SystemParams,
 ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per scheme, (values [T, B], order ids [T, B], per-user rates
-    [T, B, n]), as ``untrusted_noma.optimizer._score_block`` returns them."""
+    """Per scheme, (values [T, B], picks [T, B], per-user rates [T, B, n]),
+    as ``untrusted_noma.optimizer._score_block`` returns them: a pick is the
+    index of the scored order in the scored set's ids, -1 for none."""
     n = params.n_users
     _check_request(schemes, beta_grid, n)
     columns, ids, picks = _scored_set(n, bool(_ENUM_SCHEMES & set(schemes)))
@@ -180,15 +181,15 @@ def score_block(
     result = {}
     for scheme in schemes:
         if scheme in best:
-            order_ids = np.where(best[scheme] >= 0, ids[best[scheme]], None)
+            chosen = best[scheme]
         elif scheme == SCHEME_BENCHMARK:
-            # the benchmark averages orders, so it has no order id
-            order_ids = np.full(cells, None, dtype=object)
+            # the benchmark averages orders, so it picks none
+            chosen = np.full(cells, -1)
         else:
-            order_ids = np.full(cells, int(ids[picks[scheme][0]]), dtype=object)
+            chosen = np.full(cells, picks[scheme][0])
         result[scheme] = (
             values[scheme].reshape(shape),
-            order_ids.reshape(shape),
+            chosen.reshape(shape),
             users[scheme].reshape(*shape, n),
         )
     return result

@@ -1,8 +1,10 @@
+import copy
 import csv
 import dataclasses
 import io
 import json
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -25,8 +27,9 @@ from untrusted_noma import (
     sample_channels,
     sweep_all,
 )
-from untrusted_noma import optimizer
+from untrusted_noma import cli, experiments, optimizer
 from untrusted_noma.experiments import (
+    _WRITE_BYTES,
     _batch_rows,
     _number_words,
     _twelve_digits,
@@ -750,3 +753,158 @@ class TestWriterMemory:
         peak = self.traced_peak(write, records)
         assert peak < 2 * 2**20
         assert self.traced_peak(write, records * 4) < 1.1 * peak + 2**16
+
+    def test_json_peak_of_a_run(self, records):
+        # the number speller's temporaries are computed in place and a
+        # batch's row matrix is built a slice of rows at a time, so writing
+        # a run's kept columns peaks within 2.5 batch row matrices
+        assert records._kept_blocks() is not None
+        assert self.traced_peak(write_json, records) < 2.5 * _WRITE_BYTES
+
+
+def written(write, records) -> bytes:
+    stream = io.StringIO()
+    write(records, stream)
+    return stream.getvalue().encode()
+
+
+# what csv.writer and json.dump give over one row per record
+REFERENCE = {
+    write_csv: TestCsvWriter.csv_writer_bytes,
+    write_json: TestJsonWriter.json_dump_bytes,
+}
+WRITERS = pytest.mark.parametrize("write", [write_csv, write_json], ids=["csv", "json"])
+
+# runs whose kept columns the writers read: every scheme at N = 1..4, zeta = 1
+# (zero rates, and optimal-L cells with no feasible order), the policies at
+# N = 9 (ids past int64), and a whole 120-trial N = 3 block, several write
+# batches long, that holds numbers the fast speller cannot prove
+KEPT_RUNS = {
+    **{
+        f"n{n}": dict(params=SystemParams(n_users=n), trials=7, master_seed=40 + n)
+        for n in (1, 2, 3, 4)
+    },
+    "zeta-1": dict(params=SystemParams(n_users=3, zeta=1.0), trials=7, master_seed=7),
+    "n9-policies": dict(
+        params=SystemParams(n_users=9),
+        trials=4,
+        master_seed=9,
+        schemes=("policy-LPWU", "policy-LPSU"),
+    ),
+    "slow-numbers": dict(params=SystemParams(n_users=3), trials=120, master_seed=5),
+}
+
+
+class TestKeptColumns:
+    """run_experiment's list keeps the block columns its records were built
+    from, and the writers read them while the list holds exactly those
+    records: the bytes must be those the records themselves give. Any other
+    list, or a changed one, is written from its records."""
+
+    @staticmethod
+    def kept_run(name, blocks_of):
+        cfg = ExperimentConfig(**KEPT_RUNS[name])
+        if cfg.trials < 100:
+            # blocks of three trials, so a run crosses block boundaries
+            blocks_of(3, cfg.schemes, cfg.params.n_users, len(cfg.beta_grid))
+        records = run_experiment(cfg)
+        assert records._kept_blocks() is not None
+        return records
+
+    @WRITERS
+    @pytest.mark.parametrize("name", list(KEPT_RUNS))
+    def test_kept_columns_write_the_records_bytes(self, blocks_of, name, write):
+        records = self.kept_run(name, blocks_of)
+        assert written(write, records) == written(write, list(records)) == REFERENCE[write](records)
+
+    def test_runs_hold_their_cases(self, blocks_of):
+        zeta = self.kept_run("zeta-1", blocks_of)
+        assert any(r.min_secrecy_rate == 0 for r in zeta)
+        assert any(r.order_id is None for r in zeta if r.scheme == "optimal-L")
+        assert max(r.order_id for r in self.kept_run("n9-policies", blocks_of)) >= 2**63
+        slow = self.kept_run("slow-numbers", blocks_of)
+        assert len(slow) > 2 * _batch_rows(3)
+        numbers = np.abs([[r.min_secrecy_rate, *r.per_user_rates] for r in slow]).ravel()
+        assert not _twelve_digits(numbers[numbers > 0])[2].all()
+
+    MUTATIONS = {
+        "append": lambda records: records.append(records[0]),
+        "sort": lambda records: records.sort(key=lambda r: r.min_secrecy_rate),
+        "reverse": lambda records: records.reverse(),
+        "item": lambda records: records.__setitem__(3, records[3]._replace(min_secrecy_rate=0.5)),
+        "slice": lambda records: records.__setitem__(slice(2, 5), records[4:1:-1]),
+        "del": lambda records: records.__delitem__(5),
+        "extend": lambda records: records.extend(records[:2]),
+    }
+
+    @WRITERS
+    @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=list(MUTATIONS))
+    def test_a_changed_list_is_written_from_its_records(self, mutate, write):
+        records = run_experiment(small_config(schemes=SCHEMES))
+        mutate(records)
+        assert records._kept_blocks() is None
+        assert written(write, records) == REFERENCE[write](records)
+
+    def test_the_same_records_put_back_keep_the_columns(self):
+        records = run_experiment(small_config(schemes=SCHEMES))
+        records[3] = records[3]
+        records[2:5] = records[2:5]
+        assert records._kept_blocks() is not None
+
+    def test_a_grid_list_changed_after_the_run(self):
+        grid = list(SMALL_GRID)
+        records = run_experiment(small_config(beta_grid=grid))
+        grid[0] = 0.25
+        assert written(write_csv, records) == REFERENCE[write_csv](records)
+
+    COPIES = {
+        "add": lambda records: records + [],
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda records: pickle.loads(pickle.dumps(records)),
+    }
+
+    @WRITERS
+    @pytest.mark.parametrize("copy_of", COPIES.values(), ids=list(COPIES))
+    def test_copies_write_the_same_bytes(self, copy_of, write):
+        records = run_experiment(small_config(schemes=SCHEMES))
+        other = copy_of(records)
+        assert other == records and other is not records
+        # a sum is a plain list; a copy keeps the columns with its records
+        assert (type(other) is list) == (copy_of is self.COPIES["add"])
+        if type(other) is not list:
+            assert other._kept_blocks() is not None
+        assert written(write, other) == written(write, records) == REFERENCE[write](records)
+
+
+class TestKeptColumnsAreRead:
+    """With the records-to-columns path refused, a run's export and ``cli
+    simulate`` still succeed: they write from the kept columns, so a silent
+    fallback cannot hide."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_record_columns(self, monkeypatch):
+        def refuse(records):
+            raise AssertionError("records turned back into columns")
+
+        monkeypatch.setattr(experiments, "_record_runs", refuse)
+        with pytest.raises(AssertionError, match="turned back"):
+            write_csv(many_records(3), io.StringIO())
+
+    @pytest.mark.parametrize("format, write", [("csv", write_csv), ("json", write_json)])
+    def test_export(self, tmp_path, format, write):
+        records = run_experiment(small_config(schemes=SCHEMES, beta_grid=DEFAULT_BETA_GRID))
+        path = tmp_path / f"records.{format}"
+        export(records, path, format)
+        assert path.read_bytes() == REFERENCE[write](records)
+
+    def test_cli_simulate(self, capsys, tmp_path):
+        path = tmp_path / "records.json"
+        argv = ["simulate", "--users", "3", "--trials", "2", "--seed", "1", "--output", str(path)]
+        assert cli.main([*argv, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        records = run_experiment(
+            ExperimentConfig(params=SystemParams(n_users=3), trials=2, master_seed=1)
+        )
+        assert out.encode() == TestCsvWriter.csv_writer_bytes(records)
+        assert path.read_bytes() == TestJsonWriter.json_dump_bytes(records)

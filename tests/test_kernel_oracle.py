@@ -1,5 +1,5 @@
 """The order-major kernel against the user-major reference in
-``kernel_oracle``: values, order ids and per-user rates must match bit for
+``kernel_oracle``: values, order picks and per-user rates must match bit for
 bit, for every scheme, and so must the single-order entry points."""
 import numpy as np
 import pytest
@@ -29,10 +29,10 @@ POLICIES = ("policy-LPWU", "policy-LPSU")
 
 def assert_blocks_equal(got, want):
     assert list(got) == list(want)
-    for scheme, (values, ids, users) in want.items():
-        g_values, g_ids, g_users = got[scheme]
+    for scheme, (values, picks, users) in want.items():
+        g_values, g_picks, g_users = got[scheme]
         assert g_values.tobytes() == values.tobytes(), scheme
-        assert g_ids.tolist() == ids.tolist(), scheme
+        assert g_picks.tolist() == picks.tolist(), scheme
         assert g_users.shape == users.shape
         assert np.ascontiguousarray(g_users).tobytes() == users.tobytes(), scheme
 
@@ -50,7 +50,7 @@ def test_all_schemes_full_grid(blocks_of, n, zeta):
     assert_blocks_equal(got, oracle.score_block(SCHEMES, DEFAULT_BETA_GRID, channels, params))
     if n <= 2:
         # optimal-O searches no order below three users
-        assert set(got["optimal-O"][1].ravel().tolist()) == {None}
+        assert set(got["optimal-O"][1].ravel().tolist()) == {-1}
         assert not got["optimal-O"][0].any() and not got["optimal-O"][2].any()
 
 

@@ -495,11 +495,11 @@ class TestBlockSize:
         for trials in trials_of:
             block = _score_block(SCHEMES, DEFAULT_BETA_GRID, gains[:trials], params)
             for scheme in SCHEMES:
-                values, ids, users = (
+                values, picks, users = (
                     np.concatenate([one[scheme][i] for one in ones[:trials]]) for i in range(3)
                 )
                 assert block[scheme][0].tobytes() == values.tobytes(), scheme
-                assert block[scheme][1].tolist() == ids.tolist(), scheme
+                assert block[scheme][1].tolist() == picks.tolist(), scheme
                 assert np.ascontiguousarray(block[scheme][2]).tobytes() == users.tobytes(), scheme
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
