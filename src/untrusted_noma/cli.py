@@ -29,6 +29,7 @@ from .experiments import (
     ExperimentConfig,
     GainRow,
     ResultRecord,
+    _id_text,
     export,
     format_number,
     gain_vs_users,
@@ -38,7 +39,6 @@ from .experiments import (
 )
 from .optimizer import SCHEME_BENCHMARK, SCHEME_POLICY_LPSU, SCHEME_POLICY_LPWU, secrecy_rates
 from .orders import (
-    _id_text,
     _order_ids,
     _secure_rank_blocks,
     count_secure,

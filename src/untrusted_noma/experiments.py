@@ -9,14 +9,16 @@ A row is a ``ResultRecord``, a NamedTuple: it unpacks and compares equal to
 the plain tuple of its six fields, and ``ResultRecord._fields`` names them.
 It also carries the frozen dataclass field table it had as a dataclass, so
 ``dataclasses.fields``, ``replace`` and ``asdict`` still work on it. It is
-the one row type from the kernel to the writers: ``run_experiment`` and
-``sweep_all`` both build records from a ``_Block`` of the block scorer's
-arrays with one helper, ``_block_records``, with no Python frame per record
-and no list per record: each field is one column of the block (``tolist``
-once), and the per-user tuples are zipped from the per-user columns. A
-request is checked once, by ``_check_request``, before any kernel call: a
-run's by its ``ExperimentConfig``, which ``gain_vs_users`` builds for every
-user count before the first trial, and a sweep's by ``sweep_all``.
+the one row type from the kernel to the writers, and a ``_Block`` is the
+one block layout: ``_score_block`` returns its arrays, ``_trial_blocks``
+yields one per kernel call, and ``run_experiment``, ``sweep_all`` and
+``gain_vs_users`` read them. Records are built from a block with one
+helper, ``_block_records``, with no Python frame per record and no list
+per record: each field is one column of the block (``tolist`` once), and
+the per-user tuples are zipped from the per-user columns. A request is
+checked once, by ``_check_request``, before any kernel call: a run's by
+its ``ExperimentConfig``, which ``gain_vs_users`` builds for every user
+count before the first trial, and a sweep's by ``sweep_all``.
 
 ``run_experiment`` returns a ``list`` subclass that holds the records and
 also keeps, per block, the arrays they were built from (values and picks
@@ -27,7 +29,9 @@ bytes per record at n users over the records' own, 48 at N = 3. Equality,
 writers check the list against that tuple in one identity pass; while it
 holds exactly those records, one for one, they write from the kept
 columns, and any other sequence, or a changed list, is first turned into
-the same columns from its records. ``+`` and slices give plain lists.
+the same columns from its records. The first write that finds the list
+changed drops the kept blocks and tuple, which frees the records the list
+no longer holds. ``+`` and slices give plain lists.
 
 The writers are columnar, with one body over two sources of columns. A
 run's blocks, or records taken a batch at a time (transposed once into
@@ -45,12 +49,14 @@ rounded ``%.12g``: with e the decimal exponent, y = |x| * 10^(11 - e) is
 a single rounding, as 10^k is an exact double for k <= 22, so y is within
 2^-53 * 1e12 ~ 1.1e-4 of the exact product and its nearest integer gives
 the 12 digits unless y is near a half. Its temporaries are computed in
-place, about three floats per number at most. Digits are looked up 4 at a time in ``orders._DIGIT_WORDS``; zeros
-and signs are spelled on this path too. A value the fast path cannot
-prove (y within 2.5e-4 of a half, e outside [-4, 11], y within 1 of the
-carry to 1e12, NaN or +-inf) is spelled by ``format_number`` (or its JSON
-spelling) one at a time, so the bytes are those of ``csv.writer`` and
-``json.dump`` either way.
+place, about three floats per number at most. Digits are looked up 4 at
+a time in ``_DIGIT_WORDS``; zeros and signs are spelled on this path too.
+A value the fast path cannot prove (y within 2.5e-4 of a half, e outside
+[-4, 11], y within 1 of the carry to 1e12, NaN or +-inf) is spelled by
+``format_number`` (or its JSON spelling) one at a time, so the bytes are
+those of ``csv.writer`` and ``json.dump`` either way. The ``filter-secure``
+listing's id lines are spelled here too, from the same digit words
+(``_id_text``).
 """
 from __future__ import annotations
 
@@ -77,7 +83,6 @@ from .optimizer import (
     _score_block,
     _trials_per_block,
 )
-from .orders import _DIGIT_WORDS, _LEAD, _TRAIL
 from .system import ChannelRealization, SystemParams, _sample_block
 
 __all__ = [
@@ -155,42 +160,38 @@ class GainRow:
     gain_percent: float
 
 
-def _trial_blocks(config: ExperimentConfig, values_only: bool = False) -> Iterator[tuple[range, dict]]:
-    """``_score_block`` of the config's schemes over its beta grid, a block
-    of trials at a time, as (the block's trials, their scores, or their
-    values alone when ``values_only``). Trial t's channels are drawn from
-    ``derive_trial_seed(config.master_seed, t)``, a block's as one array."""
-    params, schemes, grid = config.params, config.schemes, config.beta_grid
-    size = _trials_per_block(schemes, params.n_users, len(grid))
-    for start in range(0, config.trials, size):
-        trials = range(start, min(start + size, config.trials))
-        seeds = [derive_trial_seed(config.master_seed, t) for t in trials]
-        gains = _sample_block(params, seeds)[1]
-        yield trials, _score_block(schemes, grid, gains, params, values_only)
-
-
 class _Block(NamedTuple):
-    """A block of trials' scores, as ``_block_records`` reads them: the
-    trials, the beta grid, the scheme names, and per (trial, scheme, beta)
-    cell its value [T, S, B], its pick [T, S, B] (the index of its order in
-    ``ids``, -1 for none) and its per-user rates [T, S, B, n]."""
+    """A block of trials' scores, as ``_score_block`` returns them and
+    ``_block_records`` reads them: the trials, the beta grid, the scheme
+    names, and per (trial, scheme, beta) cell its value [T, S, B], its pick
+    [T, S, B] (the index of its order in ``ids``, -1 for none) and its
+    per-user rates [T, S, B, n], all C-contiguous; picks and rates are None
+    in a block of values alone."""
 
     trials: range
     grid: tuple[float, ...]
     schemes: tuple[str, ...]
     values: np.ndarray
-    picks: np.ndarray
-    rates: np.ndarray
+    picks: np.ndarray | None
+    rates: np.ndarray | None
     ids: np.ndarray
 
 
-def _stacked(trials: range, grid: Sequence[float], scores: dict, ids: np.ndarray) -> _Block:
-    """The ``_Block`` of a ``_score_block`` result for ``trials``."""
-    values, picks, rates = (
-        np.stack([score[i] for score in scores.values()], axis=1) for i in range(3)
-    )
-    # a tuple of the grid, which a caller's list could change after the run
-    return _Block(trials, tuple(grid), tuple(scores), values, picks, rates, ids)
+def _trial_blocks(config: ExperimentConfig, values_only: bool = False) -> Iterator[_Block]:
+    """The ``_Block``s of the config's schemes over its beta grid, a block
+    of trials at a time, of values alone when ``values_only``. Trial t's
+    channels are drawn from ``derive_trial_seed(config.master_seed, t)``, a
+    block's as one array."""
+    # the blocks keep tuples, which a caller's lists cannot change after the run
+    params, schemes, grid = config.params, tuple(config.schemes), tuple(config.beta_grid)
+    ids = _request_set(schemes, params.n_users)[1]
+    size = _trials_per_block(schemes, params.n_users, len(grid))
+    for start in range(0, config.trials, size):
+        trials = range(start, min(start + size, config.trials))
+        seeds = [derive_trial_seed(config.master_seed, t) for t in trials]
+        gains = _sample_block(params, seeds)[1]
+        scores = _score_block(schemes, grid, gains, params, values_only)
+        yield _Block(trials, grid, schemes, *scores, ids)
 
 
 def _block_records(block: _Block) -> Iterator[ResultRecord]:
@@ -219,11 +220,13 @@ class _RunRecords(list):
 
     def _kept_blocks(self) -> list[_Block] | None:
         """The blocks, if the list holds the records built from them, one
-        for one and in order; else None."""
+        for one and in order; else None. The first time the list is found
+        changed, the blocks and the tuple are dropped, which frees the
+        records the list no longer holds."""
         kept = self._records
-        if len(self) == len(kept) and all(map(operator.is_, self, kept)):
-            return self._blocks
-        return None
+        if kept is not None and not (len(self) == len(kept) and all(map(operator.is_, self, kept))):
+            self._blocks = self._records = None
+        return self._blocks
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
@@ -235,10 +238,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
     block columns its records were built from, which ``export`` writes from
     while the list is unchanged.
     """
-    ids = _request_set(config.schemes, config.params.n_users)[1]
-    blocks = [
-        _stacked(trials, config.beta_grid, scores, ids) for trials, scores in _trial_blocks(config)
-    ]
+    blocks = list(_trial_blocks(config))
     records = _RunRecords(chain.from_iterable(map(_block_records, blocks)))
     records._blocks, records._records = blocks, tuple(records)
     return records
@@ -259,8 +259,8 @@ def sweep_all(
     scores = _score_block(schemes, beta_grid, np.array([channels.gains]), params)
     ids = _request_set(schemes, params.n_users)[1]
     # one trial's records run scheme by scheme, a grid's worth each
-    records = _block_records(_stacked(range(1), beta_grid, scores, ids))
-    return {scheme: list(islice(records, len(beta_grid))) for scheme in scores}
+    records = _block_records(_Block(range(1), tuple(beta_grid), tuple(schemes), *scores, ids))
+    return {scheme: list(islice(records, len(beta_grid))) for scheme in schemes}
 
 
 def gain_vs_users(config: ExperimentConfig, user_counts: Sequence[int]) -> list[GainRow]:
@@ -273,30 +273,20 @@ def gain_vs_users(config: ExperimentConfig, user_counts: Sequence[int]) -> list[
     ``gain_percent`` is ``math.nan``. Every user count's request is built,
     and so checked, before any trial runs.
     """
-    pol_schemes = (SCHEME_POLICY_LPWU, SCHEME_POLICY_LPSU)
-    schemes = pol_schemes + (SCHEME_BENCHMARK,)
+    # the policy values are columns 0 and 1 of a block, the benchmark's column 2
+    schemes = (SCHEME_POLICY_LPWU, SCHEME_POLICY_LPSU, SCHEME_BENCHMARK)
     cells = [replace(config.params, n_users=n) for n in user_counts]
     requests = [replace(config, params=params, schemes=schemes) for params in cells]
     rows: list[GainRow] = []
     for request in requests:
         policy_vals: list[float] = []
         bench_vals: list[float] = []
-        for _, values in _trial_blocks(request, values_only=True):
-            policy = np.maximum(*(values[s] for s in pol_schemes))  # [T, B]
-            policy_vals += policy.max(axis=1).tolist()
-            bench_vals += values[SCHEME_BENCHMARK].mean(axis=1).tolist()
-        mean_policy = float(np.mean(policy_vals))
-        mean_bench = float(np.mean(bench_vals))
-        rows.append(
-            GainRow(
-                n_users=request.params.n_users,
-                mean_policy_value=mean_policy,
-                mean_benchmark_value=mean_bench,
-                gain_percent=(
-                    100.0 * (mean_policy - mean_bench) / mean_bench if mean_bench else math.nan
-                ),
-            )
-        )
+        for block in _trial_blocks(request, values_only=True):
+            policy_vals += block.values[:, :2].max(axis=(1, 2)).tolist()
+            bench_vals += block.values[:, 2].mean(axis=1).tolist()
+        mean_policy, mean_bench = float(np.mean(policy_vals)), float(np.mean(bench_vals))
+        gain = 100.0 * (mean_policy - mean_bench) / mean_bench if mean_bench else math.nan
+        rows.append(GainRow(request.params.n_users, mean_policy, mean_bench, gain))
     return rows
 
 
@@ -373,6 +363,41 @@ def _twelve_digits(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
         exact &= np.abs(y, out=y) <= 0.5 - _HALF_MARGIN
     digits[~exact] = 0.0
     return digits, (11 - e) * exact, exact
+
+
+# ASCII digits of 0..9999, one native uint32 each, three ways: zero-padded
+# at [0, 10000), with the leading zeros as NUL bytes at _LEAD + g, and with
+# the trailing zeros as NUL bytes at _TRAIL + g (0 is all NUL in both);
+# int16 and uint8 keep import RSS low
+_LEAD, _TRAIL = 10_000, 20_000
+_DIGIT_WORDS = np.arange(10_000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1])
+_DIGIT_WORDS = (_DIGIT_WORDS % 10).astype(np.uint8)
+_DIGIT_WORDS = np.concatenate([
+    _DIGIT_WORDS + 48,
+    # a digit is kept where some digit up to it, or from it, is not zero
+    np.where(np.maximum.accumulate(_DIGIT_WORDS, axis=1), _DIGIT_WORDS + 48, 0),
+    np.where(np.maximum.accumulate(_DIGIT_WORDS[:, ::-1], axis=1)[:, ::-1], _DIGIT_WORDS + 48, 0),
+]).view(np.uint32).ravel()
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _id_text(ids: np.ndarray) -> str:
+    """The text ``"%d\\n" * len(ids) % tuple(ids.tolist())`` of an id block;
+    int64 ids are written as 4-digit byte groups, sliced past leading zeros."""
+    if ids.dtype == object or not len(ids):
+        return "%d\n" * len(ids) % tuple(ids.tolist())
+    digits = np.searchsorted(_POWERS_OF_TEN, ids, side="right") + 1
+    groups = -(-int(digits.max()) // 4)
+    words = np.empty((len(ids), groups + 1), dtype=np.uint32)
+    for g in range(groups - 1, -1, -1):
+        high = ids // 10_000  # with the product below, faster than np.divmod
+        words[:, g] = _DIGIT_WORDS.take(ids - high * 10_000)
+        ids = high
+    text, end = words.view(np.uint8), 4 * groups
+    text[:, end] = ord("\n")
+    runs = [0, *(np.flatnonzero(digits[1:] != digits[:-1]) + 1).tolist(), len(digits)]
+    lines = (text[a:b, end - digits[a] : end + 1].tobytes() for a, b in zip(runs, runs[1:]))
+    return b"".join(lines).decode()
 
 
 def _group_words(values: np.ndarray, count: int, trailing: bool, out: np.ndarray) -> None:

@@ -31,19 +31,21 @@ over the user rows of each chunk. The optimal schemes copy their orders'
 minima out a slice of rows at a time (``_best_rows``).
 
 ``_score_block`` flattens the (trial, beta) pairs of the block of trials it
-is handed into one cell axis and scores them in one kernel call. Its
-callers size a block with ``_trials_per_block`` by one bound,
-``_BLOCK_FLOATS``, on the floats the call holds in its per-cell arrays
-over all the block's cells, and at least one trial. A cell counts
-(``_cell_floats``) its K per-order minima, its entries of the SINR and the
-rate table, C x n each, and the picked orders' rate gathers. With every
-scheme at the 21-point grid a block takes 122 (N = 3) to 832 (N = 1)
-trials, so a 120-trial run at N <= 3 is one call, and three trials at
-N = 4 (K = 3036), where the minima are nearly all of it; ``_SCORE_BUDGET``
-bounds only the leaf chunks. A request is checked once
-(``_check_request``) before its first call. A caller that reads only
-values asks for them alone, which skips the benchmark's per-user sum and
-the re-read of the picked orders' rates.
+is handed into one cell axis and scores them in one kernel call. It returns
+the block layout that records and writers read, C-contiguous with the
+schemes in request order: values and order picks [T, S, B] and per-user
+rates [T, S, B, n], the benchmark's row of picks all -1. Its callers size
+a block with ``_trials_per_block`` by one bound, ``_BLOCK_FLOATS``, on the
+floats the call holds in its per-cell arrays over all the block's cells,
+and at least one trial. A cell counts (``_cell_floats``) its K per-order
+minima, its entries of the SINR and the rate table, C x n each, and the
+picked orders' rate gathers. With every scheme at the 21-point grid a
+block takes 122 (N = 3) to 832 (N = 1) trials, so a 120-trial run at
+N <= 3 is one call, and three trials at N = 4 (K = 3036), where the minima
+are nearly all of it; ``_SCORE_BUDGET`` bounds only the leaf chunks. A
+request is checked once (``_check_request``) before its first call. A caller that reads only
+values asks for them alone (picks and rates are then None), which skips
+the benchmark's per-user sum and the re-read of the picked orders' rates.
 
 The benchmark's per-user mean adds the K orders' rates one after another,
 the order the pinned outputs were made in: numpy sums a contiguous axis
@@ -462,9 +464,9 @@ def _cell_floats(schemes: Sequence[str], n_users: int) -> int:
     grow with it: its K per-order minima, its C x n entries of the SINR
     table and of the rate table, and, for each scheme that picks an order,
     the 3 x n of ``_order_rates``. Only these arrays stay within
-    ``_BLOCK_FLOATS``: a full block's peak also holds the picks, values
-    and gather rows, and with every scheme it reaches about
-    2.1x the bound at N = 1, 1.5x at N = 2 and 1.1x at N = 3 and 4."""
+    ``_BLOCK_FLOATS``: a full block's peak also holds the picks, values,
+    gather rows and the returned block, and with every scheme it reaches
+    about 2.5x the bound at N = 1, 1.7x at N = 2 and 1.1x at N = 3 and 4."""
     columns = _request_set(schemes, n_users)[0]
     picked = sum(scheme != SCHEME_BENCHMARK for scheme in schemes)
     return len(columns.index) + (2 * len(columns.receiver) + 3 * picked) * n_users
@@ -484,29 +486,30 @@ def _score_block(
     gains: np.ndarray,
     params: SystemParams,
     values_only: bool = False,
-) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] | dict[str, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Evaluate several schemes over a beta grid on each of T channel draws,
     given as their descending gains [T, n], in one kernel call. The caller
     checks the request and sizes the block (``_trials_per_block``).
 
-    Returns, per scheme, (values [T, B], picks [T, B], per-user rates
-    [T, B, n]), or the values alone when ``values_only``. A pick is the
-    index of the scored order in the ids of ``_request_set(schemes, n)``,
-    or -1 for none. For each beta the power allocation follows the
-    fractional rule; the optimal-* schemes search their order subset (-1
-    where no order is feasible), the policy schemes score their single
-    matrix, and the benchmark averages the secure set (-1). The secure set
-    (when a scheme needs it), or else the policy matrices, is scored once,
-    and each scheme's reduction runs once.
+    Returns C-contiguous (values [T, S, B], picks [T, S, B], per-user rates
+    [T, S, B, n]), the S schemes in request order, or the values and two
+    Nones when ``values_only``. A pick is the index of the scored order in
+    the ids of ``_request_set(schemes, n)``, or -1 for none. For each beta
+    the power allocation follows the fractional rule; the optimal-* schemes
+    search their order subset (-1 where no order is feasible), the policy
+    schemes score their single matrix, and the benchmark averages the
+    secure set (-1). The secure set (when a scheme needs it), or else the
+    policy matrices, is scored once, each scheme's reduction runs once, and
+    only the schemes that pick an order re-read its rates.
     """
     n = params.n_users
     columns, ids, picks = _request_set(schemes, n)
     gains = np.asarray(gains, dtype=float)
-    shape = (len(gains), len(beta_grid))
+    trials, betas = len(gains), len(beta_grid)
     # the cells' gains and alphas [c, n] live only until the table is built
     table = _rate_table(
         columns,
-        np.repeat(gains, shape[1], axis=0),
+        np.repeat(gains, betas, axis=0),
         _alpha_grid(gains, beta_grid).reshape(-1, n),
         params.zeta,
         1.0 / params.rho_t,
@@ -515,32 +518,31 @@ def _score_block(
     mins, total = _score_orders(columns, *table, summed)
     cells = len(mins)
 
-    # the order each scheme that picks one takes per cell, -1 for none: the
-    # optimal schemes search their subset, the policies take their matrix
-    picked = [s for s in schemes if s != SCHEME_BENCHMARK]
-    k = np.empty((len(picked), cells), dtype=np.intp)
-    for i, scheme in enumerate(picked):
+    # the order each scheme takes per cell, -1 for none: the optimal schemes
+    # search their subset, the policies take their matrix, and the benchmark
+    # averages the orders, so it picks none
+    k = np.full((len(schemes), cells), -1, dtype=np.intp)
+    for i, scheme in enumerate(schemes):
         if scheme in (SCHEME_OPTIMAL_L, SCHEME_OPTIMAL_O):
             k[i] = _best_rows(mins, picks[scheme])
-        else:
+        elif scheme != SCHEME_BENCHMARK:
             k[i] = picks[scheme]
     # the picked order's minimum, 0 where none is picked
-    values = dict(zip(picked, np.where(k >= 0, mins[np.arange(cells), k], 0.0)))
+    values = np.where(k >= 0, mins[np.arange(cells), k], 0.0)
     if SCHEME_BENCHMARK in schemes:
-        values[SCHEME_BENCHMARK] = mins.mean(axis=1)
+        values[schemes.index(SCHEME_BENCHMARK)] = mins.mean(axis=1)
+    # the cells run trial by trial, so [S, c] is [S, T, B]
+    values = values.reshape(-1, trials, betas).swapaxes(0, 1).copy()
     if values_only:
-        return {scheme: values[scheme].reshape(shape) for scheme in schemes}
+        return values, None, None
 
-    def block(value, pick, users):  # per-cell arrays as [T, B] ([T, B, n])
-        return value.reshape(shape), pick.reshape(shape), users.T.reshape(*shape, n)
-
-    rates = _order_rates(columns, *table, k)  # [S, n, c]
-    np.copyto(rates, 0.0, where=(k < 0)[:, None])
-    result = {}
-    for i, scheme in enumerate(picked):
-        result[scheme] = block(values[scheme], k[i], rates[i])
+    picked = [i for i, scheme in enumerate(schemes) if scheme != SCHEME_BENCHMARK]
+    chosen = k[picked]
+    users = _order_rates(columns, *table, chosen)  # [S', n, c]
+    np.copyto(users, 0.0, where=(chosen < 0)[:, None])
+    rates = np.empty((trials, len(schemes), betas, n))
+    rates[:, picked] = users.reshape(-1, n, trials, betas).transpose(2, 0, 3, 1)
     if summed:
-        # the benchmark averages orders, so it picks none
-        none = np.full(cells, -1, dtype=np.intp)
-        result[SCHEME_BENCHMARK] = block(values[SCHEME_BENCHMARK], none, total / len(ids))
-    return {scheme: result[scheme] for scheme in schemes}
+        mean = (total / len(ids)).reshape(n, trials, betas)  # the benchmark's per-user mean
+        rates[:, schemes.index(SCHEME_BENCHMARK)] = mean.transpose(1, 2, 0)
+    return values, k.reshape(-1, trials, betas).swapaxes(0, 1).copy(), rates

@@ -349,41 +349,6 @@ def _order_ids(ranks: np.ndarray) -> np.ndarray:
     return ids
 
 
-# ASCII digits of 0..9999, one native uint32 each, three ways: zero-padded
-# at [0, 10000), with the leading zeros as NUL bytes at _LEAD + g, and with
-# the trailing zeros as NUL bytes at _TRAIL + g (0 is all NUL in both);
-# int16 and uint8 keep import RSS low
-_LEAD, _TRAIL = 10_000, 20_000
-_DIGIT_WORDS = np.arange(10_000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1])
-_DIGIT_WORDS = (_DIGIT_WORDS % 10).astype(np.uint8)
-_DIGIT_WORDS = np.concatenate([
-    _DIGIT_WORDS + 48,
-    # a digit is kept where some digit up to it, or from it, is not zero
-    np.where(np.maximum.accumulate(_DIGIT_WORDS, axis=1), _DIGIT_WORDS + 48, 0),
-    np.where(np.maximum.accumulate(_DIGIT_WORDS[:, ::-1], axis=1)[:, ::-1], _DIGIT_WORDS + 48, 0),
-]).view(np.uint32).ravel()
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
-
-
-def _id_text(ids: np.ndarray) -> str:
-    """The text ``"%d\\n" * len(ids) % tuple(ids.tolist())`` of an id block;
-    int64 ids are written as 4-digit byte groups, sliced past leading zeros."""
-    if ids.dtype == object or not len(ids):
-        return "%d\n" * len(ids) % tuple(ids.tolist())
-    digits = np.searchsorted(_POWERS_OF_TEN, ids, side="right") + 1
-    groups = -(-int(digits.max()) // 4)
-    words = np.empty((len(ids), groups + 1), dtype=np.uint32)
-    for g in range(groups - 1, -1, -1):
-        high = ids // 10_000  # with the product below, faster than np.divmod
-        words[:, g] = _DIGIT_WORDS.take(ids - high * 10_000)
-        ids = high
-    text, end = words.view(np.uint8), 4 * groups
-    text[:, end] = ord("\n")
-    runs = [0, *(np.flatnonzero(digits[1:] != digits[:-1]) + 1).tolist(), len(digits)]
-    lines = (text[a:b, end - digits[a] : end + 1].tobytes() for a, b in zip(runs, runs[1:]))
-    return b"".join(lines).decode()
-
-
 def secure_orders(n: int, allow_large_n: bool = False) -> Iterator[DecodingOrder]:
     """Stream every secure order for n users, ascending by order id, built
     column by column (see ``_secure_rank_blocks``) rather than filtered out

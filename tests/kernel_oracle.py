@@ -133,8 +133,9 @@ def score_block(
     params: SystemParams,
 ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per scheme, (values [T, B], picks [T, B], per-user rates [T, B, n]),
-    as ``untrusted_noma.optimizer._score_block`` returns them: a pick is the
-    index of the scored order in the scored set's ids, -1 for none."""
+    which stacked along a scheme axis in request order are the arrays
+    ``untrusted_noma.optimizer._score_block`` returns: a pick is the index
+    of the scored order in the scored set's ids, -1 for none."""
     n = params.n_users
     _check_request(schemes, beta_grid, n)
     columns, ids, picks = _scored_set(n, bool(_ENUM_SCHEMES & set(schemes)))

@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -730,12 +731,20 @@ class TestWriterMemory:
     """The writers hold one batch's row matrix at a time: their traced peak
     is bounded, and flat in the record count."""
 
+    @staticmethod
+    def run(trials):
+        # an N = 3 run: 5 schemes, 21 betas
+        return run_experiment(
+            ExperimentConfig(params=SystemParams(n_users=3), trials=trials, master_seed=5)
+        )
+
     @pytest.fixture(scope="class")
     def records(self):
-        # one N = 3 run: 120 trials, 5 schemes, 21 betas
-        return run_experiment(
-            ExperimentConfig(params=SystemParams(n_users=3), trials=120, master_seed=5)
-        )
+        return self.run(120)
+
+    @pytest.fixture(scope="class")
+    def longer_run(self):
+        return self.run(480)
 
     @staticmethod
     def traced_peak(write, records) -> int:
@@ -748,11 +757,37 @@ class TestWriterMemory:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("write", [write_csv, write_json])
-    def test_peak_is_bounded_and_flat(self, records, write):
+    def test_peak_is_bounded_and_flat(self, records, longer_run, write):
+        # each column source against itself at four times the records: the
+        # records themselves, as a plain list, and a run's kept columns
         assert len(records) == 12_600
-        peak = self.traced_peak(write, records)
+        plain = list(records)
+        peak = self.traced_peak(write, plain)
         assert peak < 2 * 2**20
-        assert self.traced_peak(write, records * 4) < 1.1 * peak + 2**16
+        assert self.traced_peak(write, plain * 4) < 1.1 * peak + 2**16
+        kept = self.traced_peak(write, records)
+        assert kept < 2 * 2**20
+        assert longer_run._kept_blocks() is not None and len(longer_run) == 4 * len(records)
+        assert self.traced_peak(write, longer_run) < 1.1 * kept + 2**16
+
+    def test_a_changed_run_frees_its_kept_records(self):
+        # the first write after a change drops the kept blocks and the tuple
+        # of records, which frees the records the list no longer holds
+        gc.collect()
+        tracemalloc.start()
+        try:
+            records = self.run(120)
+            del records[100:]
+            held = tracemalloc.get_traced_memory()[0]
+            first = written(write_csv, records)
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert freed >= 3 * 2**20
+        assert records._kept_blocks() is None
+        assert first == written(write_csv, records) == REFERENCE[write_csv](records)
+        assert written(write_json, records) == REFERENCE[write_json](records)
 
     def test_json_peak_of_a_run(self, records):
         # the number speller's temporaries are computed in place and a

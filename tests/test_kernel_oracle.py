@@ -28,13 +28,15 @@ POLICIES = ("policy-LPWU", "policy-LPSU")
 
 
 def assert_blocks_equal(got, want):
-    assert list(got) == list(want)
-    for scheme, (values, picks, users) in want.items():
-        g_values, g_picks, g_users = got[scheme]
-        assert g_values.tobytes() == values.tobytes(), scheme
-        assert g_picks.tolist() == picks.tolist(), scheme
-        assert g_users.shape == users.shape
-        assert np.ascontiguousarray(g_users).tobytes() == users.tobytes(), scheme
+    """The kernel's C-contiguous (values [T, S, B], picks [T, S, B], rates
+    [T, S, B, n]) against the oracle's per-scheme triples, stacked along the
+    scheme axis in request order."""
+    values, picks, users = (np.stack(arrays, axis=1) for arrays in zip(*want.values()))
+    g_values, g_picks, g_users = got
+    assert all(array.flags.c_contiguous for array in got)
+    assert g_values.shape == values.shape and g_values.tobytes() == values.tobytes()
+    assert g_picks.tolist() == picks.tolist()
+    assert g_users.shape == users.shape and g_users.tobytes() == users.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -50,8 +52,9 @@ def test_all_schemes_full_grid(blocks_of, n, zeta):
     assert_blocks_equal(got, oracle.score_block(SCHEMES, DEFAULT_BETA_GRID, channels, params))
     if n <= 2:
         # optimal-O searches no order below three users
-        assert set(got["optimal-O"][1].ravel().tolist()) == {-1}
-        assert not got["optimal-O"][0].any() and not got["optimal-O"][2].any()
+        values, picks, users = (array[:, SCHEMES.index("optimal-O")] for array in got)
+        assert set(picks.ravel().tolist()) == {-1}
+        assert not values.any() and not users.any()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -382,7 +382,7 @@ class TestBenchmarkSummation:
         params = SystemParams(n_users=n)
         channels = [sample_channels(params, 40 + t) for t in range(trials)]
         gains = np.array([ch.gains for ch in channels])
-        users = _score_block(["benchmark"], grid, gains, params)["benchmark"][2]
+        users = _score_block(["benchmark"], grid, gains, params)[2][:, 0]
         sec = list(secure_orders(n))
         for t, ch in enumerate(channels):
             for b, beta in enumerate(grid):
@@ -403,7 +403,7 @@ class TestBenchmarkSummation:
         total = rates[0].copy()
         for row in rates[1:]:
             total += row
-        assert users["benchmark"][2][0].tolist() == (total.T / len(rates)).tolist()
+        assert users[2][0, 0].tolist() == (total.T / len(rates)).tolist()
 
 
 def test_four_user_trial_memory_is_bounded():
@@ -494,13 +494,10 @@ class TestBlockSize:
         ones = [_score_block(SCHEMES, DEFAULT_BETA_GRID, row[None], params) for row in gains]
         for trials in trials_of:
             block = _score_block(SCHEMES, DEFAULT_BETA_GRID, gains[:trials], params)
-            for scheme in SCHEMES:
-                values, picks, users = (
-                    np.concatenate([one[scheme][i] for one in ones[:trials]]) for i in range(3)
-                )
-                assert block[scheme][0].tobytes() == values.tobytes(), scheme
-                assert block[scheme][1].tolist() == picks.tolist(), scheme
-                assert np.ascontiguousarray(block[scheme][2]).tobytes() == users.tobytes(), scheme
+            values, picks, users = (np.concatenate([one[i] for one in ones[:trials]]) for i in range(3))
+            assert block[0].tobytes() == values.tobytes()
+            assert block[1].tolist() == picks.tolist()
+            assert block[2].shape == users.shape and block[2].tobytes() == users.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
@@ -523,10 +520,9 @@ class TestBlockSize:
         params = SystemParams(n_users=n, zeta=zeta)
         gains = np.array([sample_channels(params, 80 + t).gains for t in range(2)])
         full = _score_block(SCHEMES, DEFAULT_BETA_GRID, gains, params)
-        values = _score_block(SCHEMES, DEFAULT_BETA_GRID, gains, params, values_only=True)
-        assert list(values) == list(SCHEMES)
-        for scheme in SCHEMES:
-            assert values[scheme].tobytes() == full[scheme][0].tobytes(), scheme
+        values, picks, users = _score_block(SCHEMES, DEFAULT_BETA_GRID, gains, params, values_only=True)
+        assert picks is None and users is None
+        assert values.shape == full[0].shape and values.tobytes() == full[0].tobytes()
 
     def test_unsorted_set_is_refused(self):
         # the leaves' parents are built a window at a time, which only leaves
@@ -545,6 +541,30 @@ class TestBlockSize:
                     _score_orders(columns, *table)
             else:
                 assert _score_orders(columns, *table)[0].shape == (len(gains), len(rows))
+
+
+class TestSchemeOrder:
+    """A block holds its schemes in request order: each scheme's values,
+    picks and rates, the benchmark's -1 picks and per-user means included,
+    are those it has at its place in the default order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "schemes",
+        [("benchmark", "policy-LPSU", "optimal-L"), ("optimal-O", "benchmark", "policy-LPWU")],
+    )
+    def test_each_scheme_at_its_position(self, n, schemes):
+        params = SystemParams(n_users=n, zeta=0.1)
+        gains = np.array([sample_channels(params, 90 + t).gains for t in range(2)])
+        full = _score_block(SCHEMES, DEFAULT_BETA_GRID, gains, params)
+        got = _score_block(schemes, DEFAULT_BETA_GRID, gains, params)
+        assert [array.shape[1] for array in got] == [len(schemes)] * 3
+        for i, scheme in enumerate(schemes):
+            for mine, default in zip(got, full):
+                assert mine[:, i].tobytes() == default[:, SCHEMES.index(scheme)].tobytes(), scheme
+        assert (got[1][:, schemes.index("benchmark")] == -1).all()
+        values = _score_block(schemes, DEFAULT_BETA_GRID, gains, params, values_only=True)[0]
+        assert values.tobytes() == got[0].tobytes()
 
 
 class TestBetaSweep:

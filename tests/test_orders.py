@@ -25,7 +25,7 @@ from untrusted_noma import (
     self_last_transform,
     total_orders,
 )
-from untrusted_noma import orders
+from untrusted_noma import experiments, orders
 from walk_oracle import secure_column_ranks
 
 
@@ -298,24 +298,24 @@ class TestIdText:
     def test_ascending_block_crosses_every_digit_count(self):
         ids = np.array(self.EDGES, dtype=np.int64)
         assert {len(str(v)) for v in self.EDGES} == set(range(1, 20))
-        assert orders._id_text(ids) == _percent_d(ids)
+        assert experiments._id_text(ids) == _percent_d(ids)
 
     @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=200))
     @settings(max_examples=200, deadline=None)
     def test_unsorted_block(self, values):
         ids = np.array(values, dtype=np.int64)
-        assert orders._id_text(ids) == _percent_d(ids)
+        assert experiments._id_text(ids) == _percent_d(ids)
 
     @pytest.mark.parametrize("values", [[], [0], [7], [2**63 - 1]])
     def test_empty_and_one_id_blocks(self, values):
         ids = np.array(values, dtype=np.int64)
-        assert orders._id_text(ids) == _percent_d(ids)
+        assert experiments._id_text(ids) == _percent_d(ids)
 
     def test_object_ids_past_int64(self):
         ranks = next(orders._secure_rank_blocks(7, allow_large_n=True))[:100]
         ids = orders._order_ids(ranks)
         assert ids.dtype == object
-        assert orders._id_text(ids) == _percent_d(ids)
+        assert experiments._id_text(ids) == _percent_d(ids)
 
 
 class TestSelfLastTransform:
