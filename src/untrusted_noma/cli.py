@@ -21,6 +21,7 @@ import errno
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import astuple, fields
 from functools import lru_cache
 from typing import Sequence
@@ -29,11 +30,13 @@ from .experiments import (
     ExperimentConfig,
     GainRow,
     ResultRecord,
+    _block_run,
     _id_text,
+    _trial_blocks,
+    _write,
     export,
     format_number,
     gain_vs_users,
-    run_experiment,
     sweep_all,
     write_csv,
 )
@@ -220,16 +223,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     channels = sample_channels(config.params, args.seed)
     sweeps = sweep_all(config.schemes, config.beta_grid, channels, config.params)
     records = [record for rows in sweeps.values() for record in rows]
+    _mirror_records(records, settings)  # first, so a reader closing stdout early cannot cut it
     write_csv(records, sys.stdout)
-    _mirror_records(records, settings)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     settings = _settings(args)
-    records = run_experiment(_experiment(settings))
-    write_csv(records, sys.stdout)
-    _mirror_records(records, settings)
+    config, path = _experiment(settings), settings.get("output_path")
+    # the file is opened before any trial, and it and stdout take each block as it is scored
+    with open(path, "w", encoding="utf-8", newline="") if path else nullcontext() as file:
+        sinks = [(sys.stdout, False), (file, settings.get("output_format") == "json")]
+        _write(sinks[:2 if path else 1], map(_block_run, _trial_blocks(config)))
     return 0
 
 

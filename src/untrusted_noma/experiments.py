@@ -9,16 +9,16 @@ A row is a ``ResultRecord``, a NamedTuple: it unpacks and compares equal to
 the plain tuple of its six fields, and ``ResultRecord._fields`` names them.
 It also carries the frozen dataclass field table it had as a dataclass, so
 ``dataclasses.fields``, ``replace`` and ``asdict`` still work on it. It is
-the one row type from the kernel to the writers, and a ``_Block`` is the
-one block layout: ``_score_block`` returns its arrays, ``_trial_blocks``
-yields one per kernel call, and ``run_experiment``, ``sweep_all`` and
-``gain_vs_users`` read them. Records are built from a block with one
-helper, ``_block_records``, with no Python frame per record and no list
-per record: each field is one column of the block (``tolist`` once), and
-the per-user tuples are zipped from the per-user columns. A request is
-checked once, by ``_check_request``, before any kernel call: a run's by
-its ``ExperimentConfig``, which ``gain_vs_users`` builds for every user
-count before the first trial, and a sweep's by ``sweep_all``.
+the one row type the library returns, and a ``_Block`` is the one block
+layout: ``_score_block`` returns its arrays, ``_trial_blocks`` yields one
+per kernel call, and ``run_experiment``, ``sweep_all``, ``gain_vs_users``
+and the writers read them. Records are built from a block with one helper,
+``_block_records``, with no Python frame per record and no list per record:
+each field is one column of the block (``tolist`` once), and the per-user
+tuples are zipped from the per-user columns. A request is checked once, by
+``_check_request``, before any kernel call: a run's by its
+``ExperimentConfig``, which ``gain_vs_users`` builds for every user count
+before the first trial, and a sweep's by ``sweep_all``.
 
 ``run_experiment`` returns a ``list`` subclass that holds the records and
 also keeps, per block, the arrays they were built from (values and picks
@@ -33,31 +33,31 @@ the same columns from its records. The first write that finds the list
 changed drops the kept blocks and tuple, which frees the records the list
 no longer holds. ``+`` and slices give plain lists.
 
-The writers are columnar, with one body over two sources of columns. A
-run's blocks, or records taken a batch at a time (transposed once into
-field columns, split by per-user width only where a batch mixes widths),
-become batches sized by a bound on the batch's row matrix
-(``_WRITE_BYTES``). A batch becomes a matrix of native uint32 words, one
-row per record, whose padding bytes are NUL, built and turned into text a
-slice of rows at a time; ``bytes.translate`` deletes the padding and the
-rest is the text. Trials, schemes, order ids and betas (keyed by their
-float bits, so -0.0 and NaN payloads keep their own texts) are spelled
-once per distinct value (a block's order ids once per distinct pick,
-never cast to int64, which ids past N = 6 overflow) and gathered by code.
-The minimum and the per-user rates are spelled by one vectorised, exactly
-rounded ``%.12g``: with e the decimal exponent, y = |x| * 10^(11 - e) is
-a single rounding, as 10^k is an exact double for k <= 22, so y is within
-2^-53 * 1e12 ~ 1.1e-4 of the exact product and its nearest integer gives
-the 12 digits unless y is near a half. Its temporaries are computed in
-place, about three floats per number at most. Digits are looked up 4 at
-a time in ``_DIGIT_WORDS``; zeros and signs are spelled on this path too.
-A value the fast path cannot prove (y within 2.5e-4 of a half, e outside
-[-4, 11], y within 1 of the carry to 1e12, NaN or +-inf) is spelled by
-``format_number`` (or its JSON spelling) one at a time, so the bytes are
-those of ``csv.writer`` and ``json.dump`` either way. The ``filter-secure``
-listing's id lines are spelled here too, from the same digit words
-(``_id_text``).
-"""
+The writers are columnar, with one body, ``_write``, over two sources of
+columns and any number of (stream, format) sinks. Blocks, as a run kept them
+or as the kernel yields them (``cli simulate`` builds no record), or records
+taken a batch at a time (transposed once into field columns, split by
+per-user width only where a batch mixes widths), become batches sized by a
+bound on the batch's row matrix (``_WRITE_BYTES``), each spelled once per
+format. A batch becomes a matrix of native uint32 words, one row per record,
+whose padding bytes are NUL, built and turned into text a slice of rows at a
+time; ``bytes.translate`` deletes the padding and the rest is the text.
+Trials, schemes, order ids and betas (keyed by their float bits, so -0.0 and
+NaN payloads keep their own texts) are spelled once per distinct value (a
+block's order ids once per distinct pick, never cast to int64, which ids
+past N = 6 overflow) and gathered by code. The minimum and the per-user
+rates are spelled by one vectorised, exactly rounded ``%.12g``: with e the
+decimal exponent, y = |x| * 10^(11 - e) is a single rounding, as 10^k is an
+exact double for k <= 22, so y is within 2^-53 * 1e12 ~ 1.1e-4 of the exact
+product and its nearest integer gives the 12 digits unless y is near a half.
+Its temporaries are computed in place, about three floats per number at
+most. Digits are looked up 4 at a time in ``_DIGIT_WORDS``; zeros and signs
+are spelled on this path too. A value the fast path cannot prove (y within
+2.5e-4 of a half, e outside [-4, 11], y within 1 of the carry to 1e12, NaN
+or +-inf) is spelled by ``format_number`` (or its JSON spelling) one at a
+time, so the bytes are those of ``csv.writer`` and ``json.dump`` either way.
+The ``filter-secure`` listing's id lines are spelled here too, from the same
+digit words (``_id_text``)."""
 from __future__ import annotations
 
 import csv
@@ -301,17 +301,10 @@ def _json_number(x: float) -> str:
     return json.dumps(float(format_number(x)))
 
 
-_FIXED_HEADER = tuple(name for name in ResultRecord._fields if name != "per_user_rates")
+_CSV_HEADER = ",".join(name for name in ResultRecord._fields if name != "per_user_rates")
 # row-matrix bytes a write batch is sized to; larger batches raise peak RSS
 _WRITE_BYTES = 1 << 19
 _SLOT_BYTES = 36  # a number's words and a one-word lead
-
-
-def _header(records: Sequence[ResultRecord]) -> list[str]:
-    cols = list(_FIXED_HEADER)
-    if records:
-        cols += [f"user_rate_{i + 1}" for i in range(len(records[0].per_user_rates))]
-    return cols
 
 
 def _batch_rows(width: int) -> int:
@@ -603,15 +596,7 @@ def _runs(records: Sequence[ResultRecord]) -> Iterator[tuple]:
     rows: from the blocks of a ``run_experiment`` list that still holds its
     own records, else from the records themselves."""
     blocks = records._kept_blocks() if isinstance(records, _RunRecords) else None
-    if blocks is None:
-        return _record_runs(records)
-    return map(_block_run, blocks)
-
-
-def _tables(distinct: Sequence[Sequence], spells: Sequence) -> list[np.ndarray]:
-    """Per field, the words [D, k] of each of its distinct values, spelled
-    by that field's function."""
-    return [_text_words(list(map(spell, values))) for spell, values in zip(spells, distinct)]
+    return _record_runs(records) if blocks is None else map(_block_run, blocks)
 
 
 _TEXT_ROWS = 256  # matrix rows turned into text at once
@@ -619,9 +604,9 @@ _TEXT_ROWS = 256  # matrix rows turned into text at once
 _UNPAD = bytes(range(255)) + b"\0"
 
 
-def _write_rows(stream, pieces: list[np.ndarray], skip: int = 0) -> None:
+def _write_rows(write, pieces: list[np.ndarray], skip: int = 0) -> None:
     """Write the row matrix of ``pieces`` (word arrays [R, k], or [1, k]
-    for text every row shares) to the text stream, with its padding
+    for text every row shares) as text through ``write``, with its padding
     deleted by ``bytes.translate`` and its first ``skip`` bytes left out.
     The matrix is built and turned into text a slice of rows at a time, so
     neither it nor the text's copies are ever held whole."""
@@ -630,7 +615,7 @@ def _write_rows(stream, pieces: list[np.ndarray], skip: int = 0) -> None:
     for first in range(0, count, _TEXT_ROWS):
         rows = np.concatenate([p[first:first + _TEXT_ROWS] for p in pieces], axis=1)
         text = rows.tobytes().translate(_UNPAD, b"\0")
-        stream.write(text[skip:].decode("utf-8", "surrogatepass"))
+        write(text[skip:].decode("utf-8", "surrogatepass"))
         skip = 0
 
 
@@ -651,22 +636,6 @@ _CSV_SPELLS = (
 )
 
 
-def write_csv(records: Sequence[ResultRecord], stream) -> None:
-    """Write records as CSV (LF line endings) to an open text stream: the
-    bytes of ``csv.writer`` over one row per record, numbers as
-    ``format_number`` text, built a batch of equal-width records at a
-    time as one row matrix of words."""
-    csv.writer(stream, lineterminator="\n").writerow(_header(records))
-    for width, distinct, batches in _runs(records):
-        tables = _tables(distinct, _CSV_SPELLS)
-        for codes, numbers in batches:
-            _write_rows(stream, [
-                *[table.take(code, axis=0) for table, code in zip(tables, codes)],
-                *_number_words(numbers, (b",",) * (width + 1), False),
-                _CSV_END,
-            ])
-
-
 # the text of a JSON record after its numbers, with rates and without
 _JSON_ENDS = (
     _words(b',\n    "per_user_rates": []\n  }')[None],
@@ -684,27 +653,67 @@ _JSON_SPELLS = (
 )
 
 
+def _layout(json: bool, width: int, distinct: Sequence[Sequence]) -> tuple:
+    """A format's words for a run: per field, its distinct values' words [D, k],
+    spelled by the field's function; the leads of a row's numbers; its end."""
+    spells, leads, end = _CSV_SPELLS, (b",",) * (width + 1), _CSV_END
+    if json:
+        spells, end = _JSON_SPELLS, _JSON_ENDS[width > 0]
+        leads = (*_JSON_LEADS, *(_JSON_RATE_LEAD,) * (width - 1))[:width + 1]
+    tables = [_text_words(list(map(spell, values))) for spell, values in zip(spells, distinct)]
+    return tables, leads, end
+
+
+def _write(sinks: Sequence[tuple], runs: Iterator[tuple]) -> None:
+    """Write the records of ``runs`` (as ``_runs`` and ``_block_run`` give
+    them) a run at a time to each (open text stream, json) sink, as
+    ``write_json`` or ``write_csv`` does, each batch's text built once per
+    format. A sink whose stream raises ``BrokenPipeError`` is dropped and
+    the others are written to the end; the error is then raised again, at
+    once if no sink is left."""
+    sinks, broken = dict(sinks), []
+
+    def put(json: bool, text: str) -> None:
+        for stream in [stream for stream, kind in sinks.items() if kind == json]:
+            try:
+                stream.write(text)
+            except BrokenPipeError as error:
+                del sinks[stream]
+                broken.append(error)
+        if not sinks:
+            raise broken[0]
+
+    first = next(runs, (0, (), ()))  # no records: a run of no rate columns and no rows
+    put(False, _CSV_HEADER + "".join(f",user_rate_{i + 1}" for i in range(first[0])) + "\n")
+    put(True, "[")
+    skip = 1  # no record yet: the first JSON record's separator is "\n", after the "["
+    for width, distinct, batches in chain([first], runs):
+        layouts = {json: _layout(json, width, distinct) for json in set(sinks.values())}
+        for codes, numbers in batches:
+            for json, (tables, leads, end) in layouts.items():
+                pieces = [table.take(code, axis=0) for table, code in zip(tables, codes)]
+                pieces += [*_number_words(numbers, leads, json), end]
+                _write_rows(partial(put, json), pieces, skip * json)
+            skip = 0
+    put(True, "\n]\n"[skip:])
+    if broken:
+        raise broken[0]
+
+
+def write_csv(records: Sequence[ResultRecord], stream) -> None:
+    """Write records as CSV (LF line endings) to an open text stream: the
+    bytes of ``csv.writer`` over one row per record, numbers as
+    ``format_number`` text, built a batch of equal-width records at a
+    time as one row matrix of words."""
+    _write([(stream, False)], _runs(records))
+
+
 def write_json(records: Sequence[ResultRecord], stream) -> None:
     """Write records as a JSON array to an open text stream: the bytes of
     ``json.dump(..., indent=2)`` over one object per record, then a newline.
     Numbers are parsed back from ``format_number``. Each batch of
     equal-width records is built as one row matrix of words."""
-    if not records:
-        stream.write("[]\n")
-        return
-    stream.write("[")
-    skip = 1  # the first record's separator is "\n", after the "["
-    for width, distinct, batches in _runs(records):
-        tables = _tables(distinct, _JSON_SPELLS)
-        leads = (*_JSON_LEADS, *(_JSON_RATE_LEAD,) * (width - 1))[:width + 1]
-        for codes, numbers in batches:
-            _write_rows(stream, [
-                *[table.take(code, axis=0) for table, code in zip(tables, codes)],
-                *_number_words(numbers, leads, True),
-                _JSON_ENDS[width > 0],
-            ], skip)
-            skip = 0
-    stream.write("\n]\n")
+    _write([(stream, True)], _runs(records))
 
 
 def export(records: Sequence[ResultRecord], path: str | Path, format: str = "csv") -> None:
@@ -712,9 +721,5 @@ def export(records: Sequence[ResultRecord], path: str | Path, format: str = "csv
     array. Numeric fields carry 12 significant digits in both formats."""
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        if format == "csv":
-            write_csv(records, stream)
-        else:
-            write_json(records, stream)
+    with open(Path(path), "w", encoding="utf-8", newline="") as stream:
+        _write([(stream, format == "json")], _runs(records))

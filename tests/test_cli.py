@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from itertools import islice
 
@@ -19,6 +20,7 @@ from untrusted_noma import (
     ExperimentConfig,
     SystemParams,
     cli,
+    experiments,
     optimizer,
     orders,
     run_experiment,
@@ -380,6 +382,94 @@ class TestSimulate:
         assert len(lines) == 1 + 2 * 2 * 1
         assert all(line.split(",")[2] == "policy-LPSU" for line in lines[1:])
 
+    def test_a_later_block_failing_keeps_the_rows_written(self, capsys, monkeypatch):
+        # 200 trials are two kernel blocks at N = 3 with every scheme; the
+        # first block's rows are on stdout before the second is scored
+        first = optimizer._trials_per_block(SCHEMES, 3, len(DEFAULT_BETA_GRID))
+        assert first < 200 <= 2 * first
+        score_block, calls = experiments._score_block, []
+
+        def second_call_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ValueError("the second block failed")
+            return score_block(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_score_block", second_call_fails)
+        code, out, err = run_cli(capsys, "simulate", "--users", "3", "--trials", "200", "--seed", "1")
+        assert (code, err) == (1, "error: the second block failed\n")
+        monkeypatch.undo()
+        assert out == _csv(run_experiment(ExperimentConfig(SystemParams(3), first, 1)))
+
+    def test_unopenable_output_exits_2_before_any_trial(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "_sample_block", refuse)
+        argv = ["simulate", "--users", "3", "--trials", "2", "--seed", "1", "--output", str(tmp_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _cli_child(*argv: str) -> subprocess.Popen:
+    """The CLI in a child process, its stdout and stderr piped."""
+    src = os.path.dirname(os.path.dirname(untrusted_noma.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "untrusted_noma.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+class TestReaderClosesStdoutEarly:
+    """``simulate`` and ``sweep`` end quietly when their reader closes stdout
+    early, and still write the whole ``--output`` file."""
+
+    GRID = ",".join(f"{-1 + 2 * i / 999:.6f}" for i in range(1000))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--users", "3", "--trials", "2000", "--seed", "1"],
+            ["sweep", "--users", "3", "--seed", "1", f"--beta-grid={GRID}"],
+        ],
+        ids=["simulate", "sweep"],
+    )
+    def test_output_file_is_whole(self, capsys, tmp_path, argv):
+        piped, plain = tmp_path / "piped.csv", tmp_path / "plain.csv"
+        proc = _cli_child(*argv, "--output", str(piped))
+        first = proc.stdout.readline()
+        proc.stdout.close()  # megabytes of rows are still to come
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
+        code, out, _ = run_cli(capsys, *argv, "--output", str(plain))
+        assert code == 0
+        assert len(out) > 2**18  # far more than a pipe and stdout's buffer hold
+        assert first.decode() == out.splitlines(keepends=True)[0]
+        assert piped.read_bytes() == plain.read_bytes()
+
+    def test_simulate_prints_its_first_rows_promptly(self):
+        # 10^11 trials: the rows must come a block at a time, not at the end
+        proc = _cli_child("simulate", "--users", "3", "--trials", "100000000000", "--seed", "1")
+        timer = threading.Timer(30, proc.kill)
+        timer.start()
+        try:
+            head = [proc.stdout.readline() for _ in range(2)]
+        finally:
+            timer.cancel()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+        assert head[0].startswith(b"trial,beta,scheme,order_id,")
+        assert head[1].startswith(b"0,-1,optimal-L,")
+
 
 class TestGain:
     def test_defaults_reproduce_the_readme_figures(self):
@@ -417,7 +507,7 @@ class TestFormatWithoutOutput:
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(cli, "sample_channels", refuse)
-        monkeypatch.setattr(cli, "run_experiment", refuse)
+        monkeypatch.setattr(cli, "_trial_blocks", refuse)
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert code == 1
         assert out == ""
@@ -487,7 +577,7 @@ class TestConfigFile:
         def refuse(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(cli, "run_experiment", refuse)
+        monkeypatch.setattr(cli, "_trial_blocks", refuse)
         monkeypatch.setattr(cli, "sweep_all", refuse)
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n_users = 2\ntrials = 1\noutput_path = out.xml\noutput_format = xml\n")

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import pickle
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -789,6 +790,22 @@ class TestWriterMemory:
         assert first == written(write_csv, records) == REFERENCE[write_csv](records)
         assert written(write_json, records) == REFERENCE[write_json](records)
 
+    def test_simulate_peak_is_flat_in_the_trial_count(self, monkeypatch):
+        # cli simulate writes each kernel block as it comes and keeps none
+        monkeypatch.setattr(sys, "stdout", _Sink())
+
+        def traced_peak(trials):
+            tracemalloc.start()
+            try:
+                argv = ["simulate", "--users", "3", "--trials", str(trials), "--seed", "5"]
+                assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(10)  # the secure set and the writers' small caches
+        assert traced_peak(4000) < 1.1 * traced_peak(1000) + 2**16
+
     def test_json_peak_of_a_run(self, records):
         # the number speller's temporaries are computed in place and a
         # batch's row matrix is built a slice of rows at a time, so writing
@@ -912,10 +929,49 @@ class TestKeptColumns:
         assert written(write, other) == written(write, records) == REFERENCE[write](records)
 
 
+class _ClosedPipe:
+    """A text stream whose reader has gone."""
+
+    def write(self, text: str) -> None:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestSinks:
+    """One writer body feeds every sink: each gets its own format's bytes,
+    and a sink whose reader has gone is dropped while the others finish."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return run_experiment(small_config(schemes=SCHEMES, trials=30))
+
+    def test_each_sink_gets_its_formats_bytes(self, records):
+        streams = [io.StringIO() for _ in range(3)]
+        sinks = list(zip(streams, (False, True, False)))
+        experiments._write(sinks, experiments._runs(records))
+        csv_bytes, json_bytes = REFERENCE[write_csv](records), REFERENCE[write_json](records)
+        assert [s.getvalue().encode() for s in streams] == [csv_bytes, json_bytes, csv_bytes]
+
+    @pytest.mark.parametrize("json", [False, True])
+    def test_a_closed_pipe_is_dropped_and_the_others_finish(self, records, json):
+        stream = io.StringIO()
+        with pytest.raises(BrokenPipeError):
+            experiments._write([(_ClosedPipe(), False), (stream, json)], experiments._runs(records))
+        assert stream.getvalue().encode() == REFERENCE[write_json if json else write_csv](records)
+
+    def test_no_sink_left_stops_at_once(self, records):
+        many = records * 20
+        assert len(list(experiments._record_runs(many))) > 2
+        read = []
+        runs = (read.append(run) or run for run in experiments._record_runs(many))
+        with pytest.raises(BrokenPipeError):
+            experiments._write([(_ClosedPipe(), True), (_ClosedPipe(), False)], runs)
+        assert len(read) == 1
+
+
 class TestKeptColumnsAreRead:
     """With the records-to-columns path refused, a run's export and ``cli
-    simulate`` still succeed: they write from the kept columns, so a silent
-    fallback cannot hide."""
+    simulate`` still succeed: they write from block columns, the kept ones
+    or the kernel's own, so a silent fallback cannot hide."""
 
     @pytest.fixture(autouse=True)
     def refuse_record_columns(self, monkeypatch):
@@ -933,10 +989,16 @@ class TestKeptColumnsAreRead:
         export(records, path, format)
         assert path.read_bytes() == REFERENCE[write](records)
 
-    def test_cli_simulate(self, capsys, tmp_path):
+    def test_cli_simulate(self, capsys, tmp_path, monkeypatch):
+        # simulate writes its kernel blocks to both sinks and builds no record
+        def refuse(block):
+            raise AssertionError("records built from a block")
+
         path = tmp_path / "records.json"
         argv = ["simulate", "--users", "3", "--trials", "2", "--seed", "1", "--output", str(path)]
-        assert cli.main([*argv, "--format", "json"]) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_block_records", refuse)
+            assert cli.main([*argv, "--format", "json"]) == 0
         out = capsys.readouterr().out
         records = run_experiment(
             ExperimentConfig(params=SystemParams(n_users=3), trials=2, master_seed=1)
