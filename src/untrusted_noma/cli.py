@@ -20,11 +20,12 @@ import csv
 import errno
 import math
 import os
+import shutil
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import astuple, fields
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from .experiments import (
     ExperimentConfig,
@@ -228,11 +229,48 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _output_file(path: str) -> Iterator[TextIO]:
+    """The ``--output`` file of a run that writes it a block at a time. A
+    regular file is written under a temporary name in its directory, which
+    replaces it (``os.replace``) once written whole, also when stdout's
+    reader left early, and is removed if the run fails: the path then keeps
+    what it held. A path that exists and is no regular file (a pipe or a
+    device) is written in place."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="") as file:
+            yield file
+        return
+    if os.path.exists(target) and not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        file = open(temp, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with file:
+            if os.path.exists(target):
+                shutil.copymode(target, temp)
+            try:
+                yield file
+            except BrokenPipeError:  # stdout's reader left; the file was still written whole
+                file.close()
+                os.replace(temp, target)
+                raise
+        os.replace(temp, target)
+    finally:
+        if os.path.exists(temp):
+            os.remove(temp)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     settings = _settings(args)
     config, path = _experiment(settings), settings.get("output_path")
     # the file is opened before any trial, and it and stdout take each block as it is scored
-    with open(path, "w", encoding="utf-8", newline="") if path else nullcontext() as file:
+    with _output_file(path) if path else nullcontext() as file:
         sinks = [(sys.stdout, False), (file, settings.get("output_format") == "json")]
         _write(sinks[:2 if path else 1], map(_block_run, _trial_blocks(config)))
     return 0

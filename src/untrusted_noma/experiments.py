@@ -177,19 +177,36 @@ class _Block(NamedTuple):
     ids: np.ndarray
 
 
+# trials whose channels are drawn at once: seeding a batch has a fixed cost
+# (about 60 us on a 2-core x86 machine), which kernel blocks of three trials
+# (N = 4) would pay per block
+_DRAW_TRIALS = 1024
+
+
+def _trial_gains(config: ExperimentConfig) -> Iterator[np.ndarray]:
+    """The channel gains [T, n] of the config's trials, ``_DRAW_TRIALS`` at
+    a time; trial t's from ``derive_trial_seed(config.master_seed, t)``."""
+    for first in range(0, config.trials, _DRAW_TRIALS):
+        seeds = [derive_trial_seed(config.master_seed, t)
+                 for t in range(first, min(first + _DRAW_TRIALS, config.trials))]
+        yield _sample_block(config.params, seeds)[1]
+
+
 def _trial_blocks(config: ExperimentConfig, values_only: bool = False) -> Iterator[_Block]:
     """The ``_Block``s of the config's schemes over its beta grid, a block
-    of trials at a time, of values alone when ``values_only``. Trial t's
-    channels are drawn from ``derive_trial_seed(config.master_seed, t)``, a
-    block's as one array."""
+    of trials at a time, of values alone when ``values_only``. The trials'
+    channels are drawn a batch at a time (``_trial_gains``), whose bounds
+    need not be a block's."""
     # the blocks keep tuples, which a caller's lists cannot change after the run
     params, schemes, grid = config.params, tuple(config.schemes), tuple(config.beta_grid)
     ids = _request_set(schemes, params.n_users)[1]
     size = _trials_per_block(schemes, params.n_users, len(grid))
+    batches, drawn = _trial_gains(config), np.empty((0, params.n_users))
     for start in range(0, config.trials, size):
         trials = range(start, min(start + size, config.trials))
-        seeds = [derive_trial_seed(config.master_seed, t) for t in trials]
-        gains = _sample_block(params, seeds)[1]
+        while len(drawn) < len(trials):
+            drawn = np.concatenate([drawn, next(batches)])
+        gains, drawn = drawn[:len(trials)], drawn[len(trials):]
         scores = _score_block(schemes, grid, gains, params, values_only)
         yield _Block(trials, grid, schemes, *scores, ids)
 

@@ -5,11 +5,21 @@ square field with Rayleigh-faded path-loss channels, and fractional power
 allocation. The SINR and secrecy rates of a SIC decoding order are computed
 in ``optimizer``. All functions are pure; randomness enters only through
 explicit seeds.
+
+A batch of seeds is sampled in three steps. Every seed's ``SeedSequence``
+state words are hashed in one uint32 array pass over the batch
+(``_seed_words``, numpy's fixed hash, written out here). Each seed then
+keeps its own ``PCG64`` stream, seeded from its words as ``default_rng``
+seeds it, and draws through numpy's own ``uniform`` and
+``standard_exponential``, so every bit drawn is numpy's. ``numpy.random``
+is imported on the first draw, not with the package.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -159,25 +169,118 @@ def _collide(gains: np.ndarray) -> np.ndarray:
     return (ascending[..., 1:] == ascending[..., :-1]).any(axis=-1)
 
 
+# numpy's SeedSequence hash over a pool of four uint32 words: the
+# multipliers of its entropy mixing (hashmix call k xors in _INIT_A * _MULT_A**k
+# and multiplies by the next power), of its output (likewise from _INIT_B), and
+# of ``mix``, each modulo 2**32
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# per pool word, the others, into which its hash is mixed
+_OTHERS = [[d for d in range(_POOL) if d != s] for s in range(_POOL)]
+
+
+def _hash_consts(first: int, mult: int, count: int) -> np.ndarray:
+    """``first * mult**k`` modulo 2**32 for k = 0 .. count - 1, as uint32."""
+    consts = [first]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of uint32 words."""
+    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return r ^ r >> 16
+
+
+def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` of every
+    seed s, as rows [T, 4], hashed in one uint32 array pass over the batch.
+
+    A seed's entropy is its 32-bit words, least significant first, padded
+    with zeros to the pool of four; a seed of more words mixes each further
+    word into the pool in one more round, which only its rows take."""
+    seeds = list(map(operator.index, seeds))
+    if min(seeds, default=0) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {min(seeds)}")
+    width = max(_POOL, -(-max(seeds, default=0).bit_length() // 32))
+    text = b"".join(seed.to_bytes(4 * width, "little") for seed in seeds)
+    entropy = np.frombuffer(text, dtype="<u4").reshape(len(seeds), width).astype(np.uint32)
+    mults = _hash_consts(_INIT_A, _MULT_A, _POOL**2 + _POOL * (width - _POOL) + 1)
+    calls = 0
+
+    def hashmix(words: np.ndarray, count: int) -> np.ndarray:
+        """The next ``count`` hashmix calls, one per column, of words [R, 1 or count]."""
+        nonlocal calls
+        mixed = (words ^ mults[calls:calls + count]) * mults[calls + 1:calls + count + 1]
+        calls += count
+        return mixed ^ mixed >> 16
+
+    pool = hashmix(entropy[:, :_POOL], _POOL)
+    for src, others in enumerate(_OTHERS):
+        pool[:, others] = _mix(pool[:, others], hashmix(pool[:, src, None], _POOL - 1))
+    if width > _POOL:
+        bits = np.array([seed.bit_length() for seed in seeds])
+        for src in range(_POOL, width):
+            rows = bits > 32 * src
+            pool[rows] = _mix(pool[rows], hashmix(entropy[rows, src, None], _POOL))
+    outs = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL + 1)
+    state = (np.tile(pool, 2) ^ outs[:-1]) * outs[1:]
+    state ^= state >> 16
+    # as SeedSequence does: pairs of words read as little-endian uint64
+    return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+class _Words:
+    """A seed sequence that hands ``PCG64`` a seed's ``generate_state(4,
+    np.uint64)`` words already hashed; registered as numpy's
+    ``ISeedSequence`` by ``_generators`` on the first draw."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        # PCG64 asks for (4, np.uint64), the only state these words are
+        return self.words
+
+
+@lru_cache(maxsize=1)
+def _generators() -> tuple[type, type]:
+    """numpy's ``PCG64`` and ``Generator``, imported, and ``_Words``
+    registered as a seed sequence, on the first draw."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_Words)
+    return PCG64, Generator
+
+
 def _sample_block(params: SystemParams, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Distances and gains [T, n] of one channel draw per seed: row t is
     what ``sample_channels(params, seeds[t])`` holds.
 
-    Each draw takes its positions and then its fades from its own
-    ``default_rng(seed)``; distance, path loss, the tie check and the sort
-    run over the whole block.
+    The seeds' state words are hashed in one array pass (``_seed_words``);
+    each draw then takes its positions and its fades from its own ``PCG64``
+    stream, the one ``default_rng(seed)`` gives, through numpy's own
+    ``uniform`` and ``standard_exponential``. Distance, path loss, the tie
+    check and the sort run over the whole block.
     """
     n = params.n_users
     half = params.field_len_m / 2.0
-    xy = np.empty((len(seeds), n, 2))
-    fades = np.empty((len(seeds), n))
+    words = _seed_words(seeds)
+    pcg64, generator = _generators()
+    xy = np.empty((len(words), n, 2))
+    fades = np.empty((len(words), n))
     rngs = []
-    for t, seed in enumerate(seeds):
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        rngs.append(np.random.default_rng(seed))
-        xy[t] = rngs[t].uniform(-half, half, size=(n, 2))
-        fades[t] = rngs[t].exponential(1.0, size=n)
+    for t, row in enumerate(words):
+        rng = generator(pcg64(_Words(row)))
+        xy[t] = rng.uniform(-half, half, size=(n, 2))
+        rng.standard_exponential(out=fades[t])
+        rngs.append(rng)
     dist = np.maximum(np.hypot(xy[..., 0], xy[..., 1]), params.min_dist_m)
     with np.errstate(over="ignore"):
         gains = _mean_gains(params, dist) * fades

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -382,9 +383,11 @@ class TestSimulate:
         assert len(lines) == 1 + 2 * 2 * 1
         assert all(line.split(",")[2] == "policy-LPSU" for line in lines[1:])
 
-    def test_a_later_block_failing_keeps_the_rows_written(self, capsys, monkeypatch):
-        # 200 trials are two kernel blocks at N = 3 with every scheme; the
-        # first block's rows are on stdout before the second is scored
+    @staticmethod
+    def fail_second_block(monkeypatch) -> int:
+        """Make the second kernel call raise; returns the first block's
+        trial count. 200 trials are two kernel blocks at N = 3 with every
+        scheme."""
         first = optimizer._trials_per_block(SCHEMES, 3, len(DEFAULT_BETA_GRID))
         assert first < 200 <= 2 * first
         score_block, calls = experiments._score_block, []
@@ -396,10 +399,59 @@ class TestSimulate:
             return score_block(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "_score_block", second_call_fails)
+        return first
+
+    def test_a_later_block_failing_keeps_the_rows_written(self, capsys, monkeypatch):
+        # the first block's rows are on stdout before the second is scored
+        first = self.fail_second_block(monkeypatch)
         code, out, err = run_cli(capsys, "simulate", "--users", "3", "--trials", "200", "--seed", "1")
         assert (code, err) == (1, "error: the second block failed\n")
         monkeypatch.undo()
         assert out == _csv(run_experiment(ExperimentConfig(SystemParams(3), first, 1)))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("held", [None, "an earlier run\n"])
+    def test_a_failed_run_leaves_the_output_path_as_it_was(
+        self, capsys, monkeypatch, tmp_path, fmt, held
+    ):
+        path = tmp_path / f"part.{fmt}"
+        if held is not None:
+            path.write_text(held)
+        self.fail_second_block(monkeypatch)
+        argv = ["simulate", "--users", "3", "--trials", "200", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv, "--output", str(path), "--format", fmt)
+        assert (code, err) == (1, "error: the second block failed\n")
+        assert out.count("\n") > 1  # the first block was written before the failure
+        assert os.listdir(tmp_path) == ([] if held is None else [path.name])
+        if held is not None:
+            assert path.read_text() == held
+
+    def test_a_whole_run_replaces_the_output_file(self, capsys, tmp_path):
+        # through a link, the file linked to is replaced, and keeps its mode
+        path, link = tmp_path / "out.csv", tmp_path / "link.csv"
+        path.write_text("an earlier run\n")
+        path.chmod(0o640)
+        link.symlink_to(path)
+        argv = ["simulate", "--users", "2", "--trials", "3", "--seed", "1", "--output", str(link)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert path.read_text() == out
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "out.csv"] and link.is_symlink()
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_a_pipe_is_written_in_place(self, capsys, tmp_path):
+        # no temporary file beside a pipe or device, and nothing replaces it
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+        reader.start()
+        argv = ["simulate", "--users", "2", "--trials", "3", "--seed", "1", "--output", str(fifo)]
+        code, out, _ = run_cli(capsys, *argv)
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert code == 0 and read == [out]
+        assert os.listdir(tmp_path) == ["fifo"] and stat.S_ISFIFO(fifo.stat().st_mode)
 
     def test_unopenable_output_exits_2_before_any_trial(self, capsys, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -412,16 +464,45 @@ class TestSimulate:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(untrusted_noma.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def _cli_child(*argv: str) -> subprocess.Popen:
     """The CLI in a child process, its stdout and stderr piped."""
-    src = os.path.dirname(os.path.dirname(untrusted_noma.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.Popen(
         [sys.executable, "-m", "untrusted_noma.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_child_env(),
     )
+
+
+# count, filter-secure and policy draw no channels: numpy.random, and the
+# sampler's hook of its seed words into PCG64, wait for the first draw
+_LAZY_SAMPLER = """
+import contextlib, io, sys
+from untrusted_noma import cli, system
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["count", "--users", "3"]) == 0
+    assert cli.main(["filter-secure", "--users", "3"]) == 0
+    assert cli.main(["policy", "--users", "3", "--beta", "0.5"]) == 0
+assert "numpy.random" not in sys.modules
+assert system._generators.cache_info().currsize == 0
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["eval", "--users", "3", "--beta", "0.5", "--seed", "1"]) == 0
+from numpy.random.bit_generator import ISeedSequence
+assert isinstance(system._Words(None), ISeedSequence)
+"""
+
+
+def test_commands_without_channels_never_import_numpy_random():
+    done = subprocess.run(
+        [sys.executable, "-c", _LAZY_SAMPLER], capture_output=True, env=_child_env(), timeout=120
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
 
 
 class TestReaderClosesStdoutEarly:

@@ -286,6 +286,50 @@ class TestTrialBlocks:
         )
 
 
+class TestChannelBatches:
+    """Channels are drawn ``_DRAW_TRIALS`` trials at a time, whose bounds
+    need not be a kernel block's: every trial's gains must still be those of
+    its own seed, and every record the same."""
+
+    @pytest.mark.parametrize(
+        "config, per_block",
+        [
+            (ExperimentConfig(SystemParams(n_users=4), trials=25, master_seed=8), 3),
+            (
+                ExperimentConfig(
+                    SystemParams(n_users=16), trials=40, master_seed=9,
+                    schemes=("policy-LPWU", "policy-LPSU"),
+                ),
+                11,
+            ),
+        ],
+        ids=["N4-all-schemes", "N16-policies"],
+    )
+    def test_rows_do_not_depend_on_where_batches_start(self, monkeypatch, config, per_block):
+        params = config.params
+        assert _trials_per_block(config.schemes, params.n_users, len(config.beta_grid)) == per_block
+        want = np.array([
+            sample_channels(params, derive_trial_seed(config.master_seed, t)).gains
+            for t in range(config.trials)
+        ])
+        score_block, scored = experiments._score_block, []
+
+        def capture(schemes, grid, gains, *args):
+            scored.append(gains.copy())
+            return score_block(schemes, grid, gains, *args)
+
+        monkeypatch.setattr(experiments, "_score_block", capture)
+        runs = []
+        for draw in (1, 7, experiments._DRAW_TRIALS):
+            monkeypatch.setattr(experiments, "_DRAW_TRIALS", draw)
+            scored.clear()
+            runs.append(run_experiment(config))
+            blocks, rest = divmod(config.trials, per_block)
+            assert [len(gains) for gains in scored] == [per_block] * blocks + [rest]
+            assert np.concatenate(scored).tobytes() == want.tobytes()
+        assert runs[0] == runs[1] == runs[2]
+
+
 class TestOrderIds:
     """Order ids reach the records as Python ints (or None), never numpy
     scalars, whether they come from int64 or exact object arrays."""

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -19,6 +20,11 @@ from untrusted_noma import (
     sinr,
 )
 from untrusted_noma import system
+
+import sampler_oracle
+
+# one to seven 32-bit words: the pool of four, and seeds that mix in more
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**96 + 7, 2**128 - 1, 2**128, 2**200]
 
 # Worked 2-user instance, frozen from a hand-evaluated scalar oracle
 # (gains (4,1), alpha (0.2,0.8), zeta 0.1, rho_t 10):
@@ -125,14 +131,46 @@ class TestSampling:
         half_diag = params.field_len_m * math.sqrt(2.0) / 2.0
         assert all(params.min_dist_m <= d <= half_diag for d in ch.distances_m)
 
-    @pytest.mark.parametrize("n", [1, 2, 4])
-    def test_block_rows_are_the_one_seed_draws(self, n):
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("size", [1, 3, 120, 1000])
+    def test_block_matches_the_per_seed_oracle(self, n, size):
+        # the edge seeds cut into batches of ``size``, the big batches filled
+        # up with 64-bit seeds: seeds of one to seven 32-bit words share a batch
         params = SystemParams(n_users=n)
-        seeds = [0, 3, 2**63, 2**64 - 1, 17]
-        dist, gains = system._sample_block(params, seeds)
-        for t, seed in enumerate(seeds):
-            ch = sample_channels(params, seed)
-            assert (tuple(dist[t].tolist()), tuple(gains[t].tolist())) == (ch.distances_m, ch.gains)
+        fill = random.Random(size * 10 + n)
+        seeds = EDGE_SEEDS + [fill.getrandbits(64) for _ in range(size - len(EDGE_SEEDS))]
+        for first in range(0, len(seeds), size):
+            batch = seeds[first:first + size]
+            got = system._sample_block(params, batch)
+            want = sampler_oracle.sample_block(params, batch)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**260), min_size=1, max_size=40),
+        st.integers(min_value=1, max_value=9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_matches_the_oracle_on_any_seeds(self, seeds, n):
+        params = SystemParams(n_users=n)
+        got = system._sample_block(params, seeds)
+        want = sampler_oracle.sample_block(params, seeds)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**260), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_seed_words_are_seed_sequence_state(self, seeds):
+        seeds += EDGE_SEEDS
+        words = system._seed_words(seeds)
+        assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+        want = [np.random.SeedSequence(seed).generate_state(4, np.uint64) for seed in seeds]
+        assert words.tobytes() == np.array(want).tobytes()
+
+    def test_numpy_integer_seeds_draw_as_ints(self):
+        params = SystemParams(n_users=3)
+        seeds = [0, 5, 2**64 - 1]
+        got = system._sample_block(params, np.array(seeds, dtype=np.uint64))
+        want = system._sample_block(params, seeds)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_block_redraws_a_collision_from_its_own_seed(self, monkeypatch):
         # gains a few hundred subnormal steps wide collide now and then;
@@ -141,7 +179,7 @@ class TestSampling:
         seeds = []
         for seed in range(300):
             try:
-                sample_channels(params, seed)
+                sampler_oracle.sample_block(params, [seed])
             except ValueError:
                 continue
             seeds.append(seed)
@@ -153,11 +191,10 @@ class TestSampling:
             return draw(*args)
 
         monkeypatch.setattr(system, "draw_gains", counting)
-        gains = system._sample_block(params, seeds)[1]
+        got = system._sample_block(params, seeds)
         assert redraws
-        assert [tuple(row) for row in gains.tolist()] == [
-            sample_channels(params, seed).gains for seed in seeds
-        ]
+        want = sampler_oracle.sample_block(params, seeds)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_block_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match="got -1"):
