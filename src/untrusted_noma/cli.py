@@ -20,12 +20,11 @@ import csv
 import errno
 import math
 import os
-import shutil
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import astuple, fields
 from functools import lru_cache
-from typing import Iterator, Sequence, TextIO
+from typing import Sequence
 
 from .experiments import (
     ExperimentConfig,
@@ -33,6 +32,7 @@ from .experiments import (
     ResultRecord,
     _block_run,
     _id_text,
+    _output_file,
     _trial_blocks,
     _write,
     export,
@@ -210,11 +210,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         min_secrecy_rate=min(rates),
         per_user_rates=rates,
     )
+    _mirror_records([record], settings)  # first, so a reader closing stdout early cannot cut it
     print(f"beta={format_number(args.beta)} order_id={record.order_id}")
     for i, rate in enumerate(rates, start=1):
         print(f"user_rate_{i}={format_number(rate)}")
     print(f"min_secrecy_rate={format_number(record.min_secrecy_rate)}")
-    _mirror_records([record], settings)
     return 0
 
 
@@ -227,43 +227,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _mirror_records(records, settings)  # first, so a reader closing stdout early cannot cut it
     write_csv(records, sys.stdout)
     return 0
-
-
-@contextmanager
-def _output_file(path: str) -> Iterator[TextIO]:
-    """The ``--output`` file of a run that writes it a block at a time. A
-    regular file is written under a temporary name in its directory, which
-    replaces it (``os.replace``) once written whole, also when stdout's
-    reader left early, and is removed if the run fails: the path then keeps
-    what it held. A path that exists and is no regular file (a pipe or a
-    device) is written in place."""
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "w", encoding="utf-8", newline="") as file:
-            yield file
-        return
-    if os.path.exists(target) and not os.access(target, os.W_OK):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-    directory, name = os.path.split(target)
-    temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    try:
-        file = open(temp, "x", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with file:
-            if os.path.exists(target):
-                shutil.copymode(target, temp)
-            try:
-                yield file
-            except BrokenPipeError:  # stdout's reader left; the file was still written whole
-                file.close()
-                os.replace(temp, target)
-                raise
-        os.replace(temp, target)
-    finally:
-        if os.path.exists(temp):
-            os.remove(temp)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

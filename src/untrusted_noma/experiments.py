@@ -61,15 +61,18 @@ digit words (``_id_text``)."""
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
 import operator
+import os
+import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import chain, cycle, islice, repeat
-from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain, count, cycle, islice, repeat
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -177,38 +180,28 @@ class _Block(NamedTuple):
     ids: np.ndarray
 
 
-# trials whose channels are drawn at once: seeding a batch has a fixed cost
-# (about 60 us on a 2-core x86 machine), which kernel blocks of three trials
-# (N = 4) would pay per block
+# trials whose channels are drawn at once, rounded down to whole kernel
+# blocks: seeding a batch has a fixed cost (about 60 us on a 2-core x86
+# machine), which kernel blocks of three trials (N = 4) would pay per block
 _DRAW_TRIALS = 1024
-
-
-def _trial_gains(config: ExperimentConfig) -> Iterator[np.ndarray]:
-    """The channel gains [T, n] of the config's trials, ``_DRAW_TRIALS`` at
-    a time; trial t's from ``derive_trial_seed(config.master_seed, t)``."""
-    for first in range(0, config.trials, _DRAW_TRIALS):
-        seeds = [derive_trial_seed(config.master_seed, t)
-                 for t in range(first, min(first + _DRAW_TRIALS, config.trials))]
-        yield _sample_block(config.params, seeds)[1]
 
 
 def _trial_blocks(config: ExperimentConfig, values_only: bool = False) -> Iterator[_Block]:
     """The ``_Block``s of the config's schemes over its beta grid, a block
-    of trials at a time, of values alone when ``values_only``. The trials'
-    channels are drawn a batch at a time (``_trial_gains``), whose bounds
-    need not be a block's."""
+    of trials at a time, of values alone when ``values_only``. Channels are
+    drawn (trial t's from ``derive_trial_seed(config.master_seed, t)``) a
+    batch of as many whole blocks as fit in ``_DRAW_TRIALS`` trials at a time."""
     # the blocks keep tuples, which a caller's lists cannot change after the run
     params, schemes, grid = config.params, tuple(config.schemes), tuple(config.beta_grid)
     ids = _request_set(schemes, params.n_users)[1]
     size = _trials_per_block(schemes, params.n_users, len(grid))
-    batches, drawn = _trial_gains(config), np.empty((0, params.n_users))
-    for start in range(0, config.trials, size):
-        trials = range(start, min(start + size, config.trials))
-        while len(drawn) < len(trials):
-            drawn = np.concatenate([drawn, next(batches)])
-        gains, drawn = drawn[:len(trials)], drawn[len(trials):]
-        scores = _score_block(schemes, grid, gains, params, values_only)
-        yield _Block(trials, grid, schemes, *scores, ids)
+    draw = size * max(1, _DRAW_TRIALS // size)
+    for first in range(0, config.trials, draw):
+        batch = range(first, min(first + draw, config.trials))
+        gains = _sample_block(params, [derive_trial_seed(config.master_seed, t) for t in batch])[1]
+        for start in range(0, len(batch), size):
+            scores = _score_block(schemes, grid, gains[start:start + size], params, values_only)
+            yield _Block(batch[start:start + size], grid, schemes, *scores, ids)
 
 
 def _block_records(block: _Block) -> Iterator[ResultRecord]:
@@ -733,10 +726,53 @@ def write_json(records: Sequence[ResultRecord], stream) -> None:
     _write([(stream, True)], _runs(records))
 
 
-def export(records: Sequence[ResultRecord], path: str | Path, format: str = "csv") -> None:
+# numbers each temporary name: writes that overlap in one process never share one
+_temp_names = count()
+
+
+@contextmanager
+def _output_file(path: str | os.PathLike) -> Iterator[TextIO]:
+    """An output file open for writing text, the one place that opens one.
+    A regular file is written under a temporary name unique to the call, in
+    its directory, which replaces it (``os.replace``) once written whole,
+    also when stdout's reader left early, and is removed if the write
+    fails: the path then keeps what it held. A path that exists and is no
+    regular file (a pipe or a device) is written in place."""
+    path = os.fspath(path)
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="") as file:
+            yield file
+        return
+    if os.path.exists(target) and not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.{next(_temp_names)}.tmp")
+    try:
+        file = open(temp, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with file:
+            if os.path.exists(target):
+                shutil.copymode(target, temp)
+            try:
+                yield file
+            except BrokenPipeError:  # stdout's reader left; the file was still written whole
+                file.close()
+                os.replace(temp, target)
+                raise
+        os.replace(temp, target)
+    finally:
+        if os.path.exists(temp):
+            os.remove(temp)
+
+
+def export(records: Sequence[ResultRecord], path: str | os.PathLike, format: str = "csv") -> None:
     """Write records to ``path`` as CSV or a structurally equivalent JSON
-    array. Numeric fields carry 12 significant digits in both formats."""
+    array. Numeric fields carry 12 significant digits in both formats. The
+    file is written whole or not at all, through ``_output_file``."""
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    with open(Path(path), "w", encoding="utf-8", newline="") as stream:
+    with _output_file(path) as stream:
         _write([(stream, format == "json")], _runs(records))

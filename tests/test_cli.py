@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -336,6 +337,33 @@ class TestSweep:
             assert err.startswith("error:") and err.count("\n") == 1
             assert missing in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("held", [None, "an earlier run\n"])
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--users", "3", "--seed", "5"),
+        ("eval", "--users", "3", "--beta", "-0.3", "--seed", "42"),
+    ], ids=["sweep", "eval"])
+    def test_a_full_disk_leaves_the_output_path_as_it_was(
+        self, capsys, monkeypatch, tmp_path, argv, held, fmt
+    ):
+        # the writer writes its first batch, then finds the disk full
+        write_rows = experiments._write_rows
+
+        def full_after_one_batch(*args, **kwargs):
+            write_rows(*args, **kwargs)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(experiments, "_write_rows", full_after_one_batch)
+        path = tmp_path / f"out.{fmt}"
+        if held is not None:
+            path.write_text(held)
+        code, _, err = run_cli(capsys, *argv, "--output", str(path), "--format", fmt)
+        assert code == 2
+        assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert os.listdir(tmp_path) == ([] if held is None else [path.name])
+        if held is not None:
+            assert path.read_text() == held
+
     def test_bad_beta_grid_rejected(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--users", "3", "--seed", "5", "--beta-grid=a,b")
         assert (code, out) == (1, "")
@@ -506,8 +534,8 @@ def test_commands_without_channels_never_import_numpy_random():
 
 
 class TestReaderClosesStdoutEarly:
-    """``simulate`` and ``sweep`` end quietly when their reader closes stdout
-    early, and still write the whole ``--output`` file."""
+    """``simulate``, ``sweep`` and ``eval`` end quietly when their reader
+    closes stdout early, and still write the whole ``--output`` file."""
 
     GRID = ",".join(f"{-1 + 2 * i / 999:.6f}" for i in range(1000))
 
@@ -532,6 +560,23 @@ class TestReaderClosesStdoutEarly:
         assert code == 0
         assert len(out) > 2**18  # far more than a pipe and stdout's buffer hold
         assert first.decode() == out.splitlines(keepends=True)[0]
+        assert piped.read_bytes() == plain.read_bytes()
+
+    def test_eval_writes_its_output_file_with_no_reader(self, capsys, tmp_path):
+        # stdout is a pipe whose reader is gone before the first line
+        piped, plain = tmp_path / "piped.csv", tmp_path / "plain.csv"
+        argv = ["eval", "--users", "3", "--beta", "-0.3", "--seed", "42", "--output"]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "untrusted_noma.cli", *argv, str(piped)],
+                stdout=write, stderr=subprocess.PIPE, env=_child_env(), timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert run_cli(capsys, *argv, str(plain))[0] == 0
         assert piped.read_bytes() == plain.read_bytes()
 
     def test_simulate_prints_its_first_rows_promptly(self):

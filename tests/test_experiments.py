@@ -1,3 +1,4 @@
+import ast
 import copy
 import csv
 import dataclasses
@@ -5,11 +6,14 @@ import gc
 import io
 import json
 import math
+import os
 import pickle
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,9 +291,10 @@ class TestTrialBlocks:
 
 
 class TestChannelBatches:
-    """Channels are drawn ``_DRAW_TRIALS`` trials at a time, whose bounds
-    need not be a kernel block's: every trial's gains must still be those of
-    its own seed, and every record the same."""
+    """Channels are drawn in batches of whole kernel blocks, as many as fit
+    in ``_DRAW_TRIALS`` trials and one at least: every draw but the last
+    covers whole blocks, every trial's gains must still be those of its own
+    seed, and every record the same."""
 
     @pytest.mark.parametrize(
         "config, per_block",
@@ -313,20 +318,29 @@ class TestChannelBatches:
             for t in range(config.trials)
         ])
         score_block, scored = experiments._score_block, []
+        sample_block, drawn = experiments._sample_block, []
 
         def capture(schemes, grid, gains, *args):
             scored.append(gains.copy())
             return score_block(schemes, grid, gains, *args)
 
+        def count_draws(params, seeds):
+            drawn.append(len(seeds))
+            return sample_block(params, seeds)
+
         monkeypatch.setattr(experiments, "_score_block", capture)
+        monkeypatch.setattr(experiments, "_sample_block", count_draws)
         runs = []
         for draw in (1, 7, experiments._DRAW_TRIALS):
             monkeypatch.setattr(experiments, "_DRAW_TRIALS", draw)
             scored.clear()
+            drawn.clear()
             runs.append(run_experiment(config))
             blocks, rest = divmod(config.trials, per_block)
             assert [len(gains) for gains in scored] == [per_block] * blocks + [rest]
             assert np.concatenate(scored).tobytes() == want.tobytes()
+            assert sum(drawn) == config.trials
+            assert all(trials % per_block == 0 for trials in drawn[:-1])
         assert runs[0] == runs[1] == runs[2]
 
 
@@ -530,6 +544,103 @@ class TestExport:
         export(run_experiment(small_config()), a, "csv")
         export(run_experiment(small_config()), b, "csv")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("held", [None, b"an earlier run\n"])
+    def test_a_failed_export_leaves_the_path_as_it_was(self, tmp_path, fmt, held):
+        # a whole write batch is written before the bad record is reached
+        path = tmp_path / f"out.{fmt}"
+        if held is not None:
+            path.write_bytes(held)
+        records = many_records(_batch_rows(1))
+        records.append(ResultRecord(len(records), 0.0, "policy-LPWU", 1, "bad", (0.5,)))
+        with pytest.raises(ValueError):
+            export(records, path, fmt)
+        assert os.listdir(tmp_path) == ([] if held is None else [path.name])
+        if held is not None:
+            assert path.read_bytes() == held
+
+    def test_overlapping_exports_to_one_path_each_write_whole(self, tmp_path, monkeypatch):
+        # each thread waits inside its first batch until the other is in its
+        # own, so both files are open at once
+        lists = [many_records(3 * WRITE_BATCH), many_records(5)]
+        wanted = [written(write_csv, records) for records in lists]
+        path, barrier, met = tmp_path / "out.csv", threading.Barrier(2, timeout=30), set()
+        write_rows = experiments._write_rows
+
+        def meet(*args, **kwargs):
+            if threading.get_ident() not in met:
+                met.add(threading.get_ident())
+                barrier.wait()
+            return write_rows(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_write_rows", meet)
+        errors = []
+
+        def run(records):
+            try:
+                export(records, path, "csv")
+            except BaseException as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=run, args=(records,)) for records in lists]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert path.read_bytes() in wanted
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_only_the_output_helper_opens_files_for_writing(self):
+        package = Path(experiments.__file__).parent
+        writers = [
+            (source.name, function)
+            for source in sorted(package.glob("*.py"))
+            for function in _functions_opening_for_writing(ast.parse(source.read_text()))
+        ]
+        assert writers == [("experiments.py", "_output_file")] * 2  # a temporary file or a pipe
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether a call is an ``open`` (builtin, ``io.open`` or a method such
+    as ``Path.open``) whose mode holds w, x or a, or a ``write_text`` /
+    ``write_bytes`` method call. A mode that is no string constant counts
+    as writing. ``os.open``, which takes flags, is left out: the package
+    uses it only to point stdout at the null device."""
+    func = call.func
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open" or getattr(getattr(func, "value", None), "id", None) == "os":
+        return False
+    method = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) != "io"
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    modes += call.args[0 if method else 1:][:1]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or bool(
+        set(mode.value) & set("wxa")
+    )
+
+
+def _functions_opening_for_writing(tree: ast.AST) -> list:
+    """The innermost enclosing function (None at module level) of each call
+    in ``tree`` that opens a file for writing, in source order."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and _opens_for_writing(node):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
 
 
 class TestCsvWriter:
