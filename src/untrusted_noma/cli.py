@@ -27,6 +27,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .experiments import (
+    _GAIN_SCHEMES,
     ExperimentConfig,
     GainRow,
     ResultRecord,
@@ -41,7 +42,7 @@ from .experiments import (
     sweep_all,
     write_csv,
 )
-from .optimizer import SCHEME_BENCHMARK, SCHEME_POLICY_LPSU, SCHEME_POLICY_LPWU, secrecy_rates
+from .optimizer import secrecy_rates
 from .orders import (
     _order_ids,
     _secure_rank_blocks,
@@ -56,11 +57,6 @@ from .system import SystemParams, power_allocation, sample_channels
 __all__ = ["main", "entry"]
 
 CONFIG_ENV_VAR = "UNTRUSTED_NOMA_CONFIG"
-
-_CONFIG_KEYS = frozenset(
-    [f.name for cls in (SystemParams, ExperimentConfig) for f in fields(cls) if f.name != "params"]
-    + ["output_path", "output_format"]
-)
 
 
 class _CliError(Exception):
@@ -90,25 +86,34 @@ def _parse_user_counts(text: str) -> tuple[int, ...]:
         raise _CliError(f"invalid user counts {text!r}; expected comma-separated integers")
 
 
-_FORMATS = ("csv", "json")
-
-
-def _parse_format(text: str) -> str:
-    if text not in _FORMATS:
-        raise ValueError(text)
-    return text
-
-
-# How each config key's text is read; the other SystemParams fields are floats.
-_CONFIG_PARSERS = {
-    "n_users": int,
-    "trials": int,
-    "master_seed": int,
-    "beta_grid": _parse_beta_grid,
-    "schemes": _parse_schemes,
-    "output_path": str,
-    "output_format": _parse_format,
+# Each flagged setting of eval, sweep and simulate, once: its name (flag dest,
+# config key and dataclass field) -> its flag and the flag's argparse keywords.
+# A config value is read as its flag's would be. The SystemParams fields with
+# no flag (path_loss_const, path_loss_exp, min_dist_m) are floats from a file.
+_SETTINGS = {
+    "n_users": ("--users", {"type": int}),
+    "zeta": ("--zeta", {"type": float, "help": "residual-interference factor in [0, 1]"}),
+    "pt_dbm": ("--pt-dbm", {"type": float, "help": "transmit power in dBm"}),
+    "noise_dbm": ("--noise-dbm", {"type": float, "help": "noise power in dBm"}),
+    "field_len_m": ("--field-len", {"type": float, "help": "square field side in meters"}),
+    "output_path": ("--output", {"help": "write records to this path"}),
+    "output_format": ("--format", {"choices": ("csv", "json"), "help": "output file format"}),
+    "trials": ("--trials", {"type": int}),
+    "master_seed": ("--seed", {"type": int, "help": "master seed"}),
+    "beta_grid": ("--beta-grid", {"type": _parse_beta_grid}),
+    "schemes": ("--scheme", {"type": _parse_schemes, "help": "comma-separated scheme list"}),
 }
+
+_CONFIG_KEYS = frozenset(_SETTINGS) | {f.name for f in fields(SystemParams)}
+
+
+def _config_value(key: str, text: str):
+    """``text`` read as the flag of setting ``key`` reads it, or as a float."""
+    kwargs = _SETTINGS[key][1] if key in _SETTINGS else {"type": float}
+    value = kwargs.get("type", str)(text)
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ValueError(text)
+    return value
 
 
 def read_config_file(path: str) -> dict:
@@ -125,8 +130,8 @@ def read_config_file(path: str) -> dict:
             if key not in _CONFIG_KEYS:
                 raise _CliError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _CONFIG_PARSERS.get(key, float)(value)
-            except ValueError:
+                values[key] = _config_value(key, value)
+            except (ValueError, _CliError):
                 raise _CliError(f"{path}:{lineno}: bad value for {key!r}: {value!r}")
     return values
 
@@ -244,7 +249,7 @@ def _cmd_gain(args: argparse.Namespace) -> int:
         params=SystemParams(n_users=args.users[0]),
         trials=args.trials,
         master_seed=args.seed,
-        schemes=(SCHEME_POLICY_LPWU, SCHEME_POLICY_LPSU, SCHEME_BENCHMARK),
+        schemes=_GAIN_SCHEMES,
     )
     rows = gain_vs_users(config, args.users)
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -255,18 +260,18 @@ def _cmd_gain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_system_flags(sub: argparse.ArgumentParser) -> None:
-    """Flags of eval, sweep and simulate; every dest but ``config`` is a config key."""
-    sub.add_argument("--users", type=int, dest="n_users")
-    sub.add_argument("--zeta", type=float, help="residual-interference factor in [0, 1]")
-    sub.add_argument("--pt-dbm", type=float, dest="pt_dbm", help="transmit power in dBm")
-    sub.add_argument("--noise-dbm", type=float, dest="noise_dbm", help="noise power in dBm")
-    sub.add_argument(
-        "--field-len", type=float, dest="field_len_m", help="square field side in meters"
-    )
+def _add_system_flags(sub: argparse.ArgumentParser, *names: str) -> None:
+    """Flags of the named settings, then those eval, sweep and simulate share;
+    every dest but ``config`` is a config key."""
+
+    def add(*settings: str) -> None:
+        for name in settings:
+            flag, kwargs = _SETTINGS[name]
+            sub.add_argument(flag, dest=name, **kwargs)
+
+    add(*names, "n_users", "zeta", "pt_dbm", "noise_dbm", "field_len_m")
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--output", dest="output_path", help="write records to this path")
-    sub.add_argument("--format", choices=_FORMATS, dest="output_format", help="output file format")
+    add("output_path", "output_format")
 
 
 @lru_cache(maxsize=1)
@@ -299,21 +304,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="beta sweep on one realization")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--beta-grid", type=_parse_beta_grid, dest="beta_grid")
-    p.add_argument(
-        "--scheme", type=_parse_schemes, dest="schemes", help="comma-separated scheme list"
-    )
-    _add_system_flags(p)
+    _add_system_flags(p, "beta_grid", "schemes")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="full Monte Carlo experiment")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int, dest="master_seed", help="master seed")
-    p.add_argument("--beta-grid", type=_parse_beta_grid, dest="beta_grid")
-    p.add_argument(
-        "--scheme", type=_parse_schemes, dest="schemes", help="comma-separated scheme list"
-    )
-    _add_system_flags(p)
+    _add_system_flags(p, "trials", "master_seed", "beta_grid", "schemes")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("gain", help="policy-vs-benchmark secrecy gain per user count")

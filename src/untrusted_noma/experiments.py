@@ -102,6 +102,9 @@ __all__ = [
 ]
 
 DEFAULT_BETA_GRID: tuple[float, ...] = tuple(float(b) for b in np.linspace(-1.0, 1.0, 21))
+# gain_vs_users' schemes: the policy values are columns 0 and 1 of a block,
+# the benchmark's column 2
+_GAIN_SCHEMES = (SCHEME_POLICY_LPWU, SCHEME_POLICY_LPSU, SCHEME_BENCHMARK)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -283,10 +286,8 @@ def gain_vs_users(config: ExperimentConfig, user_counts: Sequence[int]) -> list[
     ``gain_percent`` is ``math.nan``. Every user count's request is built,
     and so checked, before any trial runs.
     """
-    # the policy values are columns 0 and 1 of a block, the benchmark's column 2
-    schemes = (SCHEME_POLICY_LPWU, SCHEME_POLICY_LPSU, SCHEME_BENCHMARK)
     cells = [replace(config.params, n_users=n) for n in user_counts]
-    requests = [replace(config, params=params, schemes=schemes) for params in cells]
+    requests = [replace(config, params=params, schemes=_GAIN_SCHEMES) for params in cells]
     rows: list[GainRow] = []
     for request in requests:
         policy_vals: list[float] = []

@@ -533,6 +533,21 @@ def test_commands_without_channels_never_import_numpy_random():
     assert (done.returncode, done.stderr) == (0, b"")
 
 
+def test_package_exports_exactly_each_modules_all():
+    # a fresh interpreter, where no test has imported untrusted_noma.cli
+    done = subprocess.run(
+        [sys.executable, "-c", "import untrusted_noma; print(*dir(untrusted_noma))"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    names = ("orders", "system", "optimizer", "experiments")
+    exported = {n for name in names for n in getattr(untrusted_noma, name).__all__}
+    assert {n for n in done.stdout.split() if not n.startswith("_")} == exported | set(names)
+
+
 class TestReaderClosesStdoutEarly:
     """``simulate``, ``sweep`` and ``eval`` end quietly when their reader
     closes stdout early, and still write the whole ``--output`` file."""
@@ -742,6 +757,24 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_users", "2.5"),
+            ("trials", "x"),
+            ("master_seed", "7e3"),
+            ("beta_grid", "0,x"),
+            ("output_format", "xml"),
+            ("zeta", "high"),
+        ],
+    )
+    def test_bad_value_is_one_error_line_naming_its_line(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"output_path = out.csv\n{key} = {value}\n")
+        code, out, err = run_cli(capsys, "simulate", "--users", "2", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == f"error: {cfg}:2: bad value for {key!r}: {value!r}\n"
+
     @pytest.mark.parametrize("key", ["path_loss_const", "path_loss_exp"])
     def test_infinite_path_loss_is_one_error_line(self, capsys, tmp_path, key):
         cfg = tmp_path / "inf.cfg"
@@ -818,6 +851,35 @@ class TestSettings:
             if not isinstance(a, argparse._HelpAction)
         }
         assert dests - cli._CONFIG_KEYS <= {"seed", "beta", "order_id", "config"}
+        # a dataclass field added without a table entry is not a config key
+        for cls in (SystemParams, ExperimentConfig):
+            assert {f.name for f in dataclasses.fields(cls)} - {"params"} <= cli._CONFIG_KEYS
+
+    # a text per flagged setting, read the same from a flag and a config line
+    FLAG_TEXTS = {
+        "n_users": "3",
+        "zeta": "0.25",
+        "pt_dbm": "12.5",
+        "noise_dbm": "-85.5",
+        "field_len_m": "400",
+        "output_path": "out.json",
+        "output_format": "json",
+        "trials": "4",
+        "master_seed": "-7",
+        "beta_grid": "-0.5,0,0.5",
+        "schemes": "policy-LPWU, benchmark",
+    }
+
+    def test_a_flag_and_a_config_line_give_the_same_setting(self, tmp_path, monkeypatch):
+        assert self.FLAG_TEXTS.keys() == cli._SETTINGS.keys()
+        monkeypatch.chdir(tmp_path)
+        flags = [f"{cli._SETTINGS[key][0]}={text}" for key, text in self.FLAG_TEXTS.items()]
+        from_flags = cli._settings(cli.build_parser().parse_args(["simulate", *flags]))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {text}\n" for key, text in self.FLAG_TEXTS.items()))
+        from_config = cli._settings(cli.build_parser().parse_args(["simulate", "--config", str(cfg)]))
+        assert from_flags == from_config
+        assert from_flags.keys() == cli._SETTINGS.keys()
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
