@@ -170,13 +170,6 @@ def _experiment(settings: dict) -> ExperimentConfig:
     return ExperimentConfig(params=params, **_given(ExperimentConfig, settings))
 
 
-def _mirror_records(records: list[ResultRecord], settings: dict) -> None:
-    """Write records to --output (or the config's output_path) when given,
-    besides what the command prints."""
-    if settings.get("output_path"):
-        export(records, settings["output_path"], settings.get("output_format", "csv"))
-
-
 def _cmd_count(args: argparse.Namespace) -> int:
     n = args.users
     secure = count_secure(n, bool(args.allow_large_n))
@@ -215,7 +208,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         min_secrecy_rate=min(rates),
         per_user_rates=rates,
     )
-    _mirror_records([record], settings)  # first, so a reader closing stdout early cannot cut it
+    if settings.get("output_path"):  # first, so a reader closing stdout early cannot cut it
+        export([record], settings["output_path"], settings.get("output_format", "csv"))
     print(f"beta={format_number(args.beta)} order_id={record.order_id}")
     for i, rate in enumerate(rates, start=1):
         print(f"user_rate_{i}={format_number(rate)}")
@@ -229,7 +223,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     channels = sample_channels(config.params, args.seed)
     sweeps = sweep_all(config.schemes, config.beta_grid, channels, config.params)
     records = [record for rows in sweeps.values() for record in rows]
-    _mirror_records(records, settings)  # first, so a reader closing stdout early cannot cut it
+    if settings.get("output_path"):  # first, so a reader closing stdout early cannot cut it
+        export(records, settings["output_path"], settings.get("output_format", "csv"))
     write_csv(records, sys.stdout)
     return 0
 

@@ -36,12 +36,14 @@ no longer holds. ``+`` and slices give plain lists.
 The writers are columnar, with one body, ``_write``, over two sources of
 columns and any number of (stream, format) sinks. Blocks, as a run kept them
 or as the kernel yields them (``cli simulate`` builds no record), or records
-taken a batch at a time (transposed once into field columns, split by
-per-user width only where a batch mixes widths), become batches sized by a
-bound on the batch's row matrix (``_WRITE_BYTES``), each spelled once per
-format. A batch becomes a matrix of native uint32 words, one row per record,
-whose padding bytes are NUL, built and turned into text a slice of rows at a
-time; ``bytes.translate`` deletes the padding and the rest is the text.
+taken a batch at a time (each stretch of one per-user width transposed into
+field columns by ``zip``), become batches sized by a bound on the batch's
+row matrix (``_WRITE_BYTES``), each spelled once per format. A batch becomes
+a matrix of native uint32 words, one row per record, whose padding bytes are
+NUL, built and turned into text a slice of rows at a time;
+``bytes.translate`` deletes the padding and the rest is the text. Every
+text that is not digits (leads, ends, distinct values, numbers spelled
+alone) becomes words through one helper, ``_text_words``.
 Trials, schemes, order ids and betas (keyed by their float bits, so -0.0 and
 NaN payloads keep their own texts) are spelled once per distinct value (a
 block's order ids once per distinct pick, never cast to int64, which ids
@@ -70,8 +72,8 @@ import os
 import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
-from itertools import chain, count, cycle, islice, repeat
+from functools import partial
+from itertools import chain, count, cycle, groupby, islice, repeat
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -428,31 +430,29 @@ def _group_words(values: np.ndarray, count: int, trailing: bool, out: np.ndarray
         _DIGIT_WORDS.take(index, out=out[g])
 
 
-def _words(text: bytes, count: int = 0) -> np.ndarray:
-    """``text`` as native uint32 words, NUL-padded to ``count`` words or to
-    the fewest that hold it."""
-    return np.frombuffer(text.ljust(4 * max(count, -(-len(text) // 4)), b"\0"), dtype=np.uint32)
+def _text_words(texts: Sequence[str]) -> np.ndarray:
+    """The UTF-8 of each text as one row of NUL-padded words [D, k]. A NUL
+    of a text itself is stored as 0xFF, a byte UTF-8 never holds, which
+    ``_UNPAD`` turns back."""
+    data = [text.encode("utf-8", "surrogatepass").replace(b"\0", b"\xff") for text in texts]
+    count = -(-max(map(len, data), default=0) // 4)
+    padded = b"".join(d.ljust(4 * count, b"\0") for d in data)
+    return np.frombuffer(padded, dtype=np.uint32).reshape(len(data), count)
 
 
 # the word between a number's whole and fraction digits, for an integral
 # number, one with a fraction, one below 1 (no whole digits), and zero
 _POINT_WORDS = {
-    json: np.concatenate([_words(text, 1) for text in texts])
-    for json, texts in ((False, (b"", b".", b"0.", b"0")), (True, (b".0", b".", b"0.", b"0.0")))
+    json: _text_words(texts).ravel()
+    for json, texts in ((False, ("", ".", "0.", "0")), (True, (".0", ".", "0.", "0.0")))
 }
 
 
-@lru_cache(maxsize=64)
-def _lead_words(lead: bytes) -> np.ndarray:
-    """[2, k] words: ``lead``, then ``lead`` and a minus sign, NUL-padded."""
-    count = len(lead) // 4 + 1
-    return np.stack([_words(lead, count), _words(lead + b"-", count)])
-
-
-def _number_words(columns: np.ndarray, leads: Sequence[bytes], json: bool) -> list[np.ndarray]:
-    """Per row j of ``columns`` [F, R], the words [R, k] of ``leads[j]``
-    and then each number's ``format_number`` text (``_json_number`` text
-    with ``json``), NUL-padded.
+def _number_words(columns: np.ndarray, leads: Sequence[np.ndarray], json: bool) -> list[np.ndarray]:
+    """Per row j of ``columns`` [F, R], the words [R, k] of the lead before
+    each number, taken from ``leads[j]`` (the ``_text_words`` [2, k] of a
+    lead, then of it and a minus sign), and then each number's
+    ``format_number`` text (``_json_number`` text with ``json``), NUL-padded.
 
     Numbers proven by ``_twelve_digits``, and zeros, are spelled in fixed
     point with no Python frame per number: the 4-digit groups of the whole
@@ -480,10 +480,10 @@ def _number_words(columns: np.ndarray, leads: Sequence[bytes], json: bool) -> li
     done = exact | zero
     slow = np.flatnonzero(~done)
     spell = _json_number if json else format_number
-    texts = [spell(x).encode() for x in flat[slow].tolist()]
+    texts = _text_words([spell(x) for x in flat[slow].tolist()])
     # the fixed-point words, or as many as the longest text spelled alone
     count = whole_groups + 1 + fraction_groups
-    rows = max([count, *(-(-len(text) // 4) for text in texts)])
+    rows = max(count, texts.shape[1])
     words = np.zeros((rows, len(flat)), dtype=np.uint32)
     _group_words(whole, whole_groups, False, words[:whole_groups])
     del whole
@@ -494,27 +494,18 @@ def _number_words(columns: np.ndarray, leads: Sequence[bytes], json: bool) -> li
     del point
     _group_words(fraction, fraction_groups, True, words[whole_groups + 1:count])
     del fraction
-    if texts:
-        text = b"".join(text.ljust(4 * rows, b"\0") for text in texts)
-        words[:, slow] = np.frombuffer(text, dtype=np.uint32).reshape(-1, rows).T
+    # a slow number's fixed-point words are NUL but JSON's point word,
+    # which a shorter text would leave in place
+    words[:, slow] = 0
+    words[:texts.shape[1], slow] = texts.T
     used = words.any(axis=1)
     words = (words if used.all() else words[used]).reshape(-1, *columns.shape)
     # a slow number's text carries its own sign
     signs = (np.signbit(flat) & done).reshape(columns.shape)
     pieces = []
     for lead, sign, number in zip(leads, signs, words.transpose(1, 2, 0)):
-        pieces += [_lead_words(lead).take(sign, axis=0), number]
+        pieces += [lead.take(sign, axis=0), number]
     return pieces
-
-
-def _text_words(texts: Sequence[str]) -> np.ndarray:
-    """The UTF-8 of each text as one row of NUL-padded words [D, k]. A NUL
-    of a text itself is stored as 0xFF, a byte UTF-8 never holds, which
-    ``_UNPAD`` turns back."""
-    data = [text.encode("utf-8", "surrogatepass").replace(b"\0", b"\xff") for text in texts]
-    count = -(-max(map(len, data)) // 4)
-    padded = b"".join(d.ljust(4 * count, b"\0") for d in data)
-    return np.frombuffer(padded, dtype=np.uint32).reshape(len(data), count)
 
 
 def _coded(column: Sequence) -> tuple[list, np.ndarray]:
@@ -527,46 +518,25 @@ def _coded(column: Sequence) -> tuple[list, np.ndarray]:
 
 def _record_runs(records: Sequence[ResultRecord]) -> Iterator[tuple]:
     """The records' runs, as ``_block_run`` gives a block's, taken a batch
-    of ``_batch_rows`` at a time and split by per-user width."""
+    of ``_batch_rows`` at a time, one run with one batch of rows per
+    stretch of one per-user width. Betas are told apart by their float
+    bits, so -0.0 and 0.0, and NaNs of other payloads, keep their own texts."""
     start = 0
     while start < len(records):
-        size = _batch_rows(len(records[start].per_user_rates))
-        yield from _batch_runs(records[start:start + size])
-        start += size
-
-
-def _batch_runs(batch: Sequence[ResultRecord]) -> list[tuple]:
-    """A batch's runs, one per stretch of one per-user width, each with one
-    batch of rows. The batch is flattened into one list and its columns are
-    sliced out of it, which makes no Python object per record, and it is
-    split only where its widths differ. Betas are told apart by their float
-    bits, so -0.0 and 0.0, and NaNs of other payloads, keep their own texts.
-    The lists are freed on return, before any text is built."""
-    fields = list(chain.from_iterable(batch))
-    widths = list(map(len, fields[5::6]))
-    cuts = [0, len(batch)]
-    if widths.count(widths[0]) < len(widths):
-        cuts[1:1] = (np.flatnonzero(np.diff(widths)) + 1).tolist()
-    runs = []
-    for first, end in zip(cuts, cuts[1:]):
-        trials, betas, schemes, order_ids, mins, rates = (
-            fields[6 * first + i:6 * end:6] for i in range(6)
-        )
-        width = widths[first]
-        betas = np.array(betas, dtype=np.float64)
-        _, distinct, beta_codes = np.unique(
-            betas.view(np.int64), return_index=True, return_inverse=True
-        )
-        (trials, trial_codes), (schemes, scheme_codes), (order_ids, id_codes) = map(
-            _coded, (trials, schemes, order_ids)
-        )
-        numbers = np.empty((1 + width, len(mins)))
-        numbers[0] = mins
-        flat = np.fromiter(chain.from_iterable(rates), np.float64, width * len(rates))
-        numbers[1:] = flat.reshape(len(rates), width).T
-        rows = [trial_codes, beta_codes, scheme_codes, id_codes], numbers
-        runs.append((width, [trials, betas[distinct].tolist(), schemes, order_ids], [rows]))
-    return runs
+        batch = records[start:start + _batch_rows(len(records[start].per_user_rates))]
+        start += len(batch)
+        for width, stretch in groupby(batch, lambda record: len(record.per_user_rates)):
+            trials, betas, schemes, order_ids, mins, rates = zip(*stretch)
+            betas = np.array(betas, dtype=np.float64)
+            _, distinct, beta_codes = np.unique(
+                betas.view(np.int64), return_index=True, return_inverse=True
+            )
+            (trials, trial_codes), (schemes, scheme_codes), (order_ids, id_codes) = map(
+                _coded, (trials, schemes, order_ids)
+            )
+            numbers = np.array([mins, *zip(*rates)], dtype=np.float64)
+            rows = [trial_codes, beta_codes, scheme_codes, id_codes], numbers
+            yield width, [trials, betas[distinct].tolist(), schemes, order_ids], [rows]
 
 
 def _block_run(block: _Block) -> tuple:
@@ -637,7 +607,7 @@ def _csv_text(field: str) -> str:
     return line.getvalue()[:-2]
 
 
-_CSV_END = _words(b"\n")[None]
+_CSV_END = _text_words(["\n"])
 # the CSV text of a trial, and of a beta, scheme and order id after their comma
 _CSV_SPELLS = (
     str,
@@ -649,12 +619,12 @@ _CSV_SPELLS = (
 
 # the text of a JSON record after its numbers, with rates and without
 _JSON_ENDS = (
-    _words(b',\n    "per_user_rates": []\n  }')[None],
-    _words(b"\n    ]\n  }")[None],
+    _text_words([',\n    "per_user_rates": []\n  }']),
+    _text_words(["\n    ]\n  }"]),
 )
 # what leads each number of a JSON record: the minimum and the rates
-_JSON_LEADS = (b',\n    "min_secrecy_rate": ', b',\n    "per_user_rates": [\n      ')
-_JSON_RATE_LEAD = b",\n      "
+_JSON_LEADS = (',\n    "min_secrecy_rate": ', ',\n    "per_user_rates": [\n      ')
+_JSON_RATE_LEAD = ",\n      "
 # the JSON text of a record's trial, beta, scheme and order id, with what leads each
 _JSON_SPELLS = (
     ',\n  {{\n    "trial": {}'.format,
@@ -666,13 +636,14 @@ _JSON_SPELLS = (
 
 def _layout(json: bool, width: int, distinct: Sequence[Sequence]) -> tuple:
     """A format's words for a run: per field, its distinct values' words [D, k],
-    spelled by the field's function; the leads of a row's numbers; its end."""
-    spells, leads, end = _CSV_SPELLS, (b",",) * (width + 1), _CSV_END
+    spelled by the field's function; per number of a row, its lead's words
+    [2, k], without and with a minus sign after it; the row's end."""
+    spells, leads, end = _CSV_SPELLS, (",",) * (width + 1), _CSV_END
     if json:
         spells, end = _JSON_SPELLS, _JSON_ENDS[width > 0]
         leads = (*_JSON_LEADS, *(_JSON_RATE_LEAD,) * (width - 1))[:width + 1]
     tables = [_text_words(list(map(spell, values))) for spell, values in zip(spells, distinct)]
-    return tables, leads, end
+    return tables, [_text_words([lead, lead + "-"]) for lead in leads], end
 
 
 def _write(sinks: Sequence[tuple], runs: Iterator[tuple]) -> None:

@@ -38,6 +38,7 @@ from untrusted_noma.experiments import (
     _WRITE_BYTES,
     _batch_rows,
     _number_words,
+    _text_words,
     _twelve_digits,
     format_number,
     write_csv,
@@ -106,7 +107,7 @@ BETA_COLUMNS = {
 
 def spelled(values, json: bool) -> list[str]:
     """Each value's text from the writers' vectorised speller."""
-    pieces = _number_words(np.array([values], dtype=np.float64), (b"",), json)
+    pieces = _number_words(np.array([values], dtype=np.float64), [_text_words(["", "-"])], json)
     return [row.tobytes().translate(None, b"\0").decode() for row in np.hstack(pieces)]
 
 
@@ -850,6 +851,10 @@ class TestNumberSpeller:
     def test_zeros_subnormals_and_non_finite(self):
         tiny = [5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308]
         self.check(np.array([0.0, math.inf, math.nan, *neighbours(tiny)]))
+        # columns with no fast-path number: each text is laid on NUL words alone
+        for column in ([math.nan], [math.inf], [5e-324], [1e300]):
+            assert not _twelve_digits(np.abs(column))[2].any()
+            self.check(column)
         assert spelled([-0.0, 0.0], json=False) == ["-0", "0"]
         assert spelled([-0.0, 0.0], json=True) == ["-0.0", "0.0"]
 
