@@ -42,7 +42,7 @@ from .experiments import (
     sweep_all,
     write_csv,
 )
-from .optimizer import secrecy_rates
+from .optimizer import SCHEME_POLICY_LPWU, _check_request, secrecy_rates
 from .orders import (
     _order_ids,
     _secure_rank_blocks,
@@ -193,6 +193,7 @@ def _cmd_policy(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     settings = _settings(args)
     params = SystemParams(**_given(SystemParams, settings))
+    _check_request((SCHEME_POLICY_LPWU,), (args.beta,), params.n_users)  # one order at one beta
     if args.order_id is not None:
         order = order_from_id(params.n_users, args.order_id)
     else:
@@ -240,12 +241,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gain(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        params=SystemParams(n_users=args.users[0]),
-        trials=args.trials,
-        master_seed=args.seed,
-        schemes=_GAIN_SCHEMES,
-    )
+    params = SystemParams(n_users=args.users[0])
+    config = ExperimentConfig(params, args.trials, args.seed, schemes=_GAIN_SCHEMES)
     rows = gain_vs_users(config, args.users)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow([f.name for f in fields(GainRow)])

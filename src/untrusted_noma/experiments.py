@@ -12,29 +12,16 @@ It also carries the frozen dataclass field table it had as a dataclass, so
 the one row type the library returns, and a ``_Block`` is the one block
 layout: ``_score_block`` returns its arrays, ``_trial_blocks`` yields one
 per kernel call, and ``run_experiment``, ``sweep_all``, ``gain_vs_users``
-and the writers read them. Records are built from a block with one helper,
-``_block_records``, with no Python frame per record and no list per record:
-each field is one column of the block (``tolist`` once), and the per-user
-tuples are zipped from the per-user columns. A request is checked once, by
-``_check_request``, before any kernel call: a run's by its
-``ExperimentConfig``, which ``gain_vs_users`` builds for every user count
-before the first trial, and a sweep's by ``sweep_all``.
-
-``run_experiment`` returns a ``list`` subclass that holds the records and
-also keeps, per block, the arrays they were built from (values and picks
-[T, S, B], rates [T, S, B, n], and the trial range, grid, scheme names and
-scored ids they share), plus a tuple of the records themselves: 24 + 8n
-bytes per record at n users over the records' own, 48 at N = 3. Equality,
-``+``, iteration, copying and pickling are a list's. The CSV and JSON
-writers check the list against that tuple in one identity pass; while it
-holds exactly those records, one for one, they write from the kept
-columns, and any other sequence, or a changed list, is first turned into
-the same columns from its records. The first write that finds the list
-changed drops the kept blocks and tuple, which frees the records the list
-no longer holds. ``+`` and slices give plain lists.
+and the writers read them. Records are built from a block by one helper,
+``_block_records``, with no Python frame per record. ``run_experiment``
+returns a read-only sequence that holds only its blocks and builds its
+records each time they are read; the writers read the blocks' columns. A
+request is checked once, by ``_check_request``, before any kernel call: a
+run's by its ``ExperimentConfig``, which ``gain_vs_users`` builds for every
+user count before the first trial, and a sweep's by ``sweep_all``.
 
 The writers are columnar, with one body, ``_write``, over two sources of
-columns and any number of (stream, format) sinks. Blocks, as a run kept them
+columns and any number of (stream, format) sinks. Blocks, as a run holds them
 or as the kernel yields them (``cli simulate`` builds no record), or records
 taken a batch at a time (each stretch of one per-user width transposed into
 field columns by ``zip``), become batches sized by a bound on the batch's
@@ -48,16 +35,10 @@ Trials, schemes, order ids and betas (keyed by their float bits, so -0.0 and
 NaN payloads keep their own texts) are spelled once per distinct value (a
 block's order ids once per distinct pick, never cast to int64, which ids
 past N = 6 overflow) and gathered by code. The minimum and the per-user
-rates are spelled by one vectorised, exactly rounded ``%.12g``: with e the
-decimal exponent, y = |x| * 10^(11 - e) is a single rounding, as 10^k is an
-exact double for k <= 22, so y is within 2^-53 * 1e12 ~ 1.1e-4 of the exact
-product and its nearest integer gives the 12 digits unless y is near a half.
-Its temporaries are computed in place, about three floats per number at
-most. Digits are looked up 4 at a time in ``_DIGIT_WORDS``; zeros and signs
-are spelled on this path too. A value the fast path cannot prove (y within
-2.5e-4 of a half, e outside [-4, 11], y within 1 of the carry to 1e12, NaN
-or +-inf) is spelled by ``format_number`` (or its JSON spelling) one at a
-time, so the bytes are those of ``csv.writer`` and ``json.dump`` either way.
+rates are spelled by one vectorised ``%.12g`` whose digits are proven exact
+(``_twelve_digits``) and looked up 4 at a time in ``_DIGIT_WORDS``; a value
+it cannot prove is spelled by ``format_number`` (or its JSON spelling) one
+at a time, so the bytes are those of ``csv.writer`` and ``json.dump`` either way.
 The ``filter-secure`` listing's id lines are spelled here too, from the same
 digit words (``_id_text``)."""
 from __future__ import annotations
@@ -70,11 +51,13 @@ import math
 import operator
 import os
 import shutil
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, count, cycle, groupby, islice, repeat
-from typing import Iterator, NamedTuple, Sequence, TextIO
+from itertools import accumulate, chain, count, cycle, groupby, islice, repeat
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -134,6 +117,11 @@ class ExperimentConfig:
     schemes: tuple[str, ...] = SCHEMES
 
     def __post_init__(self) -> None:
+        for name in ("trials", "master_seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise TypeError(f"{name} must be an int, got {getattr(self, name)!r}") from None
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         _check_request(self.schemes, self.beta_grid, self.params.n_users)
@@ -227,36 +215,43 @@ def _block_records(block: _Block) -> Iterator[ResultRecord]:
     )
 
 
-class _RunRecords(list):
-    """``run_experiment``'s records: a list, which also keeps the blocks the
-    records were built from (``_blocks``) and a tuple of the records
-    themselves (``_records``), so the writers can read the blocks' columns
-    while the list still holds exactly those records."""
+class _RunView(Sequence):
+    """``run_experiment``'s records, read-only. It holds only the run's
+    blocks (``_blocks``) and builds a record from them when it is read."""
 
-    def _kept_blocks(self) -> list[_Block] | None:
-        """The blocks, if the list holds the records built from them, one
-        for one and in order; else None. The first time the list is found
-        changed, the blocks and the tuple are dropped, which frees the
-        records the list no longer holds."""
-        kept = self._records
-        if kept is not None and not (len(self) == len(kept) and all(map(operator.is_, self, kept))):
-            self._blocks = self._records = None
-        return self._blocks
+    def __init__(self, blocks: Iterator[_Block]) -> None:
+        self._blocks = tuple(blocks)
+
+    def __len__(self) -> int:
+        return sum(block.values.size for block in self._blocks)
+
+    def __iter__(self) -> Iterator[ResultRecord]:
+        return chain.from_iterable(map(_block_records, self._blocks))
+
+    def __getitem__(self, index):
+        """A record, found by its block's row counts, or a slice as a list."""
+        if isinstance(index, slice):
+            return list(self)[index]
+        ends = list(accumulate(block.values.size for block in self._blocks))
+        row = range(ends[-1] if ends else 0)[index]
+        b = bisect_right(ends, row)
+        return next(islice(_block_records(self._blocks[b]), row - (ends[b - 1] if b else 0), None))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
-def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
+def run_experiment(config: ExperimentConfig) -> Sequence[ResultRecord]:
     """Run all trials; rows are ordered by trial, then scheme, then beta.
 
     Trial t draws its channels from ``derive_trial_seed(master_seed, t)``,
     so results are independent of how trials are scheduled and any row can
-    be reproduced from (master_seed, trial) alone. The list also keeps the
-    block columns its records were built from, which ``export`` writes from
-    while the list is unchanged.
+    be reproduced from (master_seed, trial) alone. The rows come as a
+    read-only sequence over the run's blocks, which ``export`` writes from.
     """
-    blocks = list(_trial_blocks(config))
-    records = _RunRecords(chain.from_iterable(map(_block_records, blocks)))
-    records._blocks, records._records = blocks, tuple(records)
-    return records
+    return _RunView(_trial_blocks(config))
 
 
 def sweep_all(
@@ -574,10 +569,11 @@ def _block_run(block: _Block) -> tuple:
 def _runs(records: Sequence[ResultRecord]) -> Iterator[tuple]:
     """The records as runs of one per-user width, each with the distinct
     values of its trials, betas, schemes and order ids and its batches of
-    rows: from the blocks of a ``run_experiment`` list that still holds its
-    own records, else from the records themselves."""
-    blocks = records._kept_blocks() if isinstance(records, _RunRecords) else None
-    return _record_runs(records) if blocks is None else map(_block_run, blocks)
+    rows: from the blocks of a ``run_experiment`` sequence, else from the
+    records themselves."""
+    if isinstance(records, _RunView):
+        return map(_block_run, records._blocks)
+    return _record_runs(records)
 
 
 _TEXT_ROWS = 256  # matrix rows turned into text at once

@@ -32,18 +32,10 @@ minima out a slice of rows at a time (``_best_rows``).
 
 ``_score_block`` flattens the (trial, beta) pairs of the block of trials it
 is handed into one cell axis and scores them in one kernel call. It returns
-the block layout that records and writers read, C-contiguous with the
-schemes in request order: values and order picks [T, S, B] and per-user
-rates [T, S, B, n], the benchmark's row of picks all -1. Its callers size
-a block with ``_trials_per_block`` by one bound, ``_BLOCK_FLOATS``, on the
-floats the call holds in its per-cell arrays over all the block's cells,
-and at least one trial. A cell counts (``_cell_floats``) its K per-order
-minima, its entries of the SINR and the rate table, C x n each, and the
-picked orders' rate gathers. With every scheme at the 21-point grid a
-block takes 122 (N = 3) to 832 (N = 1) trials, so a 120-trial run at
-N <= 3 is one call, and three trials at N = 4 (K = 3036), where the minima
-are nearly all of it; ``_SCORE_BUDGET`` bounds only the leaf chunks. A
-request is checked once (``_check_request``) before its first call. A caller that reads only
+the block layout that records and writers read, and its callers size a
+block with ``_trials_per_block``, by one bound on the floats a call holds
+per cell (``_cell_floats``, ``_BLOCK_FLOATS``). A request is checked once
+(``_check_request``) before its first call. A caller that reads only
 values asks for them alone (picks and rates are then None), which skips
 the benchmark's per-user sum and the re-read of the picked orders' rates.
 
@@ -56,6 +48,8 @@ the [c, K] minima, a pairwise sum along each cell's row.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, NamedTuple, Sequence
@@ -121,8 +115,9 @@ class SearchOutcome:
 
 def _check_request(schemes: Sequence[str], beta_grid: Sequence[float], n_users: int) -> None:
     """Raise ValueError unless the schemes are nonempty, known and distinct,
-    the beta grid is nonempty and within [-1, 1], and no scheme that needs
-    the secure set asks for more than ENUMERATION_CAP users."""
+    the beta grid is nonempty and within [-1, 1], no scheme that needs the
+    secure set asks for more than ENUMERATION_CAP users, and ``str`` can
+    print every order id at ``n_users`` under Python's int digit limit."""
     if len(schemes) == 0:
         raise ValueError("at least one scheme required")
     unknown = [s for s in schemes if s not in SCHEMES]
@@ -140,6 +135,17 @@ def _check_request(schemes: Sequence[str], beta_grid: Sequence[float], n_users: 
             f"schemes {sorted(_ENUM_SCHEMES & set(schemes))} need exhaustive "
             f"enumeration, capped at {ord_mod.ENUMERATION_CAP} users"
         )
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit:
+        # ids at N users run up to (N!)^N - 1: the largest N <= n_users whose ids fit
+        largest, bound = 0, 10**limit
+        while largest < n_users and math.factorial(largest + 1) ** (largest + 1) <= bound:
+            largest += 1
+        if largest < n_users:
+            raise ValueError(
+                f"order ids at {n_users} users pass Python's {limit}-digit limit for "
+                f"printing an int; they can be printed for at most {largest} users"
+            )
 
 
 def _ranks(order_source: Iterable[DecodingOrder], n: int) -> np.ndarray:

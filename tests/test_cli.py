@@ -11,9 +11,12 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import untrusted_noma
 from untrusted_noma import (
@@ -32,6 +35,14 @@ from untrusted_noma import (
 from untrusted_noma.cli import CONFIG_ENV_VAR, main
 from untrusted_noma.experiments import write_csv
 from walk_oracle import secure_column_ranks
+
+
+def subcommand_actions(subcommand: str) -> list[argparse.Action]:
+    """The argparse actions of one subcommand of the CLI parser."""
+    (subparsers,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return subparsers.choices[subcommand]._actions
 
 
 def run_cli(capsys, *argv):
@@ -842,13 +853,8 @@ class TestSettings:
 
     @pytest.mark.parametrize("subcommand", ["eval", "sweep", "simulate"])
     def test_every_flag_dest_is_a_config_key(self, subcommand):
-        (subparsers,) = [
-            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        ]
         dests = {
-            a.dest
-            for a in subparsers.choices[subcommand]._actions
-            if not isinstance(a, argparse._HelpAction)
+            a.dest for a in subcommand_actions(subcommand) if not isinstance(a, argparse._HelpAction)
         }
         assert dests - cli._CONFIG_KEYS <= {"seed", "beta", "order_id", "config"}
         # a dataclass field added without a table entry is not a config key
@@ -883,3 +889,139 @@ class TestSettings:
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+
+# the three requests whose order ids pass Python's default 4300-digit limit
+# for printing an int (N = 57), each valid otherwise
+PAST_THE_ID_DIGIT_LIMIT = [
+    ["eval", "--users", "57", "--seed", "1", "--beta", "0"],
+    ["simulate", "--users", "57", "--trials", "1", "--scheme", "policy-LPWU"],
+    ["sweep", "--users", "57", "--seed", "1", "--scheme", "policy-LPWU"],
+]
+
+
+class TestOrderIdDigitLimit:
+    @pytest.mark.parametrize("argv", PAST_THE_ID_DIGIT_LIMIT, ids=lambda argv: argv[0])
+    def test_refused_before_any_output(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.csv"
+        path.write_text("kept\n")
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: order ids at 57 users pass Python's 4300-digit limit for printing an int; "
+            "they can be printed for at most 56 users"
+        ]
+        assert path.read_text() == "kept\n"
+
+    def test_the_largest_printable_count_still_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--users", "56", "--seed", "1", "--beta", "0")
+        assert code == 0 and len(out.splitlines()[0]) > 4000
+        code, out, _ = run_cli(capsys, "policy", "--users", "57", "--beta", "0")
+        assert code == 0 and len(out.splitlines()) == 57
+
+    def test_the_limit_is_pythons_own(self):
+        # a user count passes exactly when str prints its largest order id
+        def passes(n):
+            try:
+                optimizer._check_request(("policy-LPWU",), (0.0,), n)
+            except ValueError:
+                return False
+            return True
+
+        def printable(n):
+            try:
+                str(math.factorial(n) ** n - 1)
+            except ValueError:
+                return False
+            return True
+
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            assert [passes(n) for n in range(1, 31)] == [printable(n) for n in range(1, 31)]
+            assert passes(25) and not passes(26)
+            sys.set_int_max_str_digits(0)  # no limit
+            assert passes(57) and passes(80)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+# edge texts per flagged setting, users and trials kept small; hypothesis
+# leans to the first text of a list, so a valid one leads each
+FLOAT_EDGES = ["0.5", "0", "-0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "x"]
+SEED_EDGES = ["7", "0", "-1", str(2**64), str(-(2**64)), str(2**64 - 1)]
+SETTING_EDGES = {
+    "n_users": ["3", "1", "2", "4", "0", "-1"],
+    "trials": ["2", "1", "0", "-1"],
+    "master_seed": SEED_EDGES,
+    "beta_grid": ["-0.5,0,0.5", "0,0", "-1,1", "5e-324,-5e-324", "", ",", "nan", "inf", "1.5"],
+    "schemes": ["policy-LPWU", ",".join(SCHEMES), "", ",", "benchmark,benchmark", "bogus"],
+    "output_path": ["{dir}/out", "{dir}/missing/out"],
+    "output_format": ["json", "csv", "xml"],
+}
+# the flags of eval and sweep that are not settings
+OTHER_EDGES = {"--beta": FLOAT_EDGES, "--seed": SEED_EDGES, "--order-id": ["5", "0", "-1", str(2**64)]}
+
+
+def flag_edges(subcommand: str) -> dict[str, list[str]]:
+    """Each flag of the subcommand and its edge texts, from ``cli._SETTINGS``."""
+    edges = {}
+    for action in subcommand_actions(subcommand):
+        if action.dest in cli._SETTINGS:
+            flag, kwargs = cli._SETTINGS[action.dest]
+            default = FLOAT_EDGES if kwargs.get("type") is float else None
+            edges[flag] = SETTING_EDGES.get(action.dest, default)
+        elif action.option_strings and action.dest not in ("help", "config"):
+            edges[action.option_strings[0]] = OTHER_EDGES[action.option_strings[0]]
+    return edges
+
+
+# flags every invocation gives: those eval and sweep require, and --users
+ALWAYS_GIVEN = ("--users", "--seed", "--beta")
+
+
+@st.composite
+def invocations(draw):
+    """An eval, sweep or simulate argv: ``ALWAYS_GIVEN`` flags and up to
+    three others, each given one of its edge texts."""
+    subcommand = draw(st.sampled_from(["eval", "sweep", "simulate"]))
+    edges = flag_edges(subcommand)
+    optional = sorted(edges.keys() - set(ALWAYS_GIVEN))
+    flags = [f for f in ALWAYS_GIVEN if f in edges]
+    flags += draw(st.lists(st.sampled_from(optional), max_size=3, unique=True))
+    return [subcommand, *(f"{flag}={draw(st.sampled_from(edges[flag]))}" for flag in flags)]
+
+
+class TestContract:
+    """Every invocation of eval, sweep and simulate built from the settings
+    table keeps the CLI contract: exit code 0, 1 or 2; a failure writes one
+    ``error:`` line and no traceback; stdout is empty or whole rows."""
+
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("contract")
+
+    def test_every_setting_has_edges(self):
+        for subcommand in ("eval", "sweep", "simulate"):
+            assert all(flag_edges(subcommand).values())
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(argv=invocations())
+    @example(argv=PAST_THE_ID_DIGIT_LIMIT[0])
+    @example(argv=PAST_THE_ID_DIGIT_LIMIT[1])
+    @example(argv=PAST_THE_ID_DIGIT_LIMIT[2])
+    def test_exit_codes_error_lines_and_whole_rows(self, out_dir, argv):
+        argv = [arg.replace("{dir}", str(out_dir)) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code:
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert out == "" or out.endswith("\n")
+        if argv[0] != "eval" and out:
+            rows = list(csv.reader(out.splitlines()))
+            assert rows[0][:3] == ["trial", "beta", "scheme"]
+            assert {len(row) for row in rows} == {len(rows[0])}

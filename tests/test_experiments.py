@@ -165,7 +165,7 @@ class TestResultRecord:
     def test_experiments_build_records(self):
         cfg = small_config()
         sweeps = sweep_all(cfg.schemes, cfg.beta_grid, sample_channels(cfg.params, 1), cfg.params)
-        records = run_experiment(cfg) + [r for rows in sweeps.values() for r in rows]
+        records = [*run_experiment(cfg), *(r for rows in sweeps.values() for r in rows)]
         assert {type(r) for r in records} == {ResultRecord}
 
 
@@ -195,6 +195,27 @@ class TestConfig:
             ExperimentConfig(params=params, schemes=("nope",))
         with pytest.raises(ValueError):
             ExperimentConfig(params=params, schemes=())
+
+    @pytest.mark.parametrize(
+        "field, value", [("trials", 2.5), ("trials", "3"), ("master_seed", 1.5), ("master_seed", None)]
+    )
+    def test_trials_and_seed_must_be_integers(self, field, value, monkeypatch):
+        with pytest.raises(TypeError, match=f"^{field} must be an int, got {value!r}$"):
+            ExperimentConfig(params=SystemParams(n_users=3), **{field: value})
+        # gain_vs_users builds a request per user count from a config set
+        # past the check, and refuses it before any trial runs
+        cfg = small_config()
+        object.__setattr__(cfg, field, value)
+        monkeypatch.setattr(experiments, "_trial_blocks", None)
+        with pytest.raises(TypeError, match=f"^{field} must be an int"):
+            gain_vs_users(cfg, (2, 3))
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)])
+    def test_numpy_integers_are_taken_as_ints(self, seed):
+        cfg = small_config(trials=np.int32(2), master_seed=seed)
+        assert type(cfg.trials) is int and type(cfg.master_seed) is int
+        assert cfg == small_config(trials=2, master_seed=5)
+        assert run_experiment(cfg) == run_experiment(small_config(trials=2, master_seed=5))
 
     def test_enumeration_schemes_capped_before_any_work(self):
         with pytest.raises(ValueError):
@@ -354,7 +375,7 @@ class TestOrderIds:
         params = SystemParams(n_users=n)
         cfg = ExperimentConfig(params=params, trials=2, master_seed=n, schemes=schemes)
         sweeps = sweep_all(schemes, DEFAULT_BETA_GRID, sample_channels(params, n), params)
-        records = run_experiment(cfg) + [r for rows in sweeps.values() for r in rows]
+        records = [*run_experiment(cfg), *(r for rows in sweeps.values() for r in rows)]
         assert {type(r.order_id) for r in records} <= {int, type(None)}
         assert any(r.order_id is not None for r in records)
 
@@ -920,7 +941,7 @@ class TestWriterMemory:
     @pytest.mark.parametrize("write", [write_csv, write_json])
     def test_peak_is_bounded_and_flat(self, records, longer_run, write):
         # each column source against itself at four times the records: the
-        # records themselves, as a plain list, and a run's kept columns
+        # records themselves, as a plain list, and a run's block columns
         assert len(records) == 12_600
         plain = list(records)
         peak = self.traced_peak(write, plain)
@@ -928,27 +949,23 @@ class TestWriterMemory:
         assert self.traced_peak(write, plain * 4) < 1.1 * peak + 2**16
         kept = self.traced_peak(write, records)
         assert kept < 2 * 2**20
-        assert longer_run._kept_blocks() is not None and len(longer_run) == 4 * len(records)
+        assert len(longer_run) == 4 * len(records)
         assert self.traced_peak(write, longer_run) < 1.1 * kept + 2**16
 
-    def test_a_changed_run_frees_its_kept_records(self):
-        # the first write after a change drops the kept blocks and the tuple
-        # of records, which frees the records the list no longer holds
+    def test_a_run_holds_only_its_blocks(self):
+        # the records are built when read: what a run holds after it returns
+        # is its block arrays and a few small objects
+        self.run(120)  # the secure set and the kernel's caches
         gc.collect()
         tracemalloc.start()
         try:
             records = self.run(120)
-            del records[100:]
-            held = tracemalloc.get_traced_memory()[0]
-            first = written(write_csv, records)
             gc.collect()
-            freed = held - tracemalloc.get_traced_memory()[0]
+            held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert freed >= 3 * 2**20
-        assert records._kept_blocks() is None
-        assert first == written(write_csv, records) == REFERENCE[write_csv](records)
-        assert written(write_json, records) == REFERENCE[write_json](records)
+        arrays = [a for block in records._blocks for a in (block.values, block.picks, block.rates)]
+        assert held <= sum(a.nbytes for a in arrays) + 2**16
 
     def test_simulate_peak_is_flat_in_the_trial_count(self, monkeypatch):
         # cli simulate writes each kernel block as it comes and keeps none
@@ -969,8 +986,7 @@ class TestWriterMemory:
     def test_json_peak_of_a_run(self, records):
         # the number speller's temporaries are computed in place and a
         # batch's row matrix is built a slice of rows at a time, so writing
-        # a run's kept columns peaks within 2.5 batch row matrices
-        assert records._kept_blocks() is not None
+        # a run's block columns peaks within 2.5 batch row matrices
         assert self.traced_peak(write_json, records) < 2.5 * _WRITE_BYTES
 
 
@@ -987,7 +1003,7 @@ REFERENCE = {
 }
 WRITERS = pytest.mark.parametrize("write", [write_csv, write_json], ids=["csv", "json"])
 
-# runs whose kept columns the writers read: every scheme at N = 1..4, zeta = 1
+# runs whose block columns the writers read: every scheme at N = 1..4, zeta = 1
 # (zero rates, and optimal-L cells with no feasible order), the policies at
 # N = 9 (ids past int64), and a whole 120-trial N = 3 block, several write
 # batches long, that holds numbers the fast speller cannot prove
@@ -1008,10 +1024,9 @@ KEPT_RUNS = {
 
 
 class TestKeptColumns:
-    """run_experiment's list keeps the block columns its records were built
-    from, and the writers read them while the list holds exactly those
-    records: the bytes must be those the records themselves give. Any other
-    list, or a changed one, is written from its records."""
+    """run_experiment returns a read-only sequence over its blocks, and the
+    writers read the blocks' columns: the bytes must be those the records
+    themselves give. Any other sequence is written from its records."""
 
     @staticmethod
     def kept_run(name, blocks_of):
@@ -1019,9 +1034,7 @@ class TestKeptColumns:
         if cfg.trials < 100:
             # blocks of three trials, so a run crosses block boundaries
             blocks_of(3, cfg.schemes, cfg.params.n_users, len(cfg.beta_grid))
-        records = run_experiment(cfg)
-        assert records._kept_blocks() is not None
-        return records
+        return run_experiment(cfg)
 
     @WRITERS
     @pytest.mark.parametrize("name", list(KEPT_RUNS))
@@ -1052,16 +1065,50 @@ class TestKeptColumns:
     @WRITERS
     @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=list(MUTATIONS))
     def test_a_changed_list_is_written_from_its_records(self, mutate, write):
-        records = run_experiment(small_config(schemes=SCHEMES))
+        # a run cannot be changed; a list of its records can
+        records = list(run_experiment(small_config(schemes=SCHEMES)))
         mutate(records)
-        assert records._kept_blocks() is None
         assert written(write, records) == REFERENCE[write](records)
 
-    def test_the_same_records_put_back_keep_the_columns(self):
+    def test_a_run_is_read_only(self):
         records = run_experiment(small_config(schemes=SCHEMES))
-        records[3] = records[3]
-        records[2:5] = records[2:5]
-        assert records._kept_blocks() is not None
+        assert not hasattr(records, "append")
+        with pytest.raises(TypeError):
+            records[3] = records[3]
+        with pytest.raises(TypeError):
+            del records[3]
+        with pytest.raises(TypeError):
+            records + []
+
+    def test_reading_twice_gives_equal_records(self):
+        records = run_experiment(small_config(schemes=SCHEMES))
+        first, second = list(records), list(records)
+        assert first == second and first[0] is not second[0]
+
+    def test_items_and_slices_are_the_records(self, blocks_of):
+        # blocks of two trials, so items are found across block boundaries
+        cfg = small_config(schemes=SCHEMES, trials=5)
+        blocks_of(2, cfg.schemes, cfg.params.n_users, len(cfg.beta_grid))
+        records = run_experiment(cfg)
+        plain = list(records)
+        assert len(records._blocks) == 3 and len(records) == len(plain)
+        assert [records[i] for i in range(-len(plain), len(plain))] == plain * 2
+        assert records[np.int64(7)] == plain[7]
+        for index in (slice(None), slice(10, 40), slice(None, None, -3), slice(50, 5, -7)):
+            assert type(records[index]) is list and records[index] == plain[index]
+        for index in (len(plain), -len(plain) - 1):
+            with pytest.raises(IndexError):
+                records[index]
+
+    def test_equality_with_any_sequence_both_ways(self):
+        records = run_experiment(small_config(schemes=SCHEMES))
+        plain = list(records)
+        for other in (plain, tuple(plain), run_experiment(small_config(schemes=SCHEMES))):
+            assert records == other and other == records
+            assert not (records != other or other != records)
+        changed = [*plain[:-1], plain[-1]._replace(min_secrecy_rate=-1.0)]
+        for other in (changed, plain[:-1], [], None, 3):
+            assert records != other and other != records
 
     def test_a_grid_list_changed_after_the_run(self):
         grid = list(SMALL_GRID)
@@ -1070,7 +1117,7 @@ class TestKeptColumns:
         assert written(write_csv, records) == REFERENCE[write_csv](records)
 
     COPIES = {
-        "add": lambda records: records + [],
+        "unpack": lambda records: [*records],
         "copy": copy.copy,
         "deepcopy": copy.deepcopy,
         "pickle": lambda records: pickle.loads(pickle.dumps(records)),
@@ -1082,10 +1129,8 @@ class TestKeptColumns:
         records = run_experiment(small_config(schemes=SCHEMES))
         other = copy_of(records)
         assert other == records and other is not records
-        # a sum is a plain list; a copy keeps the columns with its records
-        assert (type(other) is list) == (copy_of is self.COPIES["add"])
-        if type(other) is not list:
-            assert other._kept_blocks() is not None
+        # an unpacked run is a plain list; a copy is a run over copied blocks
+        assert type(other) is (list if copy_of is self.COPIES["unpack"] else type(records))
         assert written(write, other) == written(write, records) == REFERENCE[write](records)
 
 
@@ -1119,7 +1164,7 @@ class TestSinks:
         assert stream.getvalue().encode() == REFERENCE[write_json if json else write_csv](records)
 
     def test_no_sink_left_stops_at_once(self, records):
-        many = records * 20
+        many = list(records) * 20
         assert len(list(experiments._record_runs(many))) > 2
         read = []
         runs = (read.append(run) or run for run in experiments._record_runs(many))
@@ -1130,8 +1175,8 @@ class TestSinks:
 
 class TestKeptColumnsAreRead:
     """With the records-to-columns path refused, a run's export and ``cli
-    simulate`` still succeed: they write from block columns, the kept ones
-    or the kernel's own, so a silent fallback cannot hide."""
+    simulate`` still succeed: they write from block columns, a run's or
+    the kernel's own, so a silent fallback cannot hide."""
 
     @pytest.fixture(autouse=True)
     def refuse_record_columns(self, monkeypatch):
@@ -1143,10 +1188,16 @@ class TestKeptColumnsAreRead:
             write_csv(many_records(3), io.StringIO())
 
     @pytest.mark.parametrize("format, write", [("csv", write_csv), ("json", write_json)])
-    def test_export(self, tmp_path, format, write):
-        records = run_experiment(small_config(schemes=SCHEMES, beta_grid=DEFAULT_BETA_GRID))
+    def test_export(self, tmp_path, format, write, monkeypatch):
+        # a run and its export build no record
+        def refuse(block):
+            raise AssertionError("records built from a block")
+
         path = tmp_path / f"records.{format}"
-        export(records, path, format)
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_block_records", refuse)
+            records = run_experiment(small_config(schemes=SCHEMES, beta_grid=DEFAULT_BETA_GRID))
+            export(records, path, format)
         assert path.read_bytes() == REFERENCE[write](records)
 
     def test_cli_simulate(self, capsys, tmp_path, monkeypatch):

@@ -1,5 +1,5 @@
-"""README's ``## Library`` example runs as written, and its ``## CLI``
-examples print the lines they show."""
+"""README's ``## Library`` and trial-averaged sweep examples run as
+written, and its ``## CLI`` examples print the lines they show."""
 import re
 from pathlib import Path
 
@@ -33,12 +33,25 @@ def cli_examples() -> dict[str, list[str]]:
     return examples
 
 
+def python_block(heading: str) -> str:
+    """The first ``python`` block after the README heading line."""
+    section = README.read_text().split(f"\n{heading}\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
 def test_library_example_runs(capsys):
-    section = README.read_text().split("\n## Library\n", 1)[1]
-    code = re.match(r"\s*```python\n(.*?)```", section, re.S).group(1)
+    code = python_block("## Library")
     exec(compile(code, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == code.count("print(")
+
+
+def test_sweep_example_writes_a_row_per_scheme_and_beta(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(python_block("## Trial-averaged beta sweep"), "README.md", "exec"), {})
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[0] == "scheme,beta,mean_min_secrecy_rate"
+    assert len(rows) == 1 + 5 * 21
 
 
 def test_every_cli_example_with_output_is_run():
