@@ -10,9 +10,12 @@ the plain tuple of its six fields, and ``ResultRecord._fields`` names them.
 It also carries the frozen dataclass field table it had as a dataclass, so
 ``dataclasses.fields``, ``replace`` and ``asdict`` still work on it. It is
 the one row type the library returns, and a ``_Block`` is the one block
-layout: ``_score_block`` returns its arrays, ``_trial_blocks`` yields one
-per kernel call, and ``run_experiment``, ``sweep_all``, ``gain_vs_users``
-and the writers read them. Records are built from a block by one helper,
+layout: ``_score_block`` returns its arrays, ``_stitched_scores`` joins
+the kernel calls of one block into them (a call takes whole trials, or a
+slice of one trial's grid, as many cells as ``_BLOCK_FLOATS`` allows),
+``_trial_blocks`` yields blocks of as many calls as fit in one write batch,
+and ``run_experiment``, ``sweep_all``, ``gain_vs_users`` and the writers
+read them. Records are built from a block by one helper,
 ``_block_records``, with no Python frame per record. ``run_experiment``
 returns a read-only sequence that holds only its blocks and builds its
 records each time they are read; the writers read the blocks' columns. A
@@ -173,27 +176,66 @@ class _Block(NamedTuple):
     ids: np.ndarray
 
 
-# trials whose channels are drawn at once, rounded down to whole kernel
-# blocks: seeding a batch has a fixed cost (about 60 us on a 2-core x86
-# machine), which kernel blocks of three trials (N = 4) would pay per block
+# trials whose channels are drawn at once, rounded down to whole blocks:
+# seeding a batch has a fixed cost (about 60 us on a 2-core x86 machine),
+# which blocks of 15 trials (N = 4) would pay per block
 _DRAW_TRIALS = 1024
 
 
+def _stitched_scores(
+    schemes: tuple[str, ...],
+    grid: tuple[float, ...],
+    gains: np.ndarray,
+    params: SystemParams,
+    values_only: bool = False,
+) -> tuple:
+    """``_score_block``'s scores of the trials' gains [T, n] over the grid,
+    from kernel calls of as many (trial, beta) cells as ``_BLOCK_FLOATS``
+    allows: whole trials (``_trials_per_block``) when a trial's grid fits,
+    else consecutive slices of one trial's grid. A cell's scores do not
+    depend on the other cells of its call, so the calls' scores are
+    stitched into one set of block arrays; a single call's are returned
+    as they are."""
+    trials = _trials_per_block(schemes, params.n_users, len(grid))
+    # the trials of a one-beta grid are the cells a call takes
+    betas = min(len(grid), _trials_per_block(schemes, params.n_users, 1))
+    calls = [(t, b) for t in range(0, len(gains), trials) for b in range(0, len(grid), betas)]
+    if len(calls) == 1:
+        return _score_block(schemes, grid, gains, params, values_only)
+    block = None
+    for t, b in calls:
+        scores = _score_block(schemes, grid[b:b + betas], gains[t:t + trials], params, values_only)
+        if block is None:  # the calls' arrays over all T trials and B betas
+            block = [
+                part if part is None
+                else np.empty((len(gains), len(schemes), len(grid), *part.shape[3:]), part.dtype)
+                for part in scores
+            ]
+        for whole, part in zip(block, scores):
+            if part is not None:
+                whole[t:t + trials, :, b:b + betas] = part
+    return tuple(block)
+
+
 def _trial_blocks(config: ExperimentConfig, values_only: bool = False) -> Iterator[_Block]:
-    """The ``_Block``s of the config's schemes over its beta grid, a block
-    of trials at a time, of values alone when ``values_only``. Channels are
-    drawn (trial t's from ``derive_trial_seed(config.master_seed, t)``) a
-    batch of as many whole blocks as fit in ``_DRAW_TRIALS`` trials at a time."""
+    """The ``_Block``s of the config's schemes over its beta grid, of values
+    alone when ``values_only``. A block stitches as many consecutive kernel
+    calls (``_stitched_scores``) as fit in one write batch (``_batch_rows``),
+    and at least one call's trials. Channels are drawn (trial t's from
+    ``derive_trial_seed(config.master_seed, t)``) a batch of as many whole
+    blocks as fit in ``_DRAW_TRIALS`` trials at a time."""
     # the blocks keep tuples, which a caller's lists cannot change after the run
     params, schemes, grid = config.params, tuple(config.schemes), tuple(config.beta_grid)
     ids = _request_set(schemes, params.n_users)[1]
-    size = _trials_per_block(schemes, params.n_users, len(grid))
+    per_call = _trials_per_block(schemes, params.n_users, len(grid))
+    rows = per_call * len(schemes) * len(grid)
+    size = per_call * max(1, _batch_rows(params.n_users) // rows)
     draw = size * max(1, _DRAW_TRIALS // size)
     for first in range(0, config.trials, draw):
         batch = range(first, min(first + draw, config.trials))
         gains = _sample_block(params, [derive_trial_seed(config.master_seed, t) for t in batch])[1]
         for start in range(0, len(batch), size):
-            scores = _score_block(schemes, grid, gains[start:start + size], params, values_only)
+            scores = _stitched_scores(schemes, grid, gains[start:start + size], params, values_only)
             yield _Block(batch[start:start + size], grid, schemes, *scores, ids)
 
 
@@ -217,25 +259,35 @@ def _block_records(block: _Block) -> Iterator[ResultRecord]:
 
 class _RunView(Sequence):
     """``run_experiment``'s records, read-only. It holds only the run's
-    blocks (``_blocks``) and builds a record from them when it is read."""
+    blocks (``_blocks``) and their row ends (``_ends``), and builds a record
+    from them when it is read: an item from its block's arrays alone."""
 
     def __init__(self, blocks: Iterator[_Block]) -> None:
         self._blocks = tuple(blocks)
+        self._ends = tuple(accumulate(block.values.size for block in self._blocks))
 
     def __len__(self) -> int:
-        return sum(block.values.size for block in self._blocks)
+        return self._ends[-1] if self._ends else 0
 
     def __iter__(self) -> Iterator[ResultRecord]:
         return chain.from_iterable(map(_block_records, self._blocks))
 
+    def __reversed__(self) -> Iterator[ResultRecord]:
+        """The records from the last, one block's at a time."""
+        for block in reversed(self._blocks):
+            yield from reversed(list(_block_records(block)))
+
     def __getitem__(self, index):
-        """A record, found by its block's row counts, or a slice as a list."""
+        """A record, built from the one cell of its block, or a slice as a list."""
         if isinstance(index, slice):
             return list(self)[index]
-        ends = list(accumulate(block.values.size for block in self._blocks))
-        row = range(ends[-1] if ends else 0)[index]
-        b = bisect_right(ends, row)
-        return next(islice(_block_records(self._blocks[b]), row - (ends[b - 1] if b else 0), None))
+        row = range(len(self))[index]
+        b = bisect_right(self._ends, row)
+        trials, grid, schemes, values, picks, rates, ids = self._blocks[b]
+        t, s, j = np.unravel_index(row - (self._ends[b - 1] if b else 0), values.shape)
+        cell = np.s_[t:t + 1, s:s + 1, j:j + 1]
+        one = trials[t:t + 1], grid[j:j + 1], schemes[s:s + 1], values[cell], picks[cell], rates[cell]
+        return next(_block_records(_Block(*one, ids)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -266,11 +318,12 @@ def sweep_all(
     if channels.n_users != params.n_users:
         raise ValueError("channels and params disagree on the user count")
     _check_request(schemes, beta_grid, params.n_users)
-    scores = _score_block(schemes, beta_grid, np.array([channels.gains]), params)
+    schemes, grid = tuple(schemes), tuple(beta_grid)
+    scores = _stitched_scores(schemes, grid, np.array([channels.gains]), params)
     ids = _request_set(schemes, params.n_users)[1]
     # one trial's records run scheme by scheme, a grid's worth each
-    records = _block_records(_Block(range(1), tuple(beta_grid), tuple(schemes), *scores, ids))
-    return {scheme: list(islice(records, len(beta_grid))) for scheme in schemes}
+    records = _block_records(_Block(range(1), grid, schemes, *scores, ids))
+    return {scheme: list(islice(records, len(grid))) for scheme in schemes}
 
 
 def gain_vs_users(config: ExperimentConfig, user_counts: Sequence[int]) -> list[GainRow]:

@@ -30,11 +30,12 @@ is the [c, K] minima plus a few chunks, and the per-order minimum is a fold
 over the user rows of each chunk. The optimal schemes copy their orders'
 minima out a slice of rows at a time (``_best_rows``).
 
-``_score_block`` flattens the (trial, beta) pairs of the block of trials it
-is handed into one cell axis and scores them in one kernel call. It returns
-the block layout that records and writers read, and its callers size a
-block with ``_trials_per_block``, by one bound on the floats a call holds
-per cell (``_cell_floats``, ``_BLOCK_FLOATS``). A request is checked once
+``_score_block`` flattens the (trial, beta) pairs it is handed into one
+cell axis and scores them in one kernel call. It returns the block layout
+that records and writers read, and its caller sizes a call by one bound on
+the floats a call holds per cell (``_cell_floats``, ``_BLOCK_FLOATS``):
+whole trials (``_trials_per_block``), or a slice of one trial's grid when
+the grid alone passes the bound. A request is checked once
 (``_check_request``) before its first call. A caller that reads only
 values asks for them alone (picks and rates are then None), which skips
 the benchmark's per-user sum and the re-read of the picked orders' rates.
@@ -96,7 +97,8 @@ _ENUM_SCHEMES = frozenset({SCHEME_OPTIMAL_L, SCHEME_OPTIMAL_O, SCHEME_BENCHMARK}
 # in chunks of this many pairs, at least one order
 _SCORE_BUDGET = 4096
 # floats a kernel call holds for all its (trial, beta) cells together: a call
-# takes as many trials' beta grids as fit, at least one (``_trials_per_block``)
+# takes as many trials' beta grids as fit (``_trials_per_block``), or, when
+# one grid does not fit, as many of its betas as fit, at least one
 _BLOCK_FLOATS = 1 << 18
 # values ``_best_rows`` copies out of the per-order minima at a time
 _ROW_SLICE = 1 << 14
@@ -136,16 +138,21 @@ def _check_request(schemes: Sequence[str], beta_grid: Sequence[float], n_users: 
             f"enumeration, capped at {ord_mod.ENUMERATION_CAP} users"
         )
     limit = sys.get_int_max_str_digits()  # 0: no limit
-    if limit:
-        # ids at N users run up to (N!)^N - 1: the largest N <= n_users whose ids fit
-        largest, bound = 0, 10**limit
-        while largest < n_users and math.factorial(largest + 1) ** (largest + 1) <= bound:
-            largest += 1
-        if largest < n_users:
-            raise ValueError(
-                f"order ids at {n_users} users pass Python's {limit}-digit limit for "
-                f"printing an int; they can be printed for at most {largest} users"
-            )
+    if limit and n_users > _printable_users(limit):
+        raise ValueError(
+            f"order ids at {n_users} users pass Python's {limit}-digit limit for "
+            f"printing an int; they can be printed for at most {_printable_users(limit)} users"
+        )
+
+
+@lru_cache(maxsize=16)
+def _printable_users(limit: int) -> int:
+    """The largest N whose order ids, up to (N!)^N - 1, ``str`` prints under
+    a ``limit``-digit limit; computed once per limit."""
+    largest, bound = 0, 10**limit
+    while math.factorial(largest + 1) ** (largest + 1) <= bound:
+        largest += 1
+    return largest
 
 
 def _ranks(order_source: Iterable[DecodingOrder], n: int) -> np.ndarray:
@@ -470,9 +477,10 @@ def _cell_floats(schemes: Sequence[str], n_users: int) -> int:
     grow with it: its K per-order minima, its C x n entries of the SINR
     table and of the rate table, and, for each scheme that picks an order,
     the 3 x n of ``_order_rates``. Only these arrays stay within
-    ``_BLOCK_FLOATS``: a full block's peak also holds the picks, values,
-    gather rows and the returned block, and with every scheme it reaches
-    about 2.5x the bound at N = 1, 1.7x at N = 2 and 1.1x at N = 3 and 4."""
+    ``_BLOCK_FLOATS``: a full call's peak also holds the picks, values,
+    gather rows and the returned scores, and with every scheme it reaches
+    about 2.5x the bound at N = 1, 1.7x at N = 2 and 1.1x at N = 3 and 4
+    (1.2x for a 75-beta slice of one N = 4 trial's grid)."""
     columns = _request_set(schemes, n_users)[0]
     picked = sum(scheme != SCHEME_BENCHMARK for scheme in schemes)
     return len(columns.index) + (2 * len(columns.receiver) + 3 * picked) * n_users
@@ -482,7 +490,8 @@ def _trials_per_block(schemes: Sequence[str], n_users: int, n_betas: int) -> int
     """Trials whose (trial, beta) cells one kernel call scores: as many as
     keep their ``_cell_floats`` within ``_BLOCK_FLOATS``, and at least one.
     With every scheme and the 21-point grid that is 122 (N = 3) to 832
-    (N = 1) trials at N <= 3 and three trials at N = 4."""
+    (N = 1) trials at N <= 3 and three trials at N = 4. At one beta it is
+    the cells a call takes, which bounds a slice of a longer grid."""
     return max(1, _BLOCK_FLOATS // (_cell_floats(schemes, n_users) * n_betas))
 
 
@@ -495,7 +504,7 @@ def _score_block(
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Evaluate several schemes over a beta grid on each of T channel draws,
     given as their descending gains [T, n], in one kernel call. The caller
-    checks the request and sizes the block (``_trials_per_block``).
+    checks the request and sizes the call (``_trials_per_block``).
 
     Returns C-contiguous (values [T, S, B], picks [T, S, B], per-user rates
     [T, S, B, n]), the S schemes in request order, or the values and two

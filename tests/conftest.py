@@ -1,13 +1,14 @@
 import pytest
 
-from untrusted_noma import optimizer
+from untrusted_noma import experiments, optimizer
 
 
 @pytest.fixture
 def blocks_of(monkeypatch):
-    """Set the kernel's block bound so that a block of the given request
-    holds ``trials`` trials: a test then crosses block boundaries with a
-    few trials at any user count, as at N = 4, where a block holds three."""
+    """Set the kernel's block bound so that a kernel call of the given
+    request holds ``trials`` trials: a test then crosses call boundaries
+    with a few trials at any user count, as at N = 4, where a call holds
+    three."""
 
     def set_block(trials, schemes, n_users, n_betas):
         floats = optimizer._cell_floats(schemes, n_users) * n_betas
@@ -15,3 +16,16 @@ def blocks_of(monkeypatch):
         assert optimizer._trials_per_block(schemes, n_users, n_betas) == trials
 
     return set_block
+
+
+@pytest.fixture
+def batches_of(monkeypatch):
+    """Set the write bound so that a write batch of records with ``width``
+    rates holds ``rows`` rows: a block of a run at N = ``width`` then
+    stitches as many kernel calls as fit in ``rows`` records, at least one."""
+
+    def set_batch(rows, width):
+        monkeypatch.setattr(experiments, "_WRITE_BYTES", rows * experiments._SLOT_BYTES * (width + 4))
+        assert experiments._batch_rows(width) == rows
+
+    return set_batch

@@ -945,6 +945,24 @@ class TestOrderIdDigitLimit:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_a_limit_changed_after_a_cached_call(self):
+        # the largest printable count is kept per limit, so a check made
+        # under one limit is not reused under another
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            optimizer._check_request(("policy-LPWU",), (0.0,), 56)
+            sys.set_int_max_str_digits(640)
+            with pytest.raises(ValueError, match="640-digit limit.* at most 25 users"):
+                optimizer._check_request(("policy-LPWU",), (0.0,), 56)
+            optimizer._check_request(("policy-LPWU",), (0.0,), 25)
+            sys.set_int_max_str_digits(4300)
+            optimizer._check_request(("policy-LPWU",), (0.0,), 56)
+            with pytest.raises(ValueError, match="at most 56 users"):
+                optimizer._check_request(("policy-LPWU",), (0.0,), 57)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 # edge texts per flagged setting, users and trials kept small; hypothesis
 # leans to the first text of a list, so a valid one leads each

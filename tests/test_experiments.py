@@ -366,6 +366,89 @@ class TestChannelBatches:
         assert runs[0] == runs[1] == runs[2]
 
 
+class TestStitchedBlocks:
+    """A block stitches consecutive kernel calls, of whole trials or of
+    slices of one trial's grid, into one set of arrays. Its values, picks
+    and rates must be those of one call per trial over the whole grid, bit
+    for bit, and the written bytes and gain means those of one call per
+    block."""
+
+    SCHEME_SETS = {
+        "all": SCHEMES,
+        "gain": experiments._GAIN_SCHEMES,
+        "policies": ("policy-LPWU", "policy-LPSU"),
+    }
+    # trials per block of a 7-trial run under each split
+    BLOCK_TRIALS = {"trials": [6, 1], "grid": [2, 2, 2, 1]}
+
+    @staticmethod
+    def split(how, cfg, blocks_of, batches_of, monkeypatch):
+        n, schemes, betas = cfg.params.n_users, cfg.schemes, len(cfg.beta_grid)
+        if how == "trials":  # calls of two trials, three to a block
+            blocks_of(2, schemes, n, betas)
+            batches_of(3 * 2 * len(schemes) * betas, n)
+        else:  # calls of 8 betas, so a trial's 21 span three; two trials to a block
+            monkeypatch.setattr(optimizer, "_BLOCK_FLOATS", 8 * optimizer._cell_floats(schemes, n))
+            batches_of(2 * len(schemes) * betas, n)
+
+    @pytest.mark.parametrize("how", list(BLOCK_TRIALS))
+    @pytest.mark.parametrize("schemes", list(SCHEME_SETS.values()), ids=list(SCHEME_SETS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_arrays_equal_one_call_per_trial(self, blocks_of, batches_of, monkeypatch, n, schemes, how):
+        cfg = ExperimentConfig(SystemParams(n_users=n), trials=7, master_seed=50 + n, schemes=schemes)
+        gains = [
+            sample_channels(cfg.params, derive_trial_seed(cfg.master_seed, t)).gains
+            for t in range(cfg.trials)
+        ]
+        calls = [optimizer._score_block(schemes, cfg.beta_grid, np.array([g]), cfg.params) for g in gains]
+        self.split(how, cfg, blocks_of, batches_of, monkeypatch)
+        blocks = run_experiment(cfg)._blocks
+        assert [len(block.trials) for block in blocks] == self.BLOCK_TRIALS[how]
+        for i, want in enumerate(zip(*calls)):
+            got = np.concatenate([block[3 + i] for block in blocks])
+            want = np.concatenate(want)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("how", list(BLOCK_TRIALS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bytes_and_gain_means_equal_one_call_per_block(
+        self, blocks_of, batches_of, monkeypatch, n, how
+    ):
+        cfg = ExperimentConfig(SystemParams(n_users=n), trials=7, master_seed=60 + n)
+
+        def outputs():
+            run = run_experiment(cfg)
+            return written(write_csv, run), written(write_json, run), gain_vs_users(cfg, (n,))
+
+        batches_of(1, n)  # a block is one call
+        want = outputs()
+        self.split(how, cfg, blocks_of, batches_of, monkeypatch)
+        assert outputs() == want
+
+    def test_kernel_memory_is_flat_in_grid_length(self):
+        # one all-scheme N = 4 trial: past one call's betas the grid is cut
+        # into calls, so the traced peak grows by the block's arrays alone
+        params = SystemParams(n_users=4)
+        run_experiment(ExperimentConfig(params, trials=1))  # build the cached order set
+
+        def peak(betas):
+            grid = tuple(np.linspace(-1.0, 1.0, betas).tolist())
+            cfg = ExperimentConfig(params, trials=1, master_seed=3, beta_grid=grid)
+            tracemalloc.start()
+            try:
+                (block,) = run_experiment(cfg)._blocks
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - sum(array.nbytes for array in block[3:6])
+
+        one_call = _trials_per_block(SCHEMES, 4, 1)
+        assert one_call < 840
+        assert peak(840) < peak(one_call) + (64 << 10)
+        assert peak(3360) < peak(one_call) + (64 << 10)
+
+
 class TestOrderIds:
     """Order ids reach the records as Python ints (or None), never numpy
     scalars, whether they come from int64 or exact object arrays."""
@@ -390,6 +473,14 @@ class TestSweepAll:
             assert [(r.trial, r.beta, r.scheme) for r in rows] == [
                 (0, beta, scheme) for beta in SMALL_GRID
             ]
+
+    def test_a_grid_cut_into_calls_gives_the_same_records(self, monkeypatch):
+        params = SystemParams(n_users=4)
+        channels = sample_channels(params, 6)
+        want = sweep_all(SCHEMES, DEFAULT_BETA_GRID, channels, params)
+        # calls of 5 betas: the 21-point grid spans five
+        monkeypatch.setattr(optimizer, "_BLOCK_FLOATS", 5 * optimizer._cell_floats(SCHEMES, 4))
+        assert sweep_all(SCHEMES, DEFAULT_BETA_GRID, channels, params) == want
 
     def test_rejects_channels_of_another_user_count(self):
         channels = sample_channels(SystemParams(n_users=4), 1)
@@ -1085,13 +1176,20 @@ class TestKeptColumns:
         first, second = list(records), list(records)
         assert first == second and first[0] is not second[0]
 
-    def test_items_and_slices_are_the_records(self, blocks_of):
-        # blocks of two trials, so items are found across block boundaries
+    @staticmethod
+    def two_trial_blocks(blocks_of, batches_of):
+        # kernel calls of one trial, stitched into blocks of two, so items
+        # are found across call and block boundaries
         cfg = small_config(schemes=SCHEMES, trials=5)
-        blocks_of(2, cfg.schemes, cfg.params.n_users, len(cfg.beta_grid))
-        records = run_experiment(cfg)
+        blocks_of(1, cfg.schemes, cfg.params.n_users, len(cfg.beta_grid))
+        batches_of(2 * len(cfg.schemes) * len(cfg.beta_grid), cfg.params.n_users)
+        return run_experiment(cfg)
+
+    def test_items_and_slices_are_the_records(self, blocks_of, batches_of):
+        records = self.two_trial_blocks(blocks_of, batches_of)
         plain = list(records)
-        assert len(records._blocks) == 3 and len(records) == len(plain)
+        assert [block.trials for block in records._blocks] == [range(0, 2), range(2, 4), range(4, 5)]
+        assert len(records) == len(plain)
         assert [records[i] for i in range(-len(plain), len(plain))] == plain * 2
         assert records[np.int64(7)] == plain[7]
         for index in (slice(None), slice(10, 40), slice(None, None, -3), slice(50, 5, -7)):
@@ -1099,6 +1197,26 @@ class TestKeptColumns:
         for index in (len(plain), -len(plain) - 1):
             with pytest.raises(IndexError):
                 records[index]
+
+    def test_an_item_builds_one_record(self, blocks_of, batches_of, monkeypatch):
+        records = self.two_trial_blocks(blocks_of, batches_of)
+        plain = list(records)
+        built = []
+        new_record = experiments._new_record
+        monkeypatch.setattr(experiments, "_new_record", lambda row: built.append(row) or new_record(row))
+        for i in (0, 29, 30, 31, len(plain) - 1, -1, -31, -len(plain)):
+            built.clear()
+            assert records[i] == plain[i] and len(built) == 1
+
+    def test_reversed_and_index_across_blocks(self, blocks_of, batches_of):
+        records = self.two_trial_blocks(blocks_of, batches_of)
+        plain = list(records)
+        assert list(reversed(records)) == plain[::-1]
+        for i in (0, 29, 30, 59, 60, len(plain) - 1):
+            assert records.index(plain[i]) == plain.index(plain[i])
+        assert records.index(plain[-1], -2) == len(plain) - 1
+        with pytest.raises(ValueError):
+            records.index(plain[0]._replace(trial=9))
 
     def test_equality_with_any_sequence_both_ways(self):
         records = run_experiment(small_config(schemes=SCHEMES))

@@ -46,6 +46,18 @@ GOLDEN = [
      "1d26728ba07c619d831a3876afb079921a11fdb81aa8ee0038b9a6d1ba7caff9"),
     ("gain --users 2,3,4 --trials 60 --seed 20250810",
      "3fc6d7c6b7f31c1ff5f855e08ca70edf096c63b50e6ec26f5ad4e8359d0fc5cc"),
+    ("simulate --users 4 --trials 40 --seed 13",
+     "dfddbae434f35b07e20d69e348f468976dec647d1b3f10d19cd72fa917aaddb4"),
+]
+# (argv, stdout digest, --output JSON digest): simulate writing both sinks;
+# 40 trials at N = 4 run 14 kernel calls, stitched into blocks of 15 trials
+SIMULATE_FILES = [
+    ("simulate --users 4 --trials 3 --seed 5",
+     "6de961d2871a704ad777d26111d05937c4cad3fa7a06f39ec224289e685edf2d",
+     "50ab117204d07cfc3f7f5a3ff16e894d3c867db5ec5b8573568f1e6ad2586655"),
+    ("simulate --users 4 --trials 40 --seed 13",
+     "dfddbae434f35b07e20d69e348f468976dec647d1b3f10d19cd72fa917aaddb4",
+     "2c8ff622515d41cbf82ebea8c8d4e5b3d7c4270abfc43905f3e379882e76481d"),
 ]
 
 
@@ -55,15 +67,31 @@ def test_stdout_digest(capsys, argv, digest):
     assert _sha256(capsys.readouterr().out) == digest
 
 
-def test_simulate_stdout_and_json_file_digests(capsys, tmp_path):
+def assert_simulate_files(tmp_path, argv, out_digest, file_digest, run):
+    """``run(argv)`` gives the stdout of a simulate that also writes JSON
+    to a file; both must have their pinned digests."""
     path = tmp_path / "run.json"
-    argv = ["simulate", "--users", "4", "--trials", "3", "--seed", "5"]
-    assert main(argv + ["--format", "json", "--output", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert _sha256(out) == "6de961d2871a704ad777d26111d05937c4cad3fa7a06f39ec224289e685edf2d"
-    assert _sha256(path.read_bytes()) == (
-        "50ab117204d07cfc3f7f5a3ff16e894d3c867db5ec5b8573568f1e6ad2586655"
-    )
+    out = run([*argv.split(), "--format", "json", "--output", str(path)])
+    assert _sha256(out) == out_digest
+    assert _sha256(path.read_bytes()) == file_digest
+
+
+def in_process(capsys):
+    """A runner of ``cli.main`` in this process that returns its stdout."""
+
+    def run(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    return run
+
+
+def test_simulate_stdout_and_json_file_digests(capsys, tmp_path):
+    assert_simulate_files(tmp_path, *SIMULATE_FILES[0], in_process(capsys))
+
+
+def test_four_user_simulate_across_kernel_calls(capsys, tmp_path):
+    assert_simulate_files(tmp_path, *SIMULATE_FILES[1], in_process(capsys))
 
 
 def test_every_subcommand_is_pinned():
@@ -125,3 +153,28 @@ def test_full_five_user_listing_digest():
     assert proc.wait(timeout=60) == 0
     assert lines == 29_638_368
     assert digest.hexdigest() == "b38be8d0b4a2d221c6f12b66dda6cf6ceb1bbcb34ebb479fef51eaeff277f40e"
+
+
+def cli_child(argv: list[str], **env: str) -> bytes:
+    """The stdout of ``python -m untrusted_noma.cli argv`` in a child
+    process, with ``env`` added to its environment."""
+    src = os.path.dirname(os.path.dirname(untrusted_noma.__file__))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "untrusted_noma.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.slow
+def test_haswell_kernel_keeps_every_digest(tmp_path):
+    """Every command above gives its pinned digests with OpenBLAS forced to
+    its Haswell kernel, in child processes, so the setting reaches no other
+    test (about 4 s)."""
+    for argv, digest in GOLDEN:
+        assert _sha256(cli_child(argv.split(), OPENBLAS_CORETYPE="Haswell")) == digest, argv
+    for case in SIMULATE_FILES:
+        assert_simulate_files(
+            tmp_path, *case, lambda argv: cli_child(argv, OPENBLAS_CORETYPE="Haswell")
+        )
