@@ -108,6 +108,18 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _trial_seeds(master_seed: int, trials: range) -> np.ndarray:
+    """``derive_trial_seed(master_seed, t)`` for each trial t of the range,
+    as uint64, in one array pass; uint64 arithmetic wraps modulo 2**64."""
+    z = np.arange(trials.start + 1, trials.stop + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(master_seed & _MASK64)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D49BBB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    return z ^ (z >> np.uint64(31))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: physical parameters, trial count, seed, beta grid,
@@ -222,8 +234,9 @@ def _trial_blocks(config: ExperimentConfig, values_only: bool = False) -> Iterat
     alone when ``values_only``. A block stitches as many consecutive kernel
     calls (``_stitched_scores``) as fit in one write batch (``_batch_rows``),
     and at least one call's trials. Channels are drawn (trial t's from
-    ``derive_trial_seed(config.master_seed, t)``) a batch of as many whole
-    blocks as fit in ``_DRAW_TRIALS`` trials at a time."""
+    ``derive_trial_seed(config.master_seed, t)``, a batch's seeds derived in
+    one pass by ``_trial_seeds``) a batch of as many whole blocks as fit in
+    ``_DRAW_TRIALS`` trials at a time."""
     # the blocks keep tuples, which a caller's lists cannot change after the run
     params, schemes, grid = config.params, tuple(config.schemes), tuple(config.beta_grid)
     ids = _request_set(schemes, params.n_users)[1]
@@ -233,7 +246,7 @@ def _trial_blocks(config: ExperimentConfig, values_only: bool = False) -> Iterat
     draw = size * max(1, _DRAW_TRIALS // size)
     for first in range(0, config.trials, draw):
         batch = range(first, min(first + draw, config.trials))
-        gains = _sample_block(params, [derive_trial_seed(config.master_seed, t) for t in batch])[1]
+        gains = _sample_block(params, _trial_seeds(config.master_seed, batch).tolist())[1]
         for start in range(0, len(batch), size):
             scores = _stitched_scores(schemes, grid, gains[start:start + size], params, values_only)
             yield _Block(batch[start:start + size], grid, schemes, *scores, ids)
@@ -277,17 +290,34 @@ class _RunView(Sequence):
         for block in reversed(self._blocks):
             yield from reversed(list(_block_records(block)))
 
+    def _locate(self, row: int) -> tuple[int, int]:
+        """The block that holds a row (past the last block for ``len``) and
+        the row's position in it."""
+        b = bisect_right(self._ends, row)
+        return b, row - (self._ends[b - 1] if b else 0)
+
     def __getitem__(self, index):
         """A record, built from the one cell of its block, or a slice as a list."""
         if isinstance(index, slice):
             return list(self)[index]
-        row = range(len(self))[index]
-        b = bisect_right(self._ends, row)
+        b, row = self._locate(range(len(self))[index])
         trials, grid, schemes, values, picks, rates, ids = self._blocks[b]
-        t, s, j = np.unravel_index(row - (self._ends[b - 1] if b else 0), values.shape)
+        t, s, j = np.unravel_index(row, values.shape)
         cell = np.s_[t:t + 1, s:s + 1, j:j + 1]
         one = trials[t:t + 1], grid[j:j + 1], schemes[s:s + 1], values[cell], picks[cell], rates[cell]
         return next(_block_records(_Block(*one, ids)))
+
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
+        """The first row in [start, stop) equal to ``value``, as ``list.index``
+        finds it; the records are built in bulk from the block that holds
+        ``start`` on, and none past the row found."""
+        rows = range(len(self))[start:stop]
+        b, skip = self._locate(rows.start)
+        records = chain.from_iterable(map(_block_records, self._blocks[b:]))
+        for row, record in zip(rows, islice(records, skip, None)):
+            if record is value or record == value:
+                return row
+        raise ValueError(f"{value!r} is not in the run")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):

@@ -5,6 +5,9 @@ minima are clamped to 0 before the max-min search, and the benchmark's
 per-user sum is an ``np.add.accumulate`` along the order axis. It shares
 the column index, the SINR table and the scored set with the package, and
 no rate arithmetic, so tests compare the two bit for bit.
+
+``per_column_sinr_table`` is the SINR table as the package built it before
+it stacked the columns' weight matrices: one product per column.
 """
 from __future__ import annotations
 
@@ -36,6 +39,20 @@ from untrusted_noma.system import _alpha_grid
 
 # rate rows (orders x (trial, beta) cells) scored per kernel call
 SCORE_BUDGET = 4096
+
+
+def per_column_sinr_table(columns, gains, alphas, zeta: float, inv_rho: float) -> np.ndarray:
+    """``_sinr_table`` with the interference sums taken as one [n, n]
+    product per (cell, column) pair."""
+    stage, receiver = columns.stage, columns.receiver
+    diag = np.arange(gains.shape[-1])
+    weights = np.where(stage[:, None, :] < stage[:, :, None], zeta, 1.0)
+    weights[:, diag, diag] = 0.0
+    g = np.take(gains, receiver, axis=-1)[..., None]
+    gamma = np.matmul(weights, alphas[..., None, :, None])[..., 0]
+    gamma *= g
+    gamma += inv_rho
+    return alphas[..., None, :] * g / gamma
 
 
 def _own(columns) -> np.ndarray:

@@ -181,6 +181,15 @@ class TestSeedDerivation:
         assert len(seeds) == 1000
         assert all(0 <= s < 2**64 for s in seeds)
 
+    @pytest.mark.parametrize("master", [0, 2**63, 2**64 - 1, 2**64 + 5, -1])
+    def test_batch_is_the_scalar_mix(self, master):
+        # uint64 arithmetic wraps where the scalar form masks, with no
+        # overflow warning (pytest turns warnings into errors)
+        for trials in (range(0), range(1), range(0, 1500), range(1024, 2048), range(2**40, 2**40 + 9)):
+            seeds = experiments._trial_seeds(master, trials)
+            assert seeds.dtype == np.uint64
+            assert seeds.tolist() == [derive_trial_seed(master, t) for t in trials]
+
 
 class TestConfig:
     def test_rejects_bad_values(self):
@@ -1217,6 +1226,47 @@ class TestKeptColumns:
         assert records.index(plain[-1], -2) == len(plain) - 1
         with pytest.raises(ValueError):
             records.index(plain[0]._replace(trial=9))
+
+    def test_index_reads_start_and_stop_as_a_list_does(self, blocks_of, batches_of):
+        records = self.two_trial_blocks(blocks_of, batches_of)
+        plain = list(records)
+        size = len(plain)
+        assert len(set(plain)) == size  # blocks of 30 rows, every record distinct
+        windows = [
+            (0, None), (29, None), (31, None), (-1, None), (-size - 5, None), (0, 30),
+            (0, -1), (-40, -10), (60, 61), (60, 60), (size, None), (size + 3, None), (5, 2),
+        ]
+        for value in (plain[0], plain[30], plain[60], plain[-1]):
+            for start, stop in windows:
+                stop_int = sys.maxsize if stop is None else stop
+                if value in plain[start:stop]:
+                    assert records.index(value, start, stop) == plain.index(value, start, stop_int)
+                else:
+                    with pytest.raises(ValueError, match="is not in the run"):
+                        records.index(value, start, stop)
+        assert records.index(plain[3], np.int64(2), np.int64(10)) == 3
+        for missing in (plain[0]._replace(min_secrecy_rate=-1.0), None, tuple(plain[0])[:5]):
+            with pytest.raises(ValueError, match="is not in the run"):
+                records.index(missing)
+
+    def test_index_builds_records_from_the_start_block_to_the_row(
+        self, blocks_of, batches_of, monkeypatch
+    ):
+        records = self.two_trial_blocks(blocks_of, batches_of)
+        plain = list(records)
+        built = []
+        new_record = experiments._new_record
+        monkeypatch.setattr(experiments, "_new_record", lambda row: built.append(row) or new_record(row))
+        # a search builds its start block's records from the block's first row
+        for start, row in ((0, 0), (0, 29), (0, 30), (45, 61), (30, 30), (31, 59), (-1, len(plain) - 1)):
+            built.clear()
+            assert records.index(plain[row], start) == row
+            first = range(len(plain))[start] // 30 * 30
+            assert len(built) == row - first + 1, (start, row)
+        built.clear()
+        with pytest.raises(ValueError):
+            records.index(plain[0], 1, 40)
+        assert len(built) == 40
 
     def test_equality_with_any_sequence_both_ways(self):
         records = run_experiment(small_config(schemes=SCHEMES))

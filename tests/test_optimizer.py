@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import islice, permutations
 
@@ -42,10 +45,12 @@ from untrusted_noma.optimizer import (
     _score_block,
     _score_orders,
     _scored_set,
+    _sinr_table,
     _trials_per_block,
 )
 from untrusted_noma.orders import _order_ids, _perm_rank
 from untrusted_noma.system import _alpha_grid
+from kernel_oracle import per_column_sinr_table
 from scalar_oracle import secrecy_rates as oracle_secrecy_rates
 from scalar_oracle import sinr as oracle_sinr
 from walk_oracle import secure_column_ranks
@@ -404,6 +409,67 @@ class TestBenchmarkSummation:
         for row in rates[1:]:
             total += row
         assert users[2][0, 0].tolist() == (total.T / len(rates)).tolist()
+
+
+def sinr_tables(n: int, cells: int, zeta: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_sinr_table`` and the per-column reference over the columns a
+    sweep at n users scores (S at n <= 4, else the policy matrices), for
+    random descending gains and alphas that sum to 1, ``cells`` cells."""
+    columns = _scored_set(n, n <= 4)[0]
+    rng = np.random.default_rng([n, cells])
+    gains = -np.sort(-rng.exponential(1e9, size=(cells, n)), axis=1)
+    alphas = rng.random((cells, n))
+    alphas /= alphas.sum(axis=1, keepdims=True)
+    args = (columns, gains, alphas, zeta, 1.0 / SystemParams(n_users=n).rho_t)
+    return _sinr_table(*args), per_column_sinr_table(*args)
+
+
+def per_column_mismatches(n: int) -> list[tuple[int, float]]:
+    """The (cells, zeta) cases at n users whose ``_sinr_table`` differs from
+    the per-column reference in any bit."""
+    cases = [(cells, zeta) for cells in (1, 3, 2520) for zeta in (0.0, 0.1, 1.0)]
+    return [case for case in cases if not np.array_equal(*sinr_tables(n, *case))]
+
+
+class TestStackedSinrSum:
+    """``_sinr_table`` takes a cell's interference sums as one gemv over
+    the C column weight matrices stacked into one [C * n, n] matrix, in
+    place of one [n, n] product per column."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16])
+    def test_same_bits_as_one_product_per_column(self, n):
+        assert per_column_mismatches(n) == []
+
+    @pytest.mark.parametrize("n", [9, 10, 13])
+    def test_within_four_epsilons_at_other_sizes(self, n):
+        # above N = 8, at N not a multiple of 4, OpenBLAS's gemv rounds a
+        # row's sum by the row's position in the matrix, and a row sits
+        # elsewhere in the stacked matrix than in its column's own, so the
+        # last bits may differ. Relative to the value (one ulp is half to
+        # one machine epsilon of it), they differ by at most 3.1 epsilons
+        # at N = 9..21.
+        for cells in (1, 3, 2520):
+            for zeta in (0.0, 0.1, 1.0):
+                stacked, per_column = sinr_tables(n, cells, zeta)
+                np.testing.assert_allclose(stacked, per_column, rtol=4 * np.finfo(float).eps, atol=0)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("core", ["Haswell", "SkylakeX", "Zen", "Sandybridge", "Prescott"])
+def test_stacked_sum_keeps_its_bits_under_each_kernel(core):
+    """The bit-for-bit check at N = 1..4 with OpenBLAS forced to each
+    kernel, in a child process, so the setting reaches no other test."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(optimizer.__file__))
+    path = os.pathsep.join([src, here, os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import os, test_optimizer as t; "
+        "print(os.environ['OPENBLAS_CORETYPE'], [t.per_column_mismatches(n) for n in (1, 2, 3, 4)])"
+    )
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(" ", 1) == [core, "[[], [], [], []]\n"]
 
 
 def test_four_user_trial_memory_is_bounded():
