@@ -5,5 +5,6 @@ from .orders import *
 from .system import *
 from .optimizer import *
 from .experiments import *
+from .text import *
 
 __version__ = "0.1.0"

@@ -16,7 +16,6 @@ environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import math
 import os
@@ -31,13 +30,8 @@ from .experiments import (
     ExperimentConfig,
     GainRow,
     ResultRecord,
-    _block_run,
-    _id_text,
-    _output_file,
     _trial_blocks,
-    _write,
     export,
-    format_number,
     gain_vs_users,
     sweep_all,
     write_csv,
@@ -53,6 +47,7 @@ from .orders import (
     total_orders,
 )
 from .system import SystemParams, power_allocation, sample_channels
+from .text import _block_run, _id_text, _output_file, _write, format_number
 
 __all__ = ["main", "entry"]
 
@@ -244,11 +239,11 @@ def _cmd_gain(args: argparse.Namespace) -> int:
     params = SystemParams(n_users=args.users[0])
     config = ExperimentConfig(params, args.trials, args.seed, schemes=_GAIN_SCHEMES)
     rows = gain_vs_users(config, args.users)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow([f.name for f in fields(GainRow)])
+    # no field needs CSV quoting: names, an int and format_number text
+    print(",".join(f.name for f in fields(GainRow)))
     for row in rows:
         n_users, *values = astuple(row)
-        writer.writerow([n_users, *map(format_number, values)])
+        print(",".join([str(n_users), *map(format_number, values)]))
     return 0
 
 

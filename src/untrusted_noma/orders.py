@@ -276,17 +276,17 @@ def _column_table(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _column_choices(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per receiver m = 1..n: the ranks [C] (ascending) of the columns that
-    decode no weaker user last, and the 0-based int8 SIC stages
-    [C, n - m + 1] of users m..N in each. A weaker user decoded last by
-    receiver m has no later stage left for that user's own receiver to
-    decode itself at, so no secure order uses such a column. The arrays are
-    read-only."""
+    """Per receiver m = 1..n: the ranks [C] (ascending, int32, as every rank
+    is below 9!) of the columns that decode no weaker user last, and the
+    0-based int8 SIC stages [C, n - m + 1] of users m..N in each. A weaker
+    user decoded last by receiver m has no later stage left for that user's
+    own receiver to decode itself at, so no secure order uses such a
+    column. The arrays are read-only."""
     perms = _column_table(n)
     stages = np.argsort(perms, axis=1).astype(np.int8)  # [N!, n]: the stage of each user
     choices = []
     for m in range(1, n + 1):
-        ranks = np.flatnonzero(perms[:, -1] <= m).astype(np.int64)
+        ranks = np.flatnonzero(perms[:, -1] <= m).astype(np.int32)
         choices.append((ranks, stages[ranks, m - 1 :]))
     for array in (a for choice in choices for a in choice):
         array.flags.writeable = False
@@ -303,11 +303,12 @@ def _secure_rank_blocks(n: int, allow_large_n: bool = False) -> Iterator[np.ndar
     if receiver m decodes itself after user m's bound, as ``is_secure``
     asks. One [P, C] mask tests every (prefix, column) pair of a level, and
     its row-major nonzeros keep the ids ascending. Levels are expanded
-    depth-first over slices of at most ``_BLOCK_ROWS`` pairs, so memory
-    stays flat and the first block comes at once. Every prefix the walk
-    keeps can still be completed (no user was decoded last by a stronger
-    receiver), so it meets no dead ends. Refuses n > ENUMERATION_CAP
-    unless explicitly overridden, and n > _LIST_CEILING always.
+    depth-first over slices of at most ``_BLOCK_ROWS`` pairs, and hold their
+    ranks as int32 but for the last, so memory stays flat and the first
+    block comes at once. Every prefix the walk keeps can still be completed
+    (no user was decoded last by a stronger receiver), so it meets no dead
+    ends. Refuses n > ENUMERATION_CAP unless explicitly overridden, and
+    n > _LIST_CEILING always.
     """
     _check_cap(n, allow_large_n)
     choices = _column_choices(n)
@@ -324,7 +325,7 @@ def _secure_rank_blocks(n: int, allow_large_n: bool = False) -> Iterator[np.ndar
             for first in range(0, len(pairs), _BLOCK_ROWS):
                 p, c = np.divmod(pairs[first : first + _BLOCK_ROWS], len(col_ranks))
                 p += start
-                kept = np.empty((len(p), m + 1), dtype=np.int64)
+                kept = np.empty((len(p), m + 1), dtype=np.int64 if last else np.int32)
                 kept[:, :m] = ranks.take(p, axis=0)
                 kept[:, m] = col_ranks.take(c)
                 if last:  # the last level has no later users to bound
@@ -333,7 +334,7 @@ def _secure_rank_blocks(n: int, allow_large_n: bool = False) -> Iterator[np.ndar
                     later = np.maximum(bound.take(p, axis=0)[:, 1:], stages.take(c, axis=0)[:, 1:])
                     yield from expand(m + 1, kept, later)
 
-    return expand(0, np.empty((1, 0), dtype=np.int64), np.full((1, n), -1, dtype=np.int8))
+    return expand(0, np.empty((1, 0), dtype=np.int32), np.full((1, n), -1, dtype=np.int8))
 
 
 def _order_ids(ranks: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 import pytest
 
-from untrusted_noma import experiments, optimizer
+from untrusted_noma import optimizer, text
 
 
 @pytest.fixture
@@ -25,7 +25,7 @@ def batches_of(monkeypatch):
     stitches as many kernel calls as fit in ``rows`` records, at least one."""
 
     def set_batch(rows, width):
-        monkeypatch.setattr(experiments, "_WRITE_BYTES", rows * experiments._SLOT_BYTES * (width + 4))
-        assert experiments._batch_rows(width) == rows
+        monkeypatch.setattr(text, "_WRITE_BYTES", rows * text._SLOT_BYTES * (width + 4))
+        assert text._batch_rows(width) == rows
 
     return set_batch

@@ -31,6 +31,7 @@ from untrusted_noma import (
     run_experiment,
     sample_channels,
     sweep_all,
+    text,
 )
 from untrusted_noma.cli import CONFIG_ENV_VAR, main
 from untrusted_noma.experiments import write_csv
@@ -358,13 +359,13 @@ class TestSweep:
         self, capsys, monkeypatch, tmp_path, argv, held, fmt
     ):
         # the writer writes its first batch, then finds the disk full
-        write_rows = experiments._write_rows
+        write_rows = text._write_rows
 
         def full_after_one_batch(*args, **kwargs):
             write_rows(*args, **kwargs)
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        monkeypatch.setattr(experiments, "_write_rows", full_after_one_batch)
+        monkeypatch.setattr(text, "_write_rows", full_after_one_batch)
         path = tmp_path / f"out.{fmt}"
         if held is not None:
             path.write_text(held)
@@ -554,7 +555,7 @@ def test_package_exports_exactly_each_modules_all():
         timeout=120,
     )
     assert (done.returncode, done.stderr) == (0, "")
-    names = ("orders", "system", "optimizer", "experiments")
+    names = ("orders", "system", "optimizer", "experiments", "text")
     exported = {n for name in names for n in getattr(untrusted_noma, name).__all__}
     assert {n for n in done.stdout.split() if not n.startswith("_")} == exported | set(names)
 

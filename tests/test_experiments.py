@@ -33,18 +33,17 @@ from untrusted_noma import (
     sample_channels,
     sweep_all,
 )
-from untrusted_noma import cli, experiments, optimizer
-from untrusted_noma.experiments import (
+from untrusted_noma import cli, experiments, optimizer, text
+from untrusted_noma.experiments import write_csv, write_json
+from untrusted_noma.optimizer import _trials_per_block
+from untrusted_noma.text import (
     _WRITE_BYTES,
     _batch_rows,
     _number_words,
     _text_words,
     _twelve_digits,
     format_number,
-    write_csv,
-    write_json,
 )
-from untrusted_noma.optimizer import _trials_per_block
 
 SMALL_GRID = (-0.5, 0.0, 0.5)
 
@@ -688,7 +687,7 @@ class TestExport:
         lists = [many_records(3 * WRITE_BATCH), many_records(5)]
         wanted = [written(write_csv, records) for records in lists]
         path, barrier, met = tmp_path / "out.csv", threading.Barrier(2, timeout=30), set()
-        write_rows = experiments._write_rows
+        write_rows = text._write_rows
 
         def meet(*args, **kwargs):
             if threading.get_ident() not in met:
@@ -696,7 +695,7 @@ class TestExport:
                 barrier.wait()
             return write_rows(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "_write_rows", meet)
+        monkeypatch.setattr(text, "_write_rows", meet)
         errors = []
 
         def run(records):
@@ -722,7 +721,7 @@ class TestExport:
             for source in sorted(package.glob("*.py"))
             for function in _functions_opening_for_writing(ast.parse(source.read_text()))
         ]
-        assert writers == [("experiments.py", "_output_file")] * 2  # a temporary file or a pipe
+        assert writers == [("text.py", "_output_file")] * 2  # a temporary file or a pipe
 
 
 def _opens_for_writing(call: ast.Call) -> bool:
@@ -763,6 +762,29 @@ def _functions_opening_for_writing(tree: ast.AST) -> list:
 
     visit(tree, None)
     return found
+
+
+def _imported(source: Path) -> list[tuple[str, str]]:
+    """(module, name) of each name a source file imports: ``import m``
+    gives (m, m), and a relative module keeps its leading dots."""
+    pairs = []
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            pairs += [(alias.name, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            pairs += [("." * node.level + (node.module or ""), alias.name) for alias in node.names]
+    return pairs
+
+
+def test_text_imports_no_package_module_and_cli_takes_its_helpers_from_it():
+    package = Path(experiments.__file__).parent
+    # a relative module's top name is "", which no standard module has
+    text_modules = {module.split(".")[0] for module, _ in _imported(package / "text.py")}
+    assert text_modules <= set(sys.stdlib_module_names) | {"numpy"}
+    cli_imports = _imported(package / "cli.py")
+    assert "csv" not in {module for module, _ in cli_imports}
+    private = {name for module, name in cli_imports if module == ".experiments" and name[0] == "_"}
+    assert private <= {"_trial_blocks", "_GAIN_SCHEMES"}
 
 
 class TestCsvWriter:
@@ -1320,7 +1342,7 @@ class TestSinks:
     def test_each_sink_gets_its_formats_bytes(self, records):
         streams = [io.StringIO() for _ in range(3)]
         sinks = list(zip(streams, (False, True, False)))
-        experiments._write(sinks, experiments._runs(records))
+        text._write(sinks, experiments._runs(records))
         csv_bytes, json_bytes = REFERENCE[write_csv](records), REFERENCE[write_json](records)
         assert [s.getvalue().encode() for s in streams] == [csv_bytes, json_bytes, csv_bytes]
 
@@ -1328,16 +1350,16 @@ class TestSinks:
     def test_a_closed_pipe_is_dropped_and_the_others_finish(self, records, json):
         stream = io.StringIO()
         with pytest.raises(BrokenPipeError):
-            experiments._write([(_ClosedPipe(), False), (stream, json)], experiments._runs(records))
+            text._write([(_ClosedPipe(), False), (stream, json)], experiments._runs(records))
         assert stream.getvalue().encode() == REFERENCE[write_json if json else write_csv](records)
 
     def test_no_sink_left_stops_at_once(self, records):
         many = list(records) * 20
-        assert len(list(experiments._record_runs(many))) > 2
+        assert len(list(text._record_runs(many))) > 2
         read = []
-        runs = (read.append(run) or run for run in experiments._record_runs(many))
+        runs = (read.append(run) or run for run in text._record_runs(many))
         with pytest.raises(BrokenPipeError):
-            experiments._write([(_ClosedPipe(), True), (_ClosedPipe(), False)], runs)
+            text._write([(_ClosedPipe(), True), (_ClosedPipe(), False)], runs)
         assert len(read) == 1
 
 
@@ -1351,7 +1373,7 @@ class TestKeptColumnsAreRead:
         def refuse(records):
             raise AssertionError("records turned back into columns")
 
-        monkeypatch.setattr(experiments, "_record_runs", refuse)
+        monkeypatch.setattr(text, "_record_runs", refuse)
         with pytest.raises(AssertionError, match="turned back"):
             write_csv(many_records(3), io.StringIO())
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import islice, permutations
 
 import numpy as np
@@ -25,7 +26,7 @@ from untrusted_noma import (
     self_last_transform,
     total_orders,
 )
-from untrusted_noma import experiments, orders
+from untrusted_noma import orders, text
 from walk_oracle import secure_column_ranks
 
 
@@ -271,6 +272,22 @@ class TestBlockWalk:
         assert len(head) >= 10_000 and max(sizes) == 20
         assert np.array_equal(head, np.array(want))
 
+    def test_first_block_memory_at_eight_users(self):
+        # the walk holds one slice of ranks per level, as int32 but for the
+        # last level, whose blocks stay int64; int64 at every level rises
+        # by 12.7 MiB
+        tracemalloc.start()
+        try:
+            orders._column_choices(8)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            block = next(orders._secure_rank_blocks(8, allow_large_n=True))
+            rise = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert block.dtype == np.int64
+        assert rise < 11 * 2**20
+
     @pytest.mark.parametrize("n", [1, 4, 5, 6, 7, 8])
     def test_default_blocks_hold_at_most_the_row_constant(self, n):
         blocks = islice(orders._secure_rank_blocks(n, allow_large_n=True), 50)
@@ -298,24 +315,24 @@ class TestIdText:
     def test_ascending_block_crosses_every_digit_count(self):
         ids = np.array(self.EDGES, dtype=np.int64)
         assert {len(str(v)) for v in self.EDGES} == set(range(1, 20))
-        assert experiments._id_text(ids) == _percent_d(ids)
+        assert text._id_text(ids) == _percent_d(ids)
 
     @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=200))
     @settings(max_examples=200, deadline=None)
     def test_unsorted_block(self, values):
         ids = np.array(values, dtype=np.int64)
-        assert experiments._id_text(ids) == _percent_d(ids)
+        assert text._id_text(ids) == _percent_d(ids)
 
     @pytest.mark.parametrize("values", [[], [0], [7], [2**63 - 1]])
     def test_empty_and_one_id_blocks(self, values):
         ids = np.array(values, dtype=np.int64)
-        assert experiments._id_text(ids) == _percent_d(ids)
+        assert text._id_text(ids) == _percent_d(ids)
 
     def test_object_ids_past_int64(self):
         ranks = next(orders._secure_rank_blocks(7, allow_large_n=True))[:100]
         ids = orders._order_ids(ranks)
         assert ids.dtype == object
-        assert experiments._id_text(ids) == _percent_d(ids)
+        assert text._id_text(ids) == _percent_d(ids)
 
 
 class TestSelfLastTransform:
