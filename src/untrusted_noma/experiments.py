@@ -10,18 +10,17 @@ the plain tuple of its six fields, and ``ResultRecord._fields`` names them.
 It also carries the frozen dataclass field table it had as a dataclass, so
 ``dataclasses.fields``, ``replace`` and ``asdict`` still work on it. It is
 the one row type the library returns, and a ``_Block`` is the one block
-layout: ``_score_block`` returns its arrays, ``_stitched_scores`` joins
-the kernel calls of one block into them (a call takes whole trials, or a
-slice of one trial's grid, as many cells as ``_BLOCK_FLOATS`` allows),
-``_trial_blocks`` yields blocks of as many calls as fit in one write batch,
-and ``run_experiment``, ``sweep_all``, ``gain_vs_users`` and the writers
-read them. Records are built from a block by one helper,
-``_block_records``, with no Python frame per record. ``run_experiment``
-returns a read-only sequence that holds only its blocks and builds its
-records each time they are read; the writers read the blocks' columns. A
-request is checked once, by ``_check_request``, before any kernel call: a
-run's by its ``ExperimentConfig``, which ``gain_vs_users`` builds for every
-user count before the first trial, and a sweep's by ``sweep_all``.
+layout: ``_score_block`` returns its arrays from the kernel calls it cuts
+the block into, ``_trial_blocks`` yields blocks of as many calls as fit in
+one write batch, each with its own channel draw, and ``run_experiment``,
+``sweep_all``, ``gain_vs_users`` and the writers read them. Records are
+built from a block by one helper, ``_block_records``, with no Python frame
+per record. ``run_experiment`` returns a read-only sequence that holds only
+its blocks and builds its records each time they are read; the writers
+read the blocks' columns. A request is checked once, by
+``_check_request``, before any kernel call: a run's by its
+``ExperimentConfig``, which ``gain_vs_users`` builds for every user count
+before the first trial, and a sweep's by ``sweep_all``.
 
 The writers, ``write_csv``, ``write_json`` and ``export``, hand a run's
 blocks, or else the records, to the writer body in ``text``, which spells
@@ -46,10 +45,10 @@ from .optimizer import (
     SCHEME_POLICY_LPSU,
     SCHEME_POLICY_LPWU,
     SCHEMES,
+    _block_trials,
     _check_request,
     _request_set,
     _score_block,
-    _trials_per_block,
 )
 from .system import ChannelRealization, SystemParams, _sample_block
 
@@ -164,68 +163,22 @@ class _Block(NamedTuple):
     ids: np.ndarray
 
 
-# trials whose channels are drawn at once, rounded down to whole blocks:
-# seeding a batch has a fixed cost (about 60 us on a 2-core x86 machine),
-# which blocks of 15 trials (N = 4) would pay per block
-_DRAW_TRIALS = 1024
-
-
-def _stitched_scores(
-    schemes: tuple[str, ...],
-    grid: tuple[float, ...],
-    gains: np.ndarray,
-    params: SystemParams,
-    values_only: bool = False,
-) -> tuple:
-    """``_score_block``'s scores of the trials' gains [T, n] over the grid,
-    from kernel calls of as many (trial, beta) cells as ``_BLOCK_FLOATS``
-    allows: whole trials (``_trials_per_block``) when a trial's grid fits,
-    else consecutive slices of one trial's grid. A cell's scores do not
-    depend on the other cells of its call, so the calls' scores are
-    stitched into one set of block arrays; a single call's are returned
-    as they are."""
-    trials = _trials_per_block(schemes, params.n_users, len(grid))
-    # the trials of a one-beta grid are the cells a call takes
-    betas = min(len(grid), _trials_per_block(schemes, params.n_users, 1))
-    calls = [(t, b) for t in range(0, len(gains), trials) for b in range(0, len(grid), betas)]
-    if len(calls) == 1:
-        return _score_block(schemes, grid, gains, params, values_only)
-    block = None
-    for t, b in calls:
-        scores = _score_block(schemes, grid[b:b + betas], gains[t:t + trials], params, values_only)
-        if block is None:  # the calls' arrays over all T trials and B betas
-            block = [
-                part if part is None
-                else np.empty((len(gains), len(schemes), len(grid), *part.shape[3:]), part.dtype)
-                for part in scores
-            ]
-        for whole, part in zip(block, scores):
-            if part is not None:
-                whole[t:t + trials, :, b:b + betas] = part
-    return tuple(block)
-
-
 def _trial_blocks(config: ExperimentConfig, values_only: bool = False) -> Iterator[_Block]:
     """The ``_Block``s of the config's schemes over its beta grid, of values
-    alone when ``values_only``. A block stitches as many consecutive kernel
-    calls (``_stitched_scores``) as fit in one write batch (``_batch_rows``),
-    and at least one call's trials. Channels are drawn (trial t's from
-    ``derive_trial_seed(config.master_seed, t)``, a batch's seeds derived in
-    one pass by ``_trial_seeds``) a batch of as many whole blocks as fit in
-    ``_DRAW_TRIALS`` trials at a time."""
+    alone when ``values_only``: as many trials each as ``_block_trials``
+    fits in one write batch (``_batch_rows``). Each block derives its
+    trials' seeds in one pass (``_trial_seeds``), draws their channels in
+    one ``_sample_block`` call, trial t's from ``derive_trial_seed(seed,
+    t)``, and scores them in one ``_score_block`` call."""
     # the blocks keep tuples, which a caller's lists cannot change after the run
     params, schemes, grid = config.params, tuple(config.schemes), tuple(config.beta_grid)
     ids = _request_set(schemes, params.n_users)[1]
-    per_call = _trials_per_block(schemes, params.n_users, len(grid))
-    rows = per_call * len(schemes) * len(grid)
-    size = per_call * max(1, text._batch_rows(params.n_users) // rows)
-    draw = size * max(1, _DRAW_TRIALS // size)
-    for first in range(0, config.trials, draw):
-        batch = range(first, min(first + draw, config.trials))
-        gains = _sample_block(params, _trial_seeds(config.master_seed, batch).tolist())[1]
-        for start in range(0, len(batch), size):
-            scores = _stitched_scores(schemes, grid, gains[start:start + size], params, values_only)
-            yield _Block(batch[start:start + size], grid, schemes, *scores, ids)
+    size = _block_trials(schemes, params.n_users, len(grid), text._batch_rows(params.n_users))
+    for first in range(0, config.trials, size):
+        trials = range(first, min(first + size, config.trials))
+        gains = _sample_block(params, _trial_seeds(config.master_seed, trials).tolist())[1]
+        scores = _score_block(schemes, grid, gains, params, values_only)
+        yield _Block(trials, grid, schemes, *scores, ids)
 
 
 def _block_records(block: _Block) -> Iterator[ResultRecord]:
@@ -325,7 +278,7 @@ def sweep_all(
         raise ValueError("channels and params disagree on the user count")
     _check_request(schemes, beta_grid, params.n_users)
     schemes, grid = tuple(schemes), tuple(beta_grid)
-    scores = _stitched_scores(schemes, grid, np.array([channels.gains]), params)
+    scores = _score_block(schemes, grid, np.array([channels.gains]), params)
     ids = _request_set(schemes, params.n_users)[1]
     # one trial's records run scheme by scheme, a grid's worth each
     records = _block_records(_Block(range(1), grid, schemes, *scores, ids))

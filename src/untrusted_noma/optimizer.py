@@ -30,12 +30,13 @@ is the [c, K] minima plus a few chunks, and the per-order minimum is a fold
 over the user rows of each chunk. The optimal schemes copy their orders'
 minima out a slice of rows at a time (``_best_rows``).
 
-``_score_block`` flattens the (trial, beta) pairs it is handed into one
-cell axis and scores them in one kernel call. It returns the block layout
-that records and writers read, and its caller sizes a call by one bound on
-the floats a call holds per cell (``_cell_floats``, ``_BLOCK_FLOATS``):
-whole trials (``_trials_per_block``), or a slice of one trial's grid when
-the grid alone passes the bound. A request is checked once
+``_score_block`` returns a block of (trial, beta) pairs' scores in the
+layout that records and writers read. It alone cuts a block into kernel
+calls (``_score_call``, one cell axis each) by one bound on the floats a
+call holds per cell (``_cell_floats``, ``_BLOCK_FLOATS``): whole trials
+(``_trials_per_block``), or slices of one trial's grid when the grid
+alone passes the bound. A trial loop's block takes as many calls as fit
+one write batch (``_block_trials``). A request is checked once
 (``_check_request``) before its first call. A caller that reads only
 values asks for them alone (picks and rates are then None), which skips
 the benchmark's per-user sum and the re-read of the picked orders' rates.
@@ -503,6 +504,14 @@ def _trials_per_block(schemes: Sequence[str], n_users: int, n_betas: int) -> int
     return max(1, _BLOCK_FLOATS // (_cell_floats(schemes, n_users) * n_betas))
 
 
+def _block_trials(schemes: Sequence[str], n_users: int, n_betas: int, rows: int) -> int:
+    """Trials of a trial loop's block: as many whole kernel calls
+    (``_trials_per_block``) as keep its records within ``rows``, and one
+    call at least."""
+    trials = _trials_per_block(schemes, n_users, n_betas)
+    return trials * max(1, rows // (trials * len(schemes) * n_betas))
+
+
 def _score_block(
     schemes: Sequence[str],
     beta_grid: Sequence[float],
@@ -511,8 +520,11 @@ def _score_block(
     values_only: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Evaluate several schemes over a beta grid on each of T channel draws,
-    given as their descending gains [T, n], in one kernel call. The caller
-    checks the request and sizes the call (``_trials_per_block``).
+    given as their descending gains [T, n]; the caller checks the request.
+    The cells go to kernel calls (``_score_call``) of whole trials, or of
+    slices of one trial's grid, as ``_BLOCK_FLOATS`` allows. A cell's scores
+    do not depend on its call, so the calls' scores are stitched into arrays
+    made once the first call returns; a single call's are returned as is.
 
     Returns C-contiguous (values [T, S, B], picks [T, S, B], per-user rates
     [T, S, B, n]), the S schemes in request order, or the values and two
@@ -525,6 +537,39 @@ def _score_block(
     policy matrices, is scored once, each scheme's reduction runs once, and
     only the schemes that pick an order re-read its rates.
     """
+    n, n_betas = params.n_users, len(beta_grid)
+    trials = _trials_per_block(schemes, n, n_betas)
+    # the trials of a one-beta grid are the cells a call takes
+    betas = min(n_betas, _trials_per_block(schemes, n, 1))
+    calls = [(t, b) for t in range(0, len(gains), trials) for b in range(0, n_betas, betas)]
+    if len(calls) < 2:
+        return _score_call(schemes, beta_grid, gains, params, values_only)
+    block = None
+    for t, b in calls:
+        scores = _score_call(
+            schemes, beta_grid[b:b + betas], gains[t:t + trials], params, values_only
+        )
+        if block is None:  # the calls' arrays over all T trials and B betas
+            block = [
+                part if part is None
+                else np.empty((len(gains), len(schemes), n_betas, *part.shape[3:]), part.dtype)
+                for part in scores
+            ]
+        for whole, part in zip(block, scores):
+            if part is not None:
+                whole[t:t + trials, :, b:b + betas] = part
+    return tuple(block)
+
+
+def _score_call(
+    schemes: Sequence[str],
+    beta_grid: Sequence[float],
+    gains: np.ndarray,
+    params: SystemParams,
+    values_only: bool,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """``_score_block``'s scores of the trials' gains [T, n] over the grid
+    in one kernel call, whatever its size."""
     n = params.n_users
     columns, ids, picks = _request_set(schemes, n)
     gains = np.asarray(gains, dtype=float)

@@ -21,8 +21,9 @@ def blocks_of(monkeypatch):
 @pytest.fixture
 def batches_of(monkeypatch):
     """Set the write bound so that a write batch of records with ``width``
-    rates holds ``rows`` rows: a block of a run at N = ``width`` then
-    stitches as many kernel calls as fit in ``rows`` records, at least one."""
+    rates holds ``rows`` rows: a block of a run at N = ``width`` then holds
+    the trials of as many kernel calls as fit in ``rows`` records, and one
+    call's at least, and draws their channels at once."""
 
     def set_batch(rows, width):
         monkeypatch.setattr(text, "_WRITE_BYTES", rows * text._SLOT_BYTES * (width + 4))

@@ -425,9 +425,9 @@ class TestSimulate:
 
     @staticmethod
     def fail_second_block(monkeypatch) -> int:
-        """Make the second kernel call raise; returns the first block's
-        trial count. 200 trials are two kernel blocks at N = 3 with every
-        scheme."""
+        """Make the second block's scoring raise; returns the first block's
+        trial count. 200 trials are two blocks, of one kernel call each, at
+        N = 3 with every scheme."""
         first = optimizer._trials_per_block(SCHEMES, 3, len(DEFAULT_BETA_GRID))
         assert first < 200 <= 2 * first
         score_block, calls = experiments._score_block, []

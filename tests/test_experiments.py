@@ -321,10 +321,10 @@ class TestTrialBlocks:
 
 
 class TestChannelBatches:
-    """Channels are drawn in batches of whole kernel blocks, as many as fit
-    in ``_DRAW_TRIALS`` trials and one at least: every draw but the last
-    covers whole blocks, every trial's gains must still be those of its own
-    seed, and every record the same."""
+    """Each block of trials draws its own channels, in one ``_sample_block``
+    call: every draw covers exactly one block's trials, in order, every
+    trial's gains must still be those of its own seed, and every record the
+    same whether a block holds one kernel call, two, or the whole run."""
 
     @pytest.mark.parametrize(
         "config, per_block",
@@ -340,13 +340,13 @@ class TestChannelBatches:
         ],
         ids=["N4-all-schemes", "N16-policies"],
     )
-    def test_rows_do_not_depend_on_where_batches_start(self, monkeypatch, config, per_block):
+    def test_rows_do_not_depend_on_where_batches_start(
+        self, monkeypatch, batches_of, config, per_block
+    ):
         params = config.params
         assert _trials_per_block(config.schemes, params.n_users, len(config.beta_grid)) == per_block
-        want = np.array([
-            sample_channels(params, derive_trial_seed(config.master_seed, t)).gains
-            for t in range(config.trials)
-        ])
+        seeds = [derive_trial_seed(config.master_seed, t) for t in range(config.trials)]
+        want = np.array([sample_channels(params, seed).gains for seed in seeds])
         score_block, scored = experiments._score_block, []
         sample_block, drawn = experiments._sample_block, []
 
@@ -354,23 +354,26 @@ class TestChannelBatches:
             scored.append(gains.copy())
             return score_block(schemes, grid, gains, *args)
 
-        def count_draws(params, seeds):
-            drawn.append(len(seeds))
+        def capture_draw(params, seeds):
+            drawn.append(list(seeds))
             return sample_block(params, seeds)
 
         monkeypatch.setattr(experiments, "_score_block", capture)
-        monkeypatch.setattr(experiments, "_sample_block", count_draws)
+        monkeypatch.setattr(experiments, "_sample_block", capture_draw)
+        call_rows = per_block * len(config.schemes) * len(config.beta_grid)
         runs = []
-        for draw in (1, 7, experiments._DRAW_TRIALS):
-            monkeypatch.setattr(experiments, "_DRAW_TRIALS", draw)
+        for calls in (1, 2, math.ceil(config.trials / per_block)):
+            batches_of(calls * call_rows, params.n_users)
             scored.clear()
             drawn.clear()
             runs.append(run_experiment(config))
-            blocks, rest = divmod(config.trials, per_block)
-            assert [len(gains) for gains in scored] == [per_block] * blocks + [rest]
+            size = calls * per_block
+            blocks = [range(t, min(t + size, config.trials)) for t in range(0, config.trials, size)]
+            assert [block.trials for block in runs[-1]._blocks] == blocks
+            assert drawn == [seeds[block.start:block.stop] for block in blocks]
+            assert [len(gains) for gains in scored] == [len(block) for block in blocks]
             assert np.concatenate(scored).tobytes() == want.tobytes()
-            assert sum(drawn) == config.trials
-            assert all(trials % per_block == 0 for trials in drawn[:-1])
+        assert len(runs[2]._blocks) == 1
         assert runs[0] == runs[1] == runs[2]
 
 
@@ -497,7 +500,8 @@ class TestSweepAll:
 
 
 class TestKernelCalls:
-    """Each block of trials is scored by exactly one rate-table call."""
+    """Kernel calls, counted by their rate tables: whole trials, or a slice
+    of one trial's grid, as many cells as ``_BLOCK_FLOATS`` allows."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -538,6 +542,31 @@ class TestKernelCalls:
         params = SystemParams(n_users=4)
         sweep_all(SCHEMES, DEFAULT_BETA_GRID, sample_channels(params, 2), params)
         assert calls == [len(DEFAULT_BETA_GRID)]
+
+    def test_score_block_bounds_its_own_calls(self, calls, monkeypatch):
+        # _score_block cuts what it is handed into calls itself: two calls'
+        # trials and one more, and one trial's grid longer than a call takes
+        params, betas = SystemParams(n_users=4), len(DEFAULT_BETA_GRID)
+        per_call = _trials_per_block(SCHEMES, 4, betas)
+        gains = np.array([sample_channels(params, 20 + t).gains for t in range(2 * per_call + 1)])
+        ones = [optimizer._score_block(SCHEMES, DEFAULT_BETA_GRID, row[None], params) for row in gains]
+        calls.clear()
+        block = optimizer._score_block(SCHEMES, DEFAULT_BETA_GRID, gains, params)
+        assert calls == [per_call * betas, per_call * betas, betas]
+        for got, want in zip(block, map(np.concatenate, zip(*ones))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+        grid = tuple(np.linspace(-1.0, 1.0, 80).tolist())
+        calls.clear()
+        sliced = optimizer._score_block(SCHEMES, grid, gains[:1], params)
+        assert len(calls) > 1 and max(calls) <= _trials_per_block(SCHEMES, 4, 1)
+        # the one-trial call over the whole grid, under a bound that takes it
+        monkeypatch.setattr(optimizer, "_BLOCK_FLOATS", len(grid) * optimizer._cell_floats(SCHEMES, 4))
+        calls.clear()
+        whole = optimizer._score_block(SCHEMES, grid, gains[:1], params)
+        assert calls == [len(grid)]
+        for got, want in zip(sliced, whole):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestGainVsUsers:

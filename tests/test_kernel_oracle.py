@@ -43,8 +43,8 @@ def assert_blocks_equal(got, want):
 @pytest.mark.parametrize("zeta", [0.0, 0.1, 1.0])
 def test_all_schemes_full_grid(blocks_of, n, zeta):
     params = SystemParams(n_users=n, zeta=zeta)
-    # blocks of three trials, and the trials of two and a bit blocks scored
-    # in one call; test_experiments.TestTrialBlocks crosses the boundaries
+    # calls of three trials, and two and a bit calls' trials handed to one
+    # _score_block, which cuts them into three calls
     blocks_of(3, SCHEMES, n, len(DEFAULT_BETA_GRID))
     trials = 2 * _trials_per_block(SCHEMES, n, len(DEFAULT_BETA_GRID)) + 1
     channels = [sample_channels(params, 100 * n + seed) for seed in range(trials)]

@@ -548,9 +548,9 @@ class TestBlockRule:
 
 
 class TestBlockSize:
-    """A kernel call over T trials must give what T one-trial calls give,
-    bit for bit, at the block size ``_trials_per_block`` and across two
-    blocks' worth."""
+    """``_score_block`` over T trials must give what T one-trial calls give,
+    bit for bit, at one kernel call's trials (``_trials_per_block``) and at
+    two calls' worth and one more, which it cuts into three calls."""
 
     @staticmethod
     def assert_calls_match(params, trials_of):
