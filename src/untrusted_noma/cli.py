@@ -10,8 +10,8 @@ name as flag dest, config key and dataclass field. A config file (flat
 override it, and unset ones take the ``SystemParams``/``ExperimentConfig``
 defaults. Config keys a subcommand does not use (``eval`` and ``sweep``
 take their one channel draw from ``--seed``) are named in one warning on
-stderr. The default config path may be set via the UNTRUSTED_NOMA_CONFIG
-environment variable.
+stderr and dropped. The default config path may be set via the
+UNTRUSTED_NOMA_CONFIG environment variable.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import argparse
 import errno
 import math
 import os
+import signal
 import sys
 from contextlib import nullcontext
 from dataclasses import astuple, fields
@@ -132,21 +133,21 @@ def read_config_file(path: str) -> dict:
 
 
 def _settings(args: argparse.Namespace) -> dict:
-    """The config file's values overlaid with the flags that were given.
-    Warns about config keys the subcommand does not use. Rejects --format
-    when no output path is given, and an output path in a missing
-    directory, before any work: the format would otherwise go unused, and
-    the write would fail only after every trial ran."""
+    """The config file's values, less the keys the subcommand does not use
+    (named in one warning), overlaid with the given flags. Rejects a format
+    with no output path, and an output path in a missing directory, before
+    any work: the format would otherwise go unused, and the write would
+    fail only after every trial ran."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     settings = read_config_file(path) if path else {}
     # a subcommand uses the system parameters and the settings it has flags for
-    ignored = settings.keys() - vars(args).keys() - {f.name for f in fields(SystemParams)}
-    if ignored:
+    if ignored := settings.keys() - vars(args).keys() - {f.name for f in fields(SystemParams)}:
         keys = ", ".join(sorted(ignored))
         print(f"warning: {args.subcommand} ignores config keys {keys}", file=sys.stderr)
+    settings = {k: v for k, v in settings.items() if k not in ignored}
     settings |= {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
-    if args.output_format is not None and not settings.get("output_path"):
-        raise _CliError("--format needs --output (or output_path in the config file)")
+    if "output_format" in settings and not settings.get("output_path"):
+        raise _CliError("--format (or output_format) needs --output (or output_path)")
     if "n_users" not in settings:
         raise _CliError("--users is required (or n_users in the config file)")
     output = settings.get("output_path")
@@ -331,7 +332,19 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """``main()`` as a command: SIGINT and SIGTERM stop it with one error line,
+    exit code 128 + the signal, and no temporary output file left behind."""
+
+    def stop(signum, frame):
+        raise KeyboardInterrupt(signal.Signals(signum))
+
+    signal.signal(signal.SIGTERM, stop)
+    try:
+        raise SystemExit(main())
+    except KeyboardInterrupt as exc:
+        sig = exc.args[0] if exc.args else signal.SIGINT
+        print(f"error: stopped by {sig.name}", file=sys.stderr)
+        raise SystemExit(128 + sig)
 
 
 if __name__ == "__main__":

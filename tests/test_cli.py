@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -624,6 +625,28 @@ class TestReaderClosesStdoutEarly:
         assert head[1].startswith(b"0,-1,optimal-L,")
 
 
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=lambda sig: sig.name)
+def test_a_signal_stops_a_run_with_one_line(tmp_path, sig):
+    # stopped mid-run, simulate leaves --output as it was and no temporary file
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"kept\n")
+    proc = _cli_child("simulate", "--users", "4", "--trials", "100000", "--seed", "1", "--output", str(out))
+    timer = threading.Timer(60, proc.kill)  # the child never outlives the test
+    timer.start()
+    try:
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.send_signal(sig)
+        _, err = proc.communicate()
+    finally:
+        timer.cancel()
+        proc.kill()  # a no-op once the child has been waited for
+        proc.communicate()
+    assert head[1].startswith(b"0,-1,optimal-L,")
+    assert proc.returncode == 128 + sig
+    assert err == f"error: stopped by {sig.name}\n".encode()
+    assert os.listdir(tmp_path) == ["out.csv"] and out.read_bytes() == b"kept\n"
+
+
 class TestGain:
     def test_defaults_reproduce_the_readme_figures(self):
         args = cli.build_parser().parse_args(["gain"])
@@ -646,22 +669,29 @@ class TestGain:
         assert message in err
 
 
+_NO_OUTPUT_RUNS = [
+    ["eval", "--users", "3", "--beta", "0.2", "--seed", "1"],
+    ["sweep", "--users", "3", "--seed", "1"],
+    ["simulate", "--users", "3", "--trials", "2", "--seed", "1"],
+]
+
+
 class TestFormatWithoutOutput:
+    # the format given by --format, then by output_format in json.cfg
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["eval", "--users", "3", "--beta", "0.2", "--seed", "1"],
-            ["sweep", "--users", "3", "--seed", "1"],
-            ["simulate", "--users", "3", "--trials", "2", "--seed", "1"],
-        ],
+        [[*run, "--format", "json"] for run in _NO_OUTPUT_RUNS]
+        + [[*run, "--config", "json.cfg"] for run in _NO_OUTPUT_RUNS],
     )
-    def test_rejected_before_any_work(self, capsys, monkeypatch, argv):
+    def test_rejected_before_any_work(self, capsys, tmp_path, monkeypatch, argv):
         def refuse(*args, **kwargs):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(cli, "sample_channels", refuse)
         monkeypatch.setattr(cli, "_trial_blocks", refuse)
-        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "json.cfg").write_text("output_format = json\n")
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
@@ -745,16 +775,19 @@ class TestConfigFile:
         assert "--users" in err
 
     @pytest.mark.parametrize(
-        "argv, ignored",
+        "argv, trials, ignored",
         [
-            (("eval", "--beta", "0.1"), "beta_grid, master_seed, schemes, trials"),
-            (("sweep", "--beta-grid=-0.5,0.5", "--scheme", "policy-LPWU"), "master_seed, trials"),
+            (("eval", "--beta", "0.1"), 5, "beta_grid, master_seed, schemes, trials"),
+            (("sweep", "--beta-grid=-0.5,0.5", "--scheme", "policy-LPWU"), 5, "master_seed, trials"),
+            # a value that simulate would reject goes unchecked where it goes unused
+            (("sweep", "--beta-grid=-0.5,0.5", "--scheme", "policy-LPWU"), 0, "master_seed, trials"),
         ],
+        ids=["eval", "sweep", "sweep-trials-0"],
     )
-    def test_unused_keys_named_in_one_warning(self, capsys, tmp_path, argv, ignored):
+    def test_unused_keys_named_in_one_warning(self, capsys, tmp_path, argv, trials, ignored):
         # eval and sweep draw their one realization from --seed alone
         cfg = tmp_path / "shared.cfg"
-        cfg.write_text("master_seed = 7\ntrials = 5\nbeta_grid = 0.3\nschemes = benchmark\n")
+        cfg.write_text(f"master_seed = 7\ntrials = {trials}\nbeta_grid = 0.3\nschemes = benchmark\n")
         flags = (*argv, "--users", "2", "--seed", "1")
         code, plain, err = run_cli(capsys, *flags)
         assert (code, err) == (0, "")

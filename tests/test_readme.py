@@ -62,3 +62,16 @@ def test_every_cli_example_with_output_is_run():
 def test_cli_example_prints_what_it_shows(command, capsys):
     assert cli.main(CLI_RUNS[command].split()) == 0
     assert capsys.readouterr().out.splitlines() == cli_examples()[command]
+
+
+def test_example_config_runs_as_written(capsys, tmp_path, monkeypatch):
+    # its first line is a whole-line comment; simulate mirrors stdout to runs.csv
+    section = README.read_text().split("\n### Config files\n", 1)[1]
+    example = tmp_path / "example.cfg"
+    example.write_text(re.search(r"```\n(.*?)```", section, re.S).group(1))
+    assert cli.read_config_file(str(example))["output_path"] == "runs.csv"
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--config", str(example)]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1 + 1000 * 5 * 3
+    assert (tmp_path / "runs.csv").read_bytes() == out.encode()
