@@ -17,10 +17,10 @@ one write batch, each with its own channel draw, and ``run_experiment``,
 built from a block by one helper, ``_block_records``, with no Python frame
 per record. ``run_experiment`` returns a read-only sequence that holds only
 its blocks and builds its records each time they are read; the writers
-read the blocks' columns. A request is checked once, by
-``_check_request``, before any kernel call: a run's by its
-``ExperimentConfig``, which ``gain_vs_users`` builds for every user count
-before the first trial, and a sweep's by ``sweep_all``.
+read the blocks' columns. A request takes one form, in its
+``ExperimentConfig``, before any kernel call: the grid and schemes as the
+tuples ``_check_request`` checked, the betas as floats. ``gain_vs_users``
+builds one per user count before any trial, ``sweep_all`` one of one trial.
 
 The writers, ``write_csv``, ``write_json`` and ``export``, hand a run's
 blocks, or else the records, to the writer body in ``text``, which spells
@@ -50,7 +50,7 @@ from .optimizer import (
     _request_set,
     _score_block,
 )
-from .system import ChannelRealization, SystemParams, _sample_block
+from .system import ChannelRealization, SystemParams, _as_int, _sample_block
 
 __all__ = [
     "DEFAULT_BETA_GRID",
@@ -108,13 +108,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("trials", "master_seed"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise TypeError(f"{name} must be an int, got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        _check_request(self.schemes, self.beta_grid, self.params.n_users)
+        grid, schemes = tuple(self.beta_grid), tuple(self.schemes)
+        _check_request(schemes, grid, self.params.n_users)
+        object.__setattr__(self, "beta_grid", tuple(map(float, grid)))
+        object.__setattr__(self, "schemes", schemes)
 
 
 class ResultRecord(NamedTuple):
@@ -170,8 +170,7 @@ def _trial_blocks(config: ExperimentConfig, values_only: bool = False) -> Iterat
     trials' seeds in one pass (``_trial_seeds``), draws their channels in
     one ``_sample_block`` call, trial t's from ``derive_trial_seed(seed,
     t)``, and scores them in one ``_score_block`` call."""
-    # the blocks keep tuples, which a caller's lists cannot change after the run
-    params, schemes, grid = config.params, tuple(config.schemes), tuple(config.beta_grid)
+    params, schemes, grid = config.params, config.schemes, config.beta_grid
     ids = _request_set(schemes, params.n_users)[1]
     size = _block_trials(schemes, params.n_users, len(grid), text._batch_rows(params.n_users))
     for first in range(0, config.trials, size):
@@ -273,11 +272,11 @@ def sweep_all(
 ) -> dict[str, list[ResultRecord]]:
     """Evaluate several schemes over a beta grid on one channel draw: per
     scheme, in request order, its records of trial 0, one per beta. The
-    request is checked first, with the check ``ExperimentConfig`` runs."""
+    request is checked and stored first, as a one-trial ``ExperimentConfig``."""
     if channels.n_users != params.n_users:
         raise ValueError("channels and params disagree on the user count")
-    _check_request(schemes, beta_grid, params.n_users)
-    schemes, grid = tuple(schemes), tuple(beta_grid)
+    request = ExperimentConfig(params, 1, beta_grid=beta_grid, schemes=schemes)
+    schemes, grid = request.schemes, request.beta_grid
     scores = _score_block(schemes, grid, np.array([channels.gains]), params)
     ids = _request_set(schemes, params.n_users)[1]
     # one trial's records run scheme by scheme, a grid's worth each

@@ -40,6 +40,16 @@ def dbm_to_mw(x_dbm: float) -> float:
     return 10.0 ** (x_dbm / 10.0)
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as an int, as ``operator.index`` takes it: a numpy integer
+    is taken, and a float, str or None raises a TypeError naming ``name``.
+    The one int rule of ``n_users``, ``trials`` and ``master_seed``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an int, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical constants and simulation knobs.
@@ -59,6 +69,7 @@ class SystemParams:
     min_dist_m: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_users", _as_int("n_users", self.n_users))
         if self.n_users < 1:
             raise ValueError(f"n_users must be >= 1, got {self.n_users}")
         if not 0.0 <= self.zeta <= 1.0:

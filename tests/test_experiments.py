@@ -225,6 +225,44 @@ class TestConfig:
         assert cfg == small_config(trials=2, master_seed=5)
         assert run_experiment(cfg) == run_experiment(small_config(trials=2, master_seed=5))
 
+    @pytest.mark.parametrize(
+        "grid, want",
+        [
+            (lambda: list(SMALL_GRID), SMALL_GRID),
+            (lambda: np.linspace(-1, 1, 21), DEFAULT_BETA_GRID),
+            (lambda: (beta for beta in SMALL_GRID), SMALL_GRID),
+        ],
+        ids=["list", "ndarray", "generator"],
+    )
+    def test_grids_are_taken_as_tuples_of_floats(self, grid, want):
+        cfg, tupled = small_config(beta_grid=grid()), small_config(beta_grid=want)
+        assert cfg == tupled and hash(cfg) == hash(tupled)
+        assert cfg.beta_grid == want and {type(beta) for beta in cfg.beta_grid} == {float}
+        records = run_experiment(cfg)
+        assert records == run_experiment(tupled)
+        assert {type(r.beta) for r in records} == {float}
+
+    @pytest.mark.parametrize(
+        "n_users, field, value, change",
+        [
+            (3, "beta_grid", SMALL_GRID, list.clear),
+            (3, "schemes", ("policy-LPWU", "benchmark"), lambda given: given.append("nope")),
+            # a policy-only request past the enumeration cap
+            (6, "schemes", ("policy-LPWU",), lambda given: given.append("benchmark")),
+        ],
+        ids=["grid-cleared", "unknown-scheme-added", "enumeration-scheme-added"],
+    )
+    def test_a_list_changed_after_the_check_leaves_the_run_as_checked(
+        self, n_users, field, value, change
+    ):
+        params = SystemParams(n_users=n_users)
+        given = list(value)
+        cfg = small_config(params=params, **{field: given})
+        change(given)
+        untouched = small_config(params=params, **{field: value})
+        assert run_experiment(cfg) == run_experiment(untouched)
+        assert cfg == untouched
+
     def test_enumeration_schemes_capped_before_any_work(self):
         with pytest.raises(ValueError):
             ExperimentConfig(params=SystemParams(n_users=5), schemes=("benchmark",))
@@ -493,6 +531,16 @@ class TestSweepAll:
         monkeypatch.setattr(optimizer, "_BLOCK_FLOATS", 5 * optimizer._cell_floats(SCHEMES, 4))
         assert sweep_all(SCHEMES, DEFAULT_BETA_GRID, channels, params) == want
 
+    @pytest.mark.parametrize(
+        "grid", [np.array, lambda betas: (beta for beta in betas)], ids=["ndarray", "generator"]
+    )
+    def test_any_grid_gives_the_tuple_grids_records(self, grid):
+        params = SystemParams(n_users=3)
+        channels, schemes = sample_channels(params, 4), ("benchmark", "policy-LPSU")
+        sweeps = sweep_all(schemes, grid(SMALL_GRID), channels, params)
+        assert sweeps == sweep_all(schemes, SMALL_GRID, channels, params)
+        assert {type(r.beta) for rows in sweeps.values() for r in rows} == {float}
+
     def test_rejects_channels_of_another_user_count(self):
         channels = sample_channels(SystemParams(n_users=4), 1)
         with pytest.raises(ValueError, match="disagree on the user count"):
@@ -573,6 +621,9 @@ class TestGainVsUsers:
     def test_rejects_unsupported_counts(self):
         with pytest.raises(ValueError, match="capped at 4 users"):
             gain_vs_users(small_config(), [2, 5])
+        # a str of user counts is refused at its first count
+        with pytest.raises(TypeError, match="^n_users must be an int, got '2'$"):
+            gain_vs_users(small_config(), "23")
         # one user: both policies and the benchmark score the only order,
         # whose rate does not depend on beta
         (row,) = gain_vs_users(small_config(trials=2), [1])

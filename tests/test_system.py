@@ -78,6 +78,15 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [2.5, "3", None])
+    def test_n_users_must_be_an_int(self, value):
+        with pytest.raises(TypeError, match=f"^n_users must be an int, got {value!r}$"):
+            SystemParams(n_users=value)
+
+    def test_numpy_integer_users_are_taken_as_an_int(self):
+        params = SystemParams(n_users=np.int64(3))
+        assert type(params.n_users) is int and params == SystemParams(n_users=3)
+
     @pytest.mark.parametrize(
         "distances, gains, match",
         [
