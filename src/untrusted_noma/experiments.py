@@ -50,7 +50,7 @@ from .optimizer import (
     _request_set,
     _score_block,
 )
-from .system import ChannelRealization, SystemParams, _as_int, _sample_block
+from .system import ChannelRealization, SystemParams, _as_float, _as_int, _sample_block
 
 __all__ = [
     "DEFAULT_BETA_GRID",
@@ -111,9 +111,10 @@ class ExperimentConfig:
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        grid, schemes = tuple(self.beta_grid), tuple(self.schemes)
+        grid = tuple(_as_float("beta_grid", beta) for beta in self.beta_grid)
+        schemes = tuple(self.schemes)
         _check_request(schemes, grid, self.params.n_users)
-        object.__setattr__(self, "beta_grid", tuple(map(float, grid)))
+        object.__setattr__(self, "beta_grid", grid)
         object.__setattr__(self, "schemes", schemes)
 
 

@@ -55,6 +55,7 @@ class DecodingOrder:
     columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "columns", tuple(map(tuple, self.columns)))
         n = len(self.columns)
         expected = frozenset(range(1, n + 1))
         for col in self.columns:

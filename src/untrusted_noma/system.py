@@ -50,6 +50,22 @@ def _as_int(name: str, value) -> int:
         raise TypeError(f"{name} must be an int, got {value!r}") from None
 
 
+def _as_float(name: str, value) -> float:
+    """``value`` as a Python float: a real number (int, float, numpy number)
+    is taken, and a str, None or complex raises a TypeError naming ``name``.
+    The one float rule of the model values' real fields and the beta grid."""
+    try:
+        if not isinstance(value, (str, bytes, complex, np.complexfloating)):
+            return float(value)
+    except TypeError:
+        pass
+    raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
+_FLOAT_FIELDS = ("pt_dbm", "noise_dbm", "zeta", "field_len_m", "path_loss_const",
+                 "path_loss_exp", "min_dist_m")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical constants and simulation knobs.
@@ -70,18 +86,16 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_users", _as_int("n_users", self.n_users))
+        for name in _FLOAT_FIELDS:
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if self.n_users < 1:
             raise ValueError(f"n_users must be >= 1, got {self.n_users}")
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError(f"zeta must lie in [0, 1], got {self.zeta}")
-        if not (math.isfinite(self.field_len_m) and self.field_len_m > 0.0):
-            raise ValueError(f"field_len_m must be positive and finite, got {self.field_len_m}")
-        if not (math.isfinite(self.path_loss_exp) and self.path_loss_exp > 0.0):
-            raise ValueError(f"path_loss_exp must be positive and finite, got {self.path_loss_exp}")
-        if not (math.isfinite(self.path_loss_const) and self.path_loss_const > 0.0):
-            raise ValueError(
-                f"path_loss_const must be positive and finite, got {self.path_loss_const}"
-            )
+        for name in ("field_len_m", "path_loss_exp", "path_loss_const"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.min_dist_m < self.field_len_m / 2.0:
             raise ValueError(
                 f"min_dist_m must lie in (0, field_len_m/2), got {self.min_dist_m}"
@@ -116,13 +130,15 @@ class ChannelRealization:
     gains: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        for name in ("distances_m", "gains"):
+            object.__setattr__(self, name, tuple(_as_float(name, v) for v in getattr(self, name)))
         if len(self.distances_m) != len(self.gains):
             raise ValueError("distances_m and gains must have equal length")
         if len(self.gains) < 1:
             raise ValueError("at least one user required")
-        if any(g <= 0.0 or not math.isfinite(g) for g in self.gains):
+        if not all(g > 0.0 and math.isfinite(g) for g in self.gains):
             raise ValueError("gains must be positive and finite")
-        if any(d <= 0.0 for d in self.distances_m):
+        if not all(d > 0.0 for d in self.distances_m):
             raise ValueError("distances must be positive")
         if any(a <= b for a, b in zip(self.gains, self.gains[1:])):
             raise ValueError("gains must be strictly descending")
@@ -144,9 +160,11 @@ class PowerAllocation:
     beta: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alphas", tuple(_as_float("alphas", a) for a in self.alphas))
+        object.__setattr__(self, "beta", _as_float("beta", self.beta))
         if not -1.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
-        if any(a <= 0.0 for a in self.alphas):
+        if not all(a > 0.0 for a in self.alphas):
             raise ValueError("all power coefficients must be positive")
         if abs(sum(self.alphas) - 1.0) > 1e-12:
             raise ValueError("power coefficients must sum to 1 within 1e-12")
@@ -318,7 +336,7 @@ def sample_channels(params: SystemParams, seed: int) -> ChannelRealization:
     are relabeled so gains sort strictly descending.
     """
     dist, gains = _sample_block(params, [seed])
-    return ChannelRealization(distances_m=tuple(dist[0].tolist()), gains=tuple(gains[0].tolist()))
+    return ChannelRealization(distances_m=dist[0], gains=gains[0])
 
 
 def _alpha_grid(gains: np.ndarray, beta_grid: Sequence[float]) -> np.ndarray:
@@ -344,5 +362,5 @@ def _alpha_grid(gains: np.ndarray, beta_grid: Sequence[float]) -> np.ndarray:
 def power_allocation(channels: ChannelRealization, beta: float) -> PowerAllocation:
     """Fractional power allocation: alpha_n proportional to gain_n**(-beta)."""
     alphas = _alpha_grid(np.asarray(channels.gains, dtype=float), [beta])[0]
-    return PowerAllocation(alphas=tuple(alphas.tolist()), beta=beta)
+    return PowerAllocation(alphas=alphas, beta=beta)
 

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -241,6 +242,29 @@ class TestConfig:
         records = run_experiment(cfg)
         assert records == run_experiment(tupled)
         assert {type(r.beta) for r in records} == {float}
+
+    @pytest.mark.parametrize("beta", ["0.5", None, 1j])
+    def test_betas_must_be_real_numbers(self, beta):
+        match = f"^beta_grid must be a real number, got {re.escape(repr(beta))}$"
+        with pytest.raises(TypeError, match=match):
+            ExperimentConfig(params=SystemParams(n_users=3), beta_grid=[beta])
+
+    @pytest.mark.parametrize("seq", [list, np.array], ids=["list", "ndarray"])
+    def test_every_field_is_stored_plain(self, seq):
+        schemes = ["policy-LPWU", "benchmark"]
+        params = SystemParams(*seq([3, 10, -90]))
+        cfg = ExperimentConfig(params, *seq([2, 7]), seq([-1, 0, 1]), schemes)
+        want = ExperimentConfig(
+            SystemParams(3, 10.0, -90.0), 2, 7, (-1.0, 0.0, 1.0), tuple(schemes)
+        )
+        assert cfg == want and hash(cfg) == hash(want)
+        stored = [type(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)]
+        assert stored == [SystemParams, int, int, tuple, tuple]
+        assert [type(getattr(params, f.name)) for f in dataclasses.fields(params)] == (
+            [int] + [float] * 7
+        )
+        assert {type(b) for b in cfg.beta_grid} == {float}
+        assert {type(s) for s in cfg.schemes} == {str}
 
     @pytest.mark.parametrize(
         "n_users, field, value, change",

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,11 +15,14 @@ from untrusted_noma import (
     SystemParams,
     dbm_to_mw,
     draw_gains,
+    is_secure,
+    max_min_order,
     order_from_id,
     power_allocation,
     sample_channels,
     secrecy_rates,
     sinr,
+    sweep_all,
 )
 from untrusted_noma import system
 
@@ -88,12 +93,23 @@ class TestSystemParams:
         assert type(params.n_users) is int and params == SystemParams(n_users=3)
 
     @pytest.mark.parametrize(
+        "field, value",
+        [("zeta", "0.1"), ("pt_dbm", None), ("field_len_m", "500"), ("noise_dbm", 1j),
+         ("path_loss_exp", np.complex64(3.0))],
+    )
+    def test_float_fields_must_be_real_numbers(self, field, value):
+        match = f"^{field} must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(TypeError, match=match):
+            SystemParams(n_users=2, **{field: value})
+
+    @pytest.mark.parametrize(
         "distances, gains, match",
         [
             ((1.0,), (4.0, 1.0), "equal length"),
             ((), (), "at least one user"),
             ((1.0, 2.0), (4.0, 0.0), "positive and finite"),
             ((1.0, 0.0), (4.0, 1.0), "distances must be positive"),
+            ((math.nan, 1.0), (2.0, 1.0), "distances must be positive"),
         ],
     )
     def test_invalid_realization_rejected(self, distances, gains, match):
@@ -253,6 +269,8 @@ class TestPowerAllocation:
             PowerAllocation(alphas=(1.2, -0.2), beta=0.0)
         with pytest.raises(ValueError, match="beta must lie in"):
             PowerAllocation(alphas=(0.5, 0.5), beta=2.0)
+        with pytest.raises(ValueError, match="^all power coefficients must be positive$"):
+            PowerAllocation(alphas=(math.nan, math.nan), beta=0.0)
         # the weaker user's share underflows to zero
         extreme = ChannelRealization(distances_m=(1.0, 1.0), gains=(1e300, 1e-300))
         with pytest.raises(ValueError, match="must be positive"):
@@ -354,3 +372,69 @@ class TestSecrecyRates:
         rates = secrecy_rates(order, ch, pa, params)
         assert len(rates) == 4
         assert all(r >= 0.0 and math.isfinite(r) for r in rates)
+
+
+def floats(values) -> bool:
+    """Whether ``values`` is a tuple of Python floats."""
+    return type(values) is tuple and all(type(v) is float for v in values)
+
+
+class TestStoredForm:
+    """A value built from lists or arrays stores what the one built from
+    tuples stores: it is equal and hash-equal to it, every reader sees
+    tuples and floats, and a later change to the caller's list leaves it
+    as it was checked."""
+
+    @pytest.mark.parametrize(
+        "dtype", [np.float64, np.float32, np.int64], ids=["float64", "float32", "int64"]
+    )
+    def test_params_store_floats(self, dtype):
+        # every value is exact in each dtype
+        values = (10, -90, 0, 400, 2, 3, 1)
+        given = SystemParams(np.int64(2), *np.array(values, dtype=dtype))
+        want = SystemParams(2, *map(float, values))
+        assert given == want and hash(given) == hash(want)
+        assert [type(getattr(given, f.name)) for f in fields(given)] == [int] + [float] * 7
+
+    @pytest.mark.parametrize("seq", [list, np.array], ids=["list", "ndarray"])
+    def test_channels_store_tuples_of_floats(self, seq):
+        distances, gains = seq([1.0, 2.0]), seq([4.0, 1.0])
+        given = ChannelRealization(distances_m=distances, gains=gains)
+        assert given == WORKED_CH and hash(given) == hash(WORKED_CH)
+        assert floats(given.distances_m) and floats(given.gains)
+        # the caller's gains now ascend, which the check refuses
+        gains[:] = seq([1.0, 4.0])
+        assert given == WORKED_CH
+        schemes, params = ("policy-LPWU",), SystemParams(n_users=2)
+        assert sweep_all(schemes, (0.0,), given, params) == sweep_all(
+            schemes, (0.0,), WORKED_CH, params
+        )
+
+    @pytest.mark.parametrize("seq", [list, np.array], ids=["list", "ndarray"])
+    def test_allocations_store_tuples_of_floats(self, seq):
+        alphas = seq([0.2, 0.8])
+        given = PowerAllocation(alphas=alphas, beta=np.float64(0.0))
+        assert given == WORKED_ALPHA and hash(given) == hash(WORKED_ALPHA)
+        assert floats(given.alphas) and type(given.beta) is float
+        alphas[0] = -3.0
+        assert given == WORKED_ALPHA
+        assert secrecy_rates(WORKED_ORDER, WORKED_CH, given, WORKED_PARAMS) == secrecy_rates(
+            WORKED_ORDER, WORKED_CH, WORKED_ALPHA, WORKED_PARAMS
+        )
+        allocated = power_allocation(WORKED_CH, np.float64(1.0))
+        assert floats(allocated.alphas) and type(allocated.beta) is float
+
+    @pytest.mark.parametrize(
+        "build", [lambda: [[2, 1], [1, 2]], lambda: np.array([[2, 1], [1, 2]])],
+        ids=["list", "ndarray"],
+    )
+    def test_orders_store_tuples_of_tuples(self, build):
+        columns = build()
+        given = DecodingOrder(columns=columns)
+        assert given == WORKED_ORDER and hash(given) == hash(WORKED_ORDER)
+        assert type(given.columns) is tuple and {type(c) for c in given.columns} == {tuple}
+        columns[0][0], columns[0][1] = 1, 2
+        assert given == WORKED_ORDER and is_secure(given)
+        args = WORKED_CH, WORKED_ALPHA, WORKED_PARAMS
+        assert secrecy_rates(given, *args) == secrecy_rates(WORKED_ORDER, *args)
+        assert max_min_order([given], *args) == max_min_order([WORKED_ORDER], *args)
